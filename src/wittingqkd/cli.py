@@ -11,20 +11,56 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
+from dataclasses import replace
 
 from .configuration import WittingConfiguration, bases_payload, states_payload
 from .marking import exhaustive_scan, Marking
 from .measurement import intercept_resend_distribution, joint_distribution
 from .protocol import DEFAULT_SEED, PartyPolicy, run_session, transcript_csv_rows
-from .symmetry import generate_group, group_payload
+from .symmetry import MIN_MAX_ELEMENTS, generate_group, group_payload
 from .verify import run_checks
 
 
 def _emit(payload) -> None:
     print(json.dumps(payload, indent=2))
+
+
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer in low..high (no upper bound when None)."""
+
+    def integer(text: str) -> int:  # argparse reports "invalid integer value"
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return integer
+
+
+_TETRAD_ID = _int_in(0, 39)
+
+
+def _policy(text: str) -> PartyPolicy:
+    """argparse type: a policy spec; the seed is filled in from --seed."""
+    try:
+        return PartyPolicy.parse(text, DEFAULT_SEED)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"invalid policy {text!r} ({exc})") from None
+
+
+def _open_output(path: str | None, newline: str | None = None):
+    """Open an output file before the run, so an unwritable path fails first."""
+    if path is None:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _cmd_states(args: argparse.Namespace) -> int:
@@ -46,10 +82,6 @@ def _cmd_group(args: argparse.Namespace) -> int:
 
 def _cmd_joint(args: argparse.Namespace) -> int:
     config = WittingConfiguration()
-    for name in ("alice", "bob", "eve"):
-        value = getattr(args, name)
-        if value is not None and not 0 <= value < 40:
-            raise SystemExit(f"{name} basis id must be in 0..39")
     if args.eve is None:
         dist = joint_distribution(config, args.alice, args.bob)
     else:
@@ -67,22 +99,19 @@ def _cmd_joint(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = WittingConfiguration()
-    if args.eve is not None and not 0 <= args.eve < 40:
-        raise SystemExit("eve basis id must be in 0..39")
-    policy_a = PartyPolicy.parse(args.policy, args.seed)
-    policy_b = PartyPolicy.parse(args.policy, args.seed)
-    transcript = run_session(
-        config,
-        args.protocol,
-        args.rounds,
-        policy_a,
-        policy_b,
-        eve_basis=args.eve,
-        seed=args.seed,
-        keep_rounds=args.transcript is not None,
-    )
-    if args.transcript is not None:
-        with open(args.transcript, "w", newline="") as fh:
+    policy = replace(args.policy, seed=args.seed)
+    with _open_output(args.transcript, newline="") as fh:
+        transcript = run_session(
+            config,
+            args.protocol,
+            args.rounds,
+            policy,
+            policy,
+            eve_basis=args.eve,
+            seed=args.seed,
+            keep_rounds=fh is not None,
+        )
+        if fh is not None:
             csv.writer(fh).writerows(transcript_csv_rows(transcript))
     _emit(transcript.to_json_dict())
     return 0
@@ -90,9 +119,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_classical_scan(args: argparse.Namespace) -> int:
     config = WittingConfiguration()
-    result = exhaustive_scan(config, threads=args.threads)
-    if args.dump_max is not None:
-        with open(args.dump_max, "w") as fh:
+    with _open_output(args.dump_max) as fh:
+        result = exhaustive_scan(config)
+        if fh is not None:
             json.dump(
                 [list(Marking.from_index(i).choice) for i in result.maximizer_indices],
                 fh,
@@ -123,12 +152,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("bases", help="dump the 40 measurement tetrads")
 
     p_group = sub.add_parser("group", help="generate the symmetry group")
-    p_group.add_argument("--max-elements", type=int, default=200_000)
+    p_group.add_argument("--max-elements", type=_int_in(MIN_MAX_ELEMENTS), default=200_000)
 
     p_joint = sub.add_parser("joint", help="exact joint outcome distribution")
-    p_joint.add_argument("--alice", type=int, required=True, metavar="BASIS")
-    p_joint.add_argument("--bob", type=int, required=True, metavar="BASIS")
-    p_joint.add_argument("--eve", type=int, default=None, metavar="BASIS")
+    p_joint.add_argument("--alice", type=_TETRAD_ID, required=True, metavar="BASIS")
+    p_joint.add_argument("--bob", type=_TETRAD_ID, required=True, metavar="BASIS")
+    p_joint.add_argument("--eve", type=_TETRAD_ID, default=None, metavar="BASIS")
 
     p_sim = sub.add_parser("simulate", help="run a two-party session")
     p_sim.add_argument(
@@ -136,15 +165,16 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("naive", "two-step", "key-agreement"),
         required=True,
     )
-    p_sim.add_argument("--rounds", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_sim.add_argument("--eve", type=int, default=None, metavar="BASIS")
-    p_sim.add_argument("--policy", default="uniform", metavar="uniform|agreed|correlated:W")
+    p_sim.add_argument("--rounds", type=_int_in(1), required=True)
+    p_sim.add_argument("--seed", type=_int_in(0), default=DEFAULT_SEED)
+    p_sim.add_argument("--eve", type=_TETRAD_ID, default=None, metavar="BASIS")
+    p_sim.add_argument(
+        "--policy", type=_policy, default="uniform", metavar="uniform|agreed|correlated:W"
+    )
     p_sim.add_argument("--transcript", default=None, metavar="FILE")
 
     p_scan = sub.add_parser("classical-scan", help="scan all 4^10 markings")
     p_scan.add_argument("--dump-max", default=None, metavar="FILE")
-    p_scan.add_argument("--threads", type=int, default=1)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     p_verify.add_argument(

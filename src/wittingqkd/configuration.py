@@ -100,6 +100,7 @@ _CARD_TABLE = {
 }
 
 Vector = tuple[Eisenstein, Eisenstein, Eisenstein, Eisenstein]
+_Table = tuple[tuple[int, ...], ...]
 
 
 def parse_vector(text: str) -> Vector:
@@ -126,14 +127,6 @@ def scaled_inner(s: Iterable[Eisenstein], t: Iterable[Eisenstein]) -> Eisenstein
     acc = ZERO
     for x, y in zip(s, t):
         acc = acc + x.conj() * y
-    return acc
-
-
-def plain_dot(s: Iterable[Eisenstein], t: Iterable[Eisenstein]) -> Eisenstein:
-    """Bilinear sum(s_i * t_i), no conjugation (used by the entangled pair)."""
-    acc = ZERO
-    for x, y in zip(s, t):
-        acc = acc + x * y
     return acc
 
 
@@ -213,8 +206,14 @@ class WittingConfiguration:
             raise ConfigurationError("states are not projectively distinct")
         self._check_families()
 
-        self.adjacency: tuple[frozenset[int], ...] = self._build_graph()
+        # transitions[i][j] = 9 |<s_i|s_j>|^2 in {0, 3, 9}, by state index:
+        # every Born probability between states is an entry over 9.
+        self.adjacency, self.transitions = self._build_graph()
         self.bases: tuple[Basis, ...] = self._enumerate_bases()
+        # Member state indices of each tetrad, in announcement order.
+        self.basis_states: _Table = tuple(
+            tuple(self._by_card[c].index for c in b.members) for b in self.bases
+        )
         self._bases_by_card: dict[Card, tuple[int, ...]] = {}
         for basis in self.bases:
             for card in basis.members:
@@ -258,21 +257,21 @@ class WittingConfiguration:
             if got != expected:
                 raise ConfigurationError(f"block column {col} mismatches its family")
 
-    def _build_graph(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in range(40)]
+    def _build_graph(self) -> tuple[tuple[frozenset[int], ...], _Table]:
+        """Transition table from one pass of norms; its zeros are the graph."""
+        table = [[9 if i == j else 0 for j in range(40)] for i in range(40)]
         for s, t in itertools.combinations(self.states, 2):
             n = scaled_inner(s.vector, t.vector).norm_sq()
             if n not in (0, 3):
                 raise ConfigurationError(
                     f"|<{s.card.label}|{t.card.label}>|^2 outside {{0, 3}}: {n}"
                 )
-            if n == 0:
-                adj[s.index].add(t.index)
-                adj[t.index].add(s.index)
+            table[s.index][t.index] = table[t.index][s.index] = n
+        adj = tuple(frozenset(j for j, n in enumerate(r) if n == 0) for r in table)
         degrees = {len(a) for a in adj}
         if degrees != {12}:
             raise ConfigurationError(f"orthogonality graph not 12-regular: {degrees}")
-        return tuple(frozenset(a) for a in adj)
+        return adj, tuple(tuple(r) for r in table)
 
     def _enumerate_bases(self) -> tuple[Basis, ...]:
         masks = [sum(1 << j for j in adj) for adj in self.adjacency]
@@ -333,12 +332,8 @@ class WittingConfiguration:
 
     def transition_prob(self, s: ProjectiveState | Card, t: ProjectiveState | Card) -> Fraction:
         """Born probability |<s|t>|^2: exactly 0, 1/3, or 1."""
-        sv = self._vec(s)
-        tv = self._vec(t)
-        return Fraction(scaled_inner(sv, tv).norm_sq(), 9)
-
-    def _vec(self, s: ProjectiveState | Card) -> Vector:
-        return (s if isinstance(s, ProjectiveState) else self._by_card[s]).vector
+        i, j = (x if isinstance(x, ProjectiveState) else self._by_card[x] for x in (s, t))
+        return Fraction(self.transitions[i.index][j.index], 9)
 
     def conjugate_card(self, card: Card) -> Card:
         return Card(card.suit, RANK_CONJUGATION[card.rank])

@@ -13,7 +13,6 @@ in another.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -121,54 +120,25 @@ class ScanResult:
         }
 
 
-def _scan_chunk(
-    member_keys: list[list[tuple[int, int]]], start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.arange(start, stop, dtype=np.int32)
+def exhaustive_scan(config: WittingConfiguration) -> ScanResult:
+    """Score every candidate marking; exact counts, no sampling.
+
+    The scan vectorises over markings (numpy int8 arithmetic on base-4
+    digit arrays).
+    """
+    idx = np.arange(N_MARKINGS, dtype=np.int32)
     digits = ((idx[:, None] >> (2 * np.arange(10))) & 3).astype(np.int8)
-    correct = np.zeros(stop - start, dtype=np.int8)
-    for members in member_keys:
+    correct = np.zeros(N_MARKINGS, dtype=np.int8)
+    for members in _member_keys(config):
         (r0, s0), *rest = members
         cnt = (digits[:, r0] == s0).astype(np.int8)
         for r, s in rest:
             cnt = cnt + (digits[:, r] == s)
         correct += cnt == 1
     hist = np.bincount(correct, minlength=41)
-    return hist, start + np.nonzero(correct == correct.max())[0]
-
-
-def exhaustive_scan(config: WittingConfiguration, threads: int = 1) -> ScanResult:
-    """Score every candidate marking; exact counts, no sampling.
-
-    The scan vectorises over markings (numpy int8 arithmetic on base-4
-    digit arrays) and optionally splits the index range across threads;
-    partial histograms merge deterministically.
-    """
-    member_keys = _member_keys(config)
-    threads = max(1, threads)
-    bounds = [
-        (N_MARKINGS * i // threads, N_MARKINGS * (i + 1) // threads)
-        for i in range(threads)
-    ]
-    if threads == 1:
-        parts = [_scan_chunk(member_keys, *bounds[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda se: _scan_chunk(member_keys, *se), bounds)
-            )
-    hist = np.zeros(41, dtype=np.int64)
-    for h, _ in parts:
-        hist += h
-    max_correct = int(np.nonzero(hist)[0].max())
-    maximizers: list[int] = []
-    for (h, idx), (start, stop) in zip(parts, bounds):
-        chunk_max = int(np.nonzero(h)[0].max())
-        if chunk_max == max_correct:
-            maximizers.extend(int(i) for i in idx)
+    max_correct = int(correct.max())
+    maximizers = np.nonzero(correct == max_correct)[0]
     count_at_max = int(hist[max_correct])
-    if len(maximizers) != count_at_max:
-        raise AssertionError("maximizer collection disagrees with histogram")
     total_correct = int((np.arange(41, dtype=np.int64) * hist).sum())
     return ScanResult(
         histogram=tuple(int(h) for h in hist),
@@ -178,7 +148,7 @@ def exhaustive_scan(config: WittingConfiguration, threads: int = 1) -> ScanResul
         frac_above_28=Fraction(int(hist[29:].sum()), N_MARKINGS),
         frac_at_max=Fraction(count_at_max, N_MARKINGS),
         exists_perfect=bool(hist[40] > 0),
-        maximizer_indices=tuple(sorted(maximizers)),
+        maximizer_indices=tuple(int(i) for i in maximizers),
     )
 
 

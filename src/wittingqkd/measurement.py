@@ -4,14 +4,16 @@ The shared state is the maximally entangled pair (|00> + |11> + |22> + |33>)/2.
 Rewriting it over any orthonormal basis {x_k} pairs each |x_k> on one side
 with the componentwise-conjugated |x_k*> on the other, so when Bob measures
 the conjugated copy of Alice's tetrad the outcome indices agree with
-certainty.  All probabilities here are exact ``Fraction`` values; vectors
-are kept unnormalised over Z[w] with an explicit power-of-sqrt(3) scale so
-no irrational number ever appears.
+certainty.  All probabilities here are exact ``Fraction`` values.  The
+distributions the protocols sample are read from the configuration's
+integer transition table; the Z[w] vector code (delayed queries,
+``JointState``) is the reference that ``verify`` and the tests check them
+against.  Its vectors are kept unnormalised with an explicit
+power-of-sqrt(3) scale so no irrational number ever appears.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -24,7 +26,6 @@ from .configuration import (
     ProjectiveState,
     Vector,
     WittingConfiguration,
-    plain_dot,
     scaled_inner,
 )
 
@@ -39,9 +40,6 @@ class QuquartState:
     @property
     def norm_sq(self) -> Fraction:
         return Fraction(sum(x.norm_sq() for x in self.amps), 3**self.scale)
-
-    def conjugated(self) -> "QuquartState":
-        return QuquartState(tuple(x.conj() for x in self.amps), self.scale)
 
     @classmethod
     def from_state(cls, state: ProjectiveState) -> "QuquartState":
@@ -105,6 +103,14 @@ def basis_vectors(
     return vecs
 
 
+def _states(config: WittingConfiguration, basis: Basis | int) -> tuple[int, ...]:
+    return config.basis_states[basis if isinstance(basis, int) else basis.id]
+
+
+def _from_counts(counts: list[list[int]], den: int) -> JointDistribution:
+    return JointDistribution(tuple(tuple(Fraction(n, den) for n in r) for r in counts))
+
+
 def joint_distribution(
     config: WittingConfiguration,
     alice_basis: Basis | int,
@@ -114,17 +120,15 @@ def joint_distribution(
     """Exact outcome distribution when both sides measure the entangled pair.
 
     The amplitude for outcomes (a, b) is half the plain (bilinear) dot
-    product of the two measured vectors; with Bob conjugate-coordinated to
-    Alice's own tetrad this is (1/4) I exactly.
+    product of the two measured vectors, so P(a, b) = |<a|b>|^2 / 4; with
+    Bob conjugate-coordinated to Alice's own tetrad this is (1/4) I exactly.
     """
-    av = basis_vectors(config, alice_basis)
-    bv = basis_vectors(config, bob_basis, conjugated=bob_conjugated)
-    rows = []
-    for va in av:
-        rows.append(
-            tuple(Fraction(plain_dot(va, vb).norm_sq(), 36) for vb in bv)
-        )
-    return JointDistribution(tuple(rows))
+    rows = _states(config, alice_basis)
+    if not bob_conjugated:  # the bilinear product then meets Alice's conjugates
+        cards = (config.conjugate_card(config.states[i].card) for i in rows)
+        rows = tuple(config.state_of(c).index for c in cards)
+    t = config.transitions
+    return _from_counts([[t[a][b] for b in _states(config, bob_basis)] for a in rows], 36)
 
 
 def intercept_resend_distribution(
@@ -137,23 +141,14 @@ def intercept_resend_distribution(
 
     Eve measures Bob's particle in her own conjugate-coordinated tetrad and
     forwards the eigenstate she observed; Bob then measures the resent state
-    in his conjugate-coordinated tetrad.
+    in his conjugate-coordinated tetrad: P(a, b) = sum_e P(a, e) |<e|b>|^2.
     """
-    av = basis_vectors(config, alice_basis)
-    bv = basis_vectors(config, bob_basis, conjugated=True)
-    ev = basis_vectors(config, eve_basis, conjugated=True)
-    # P1[a][e]: Alice x Eve on the pair;  P2[e][b]: Bob on the resent state.
-    p1 = [[plain_dot(va, ve).norm_sq() for ve in ev] for va in av]
-    p2 = [[scaled_inner(vb, ve).norm_sq() for vb in bv] for ve in ev]
-    rows = []
-    for a in range(4):
-        rows.append(
-            tuple(
-                Fraction(sum(p1[a][e] * p2[e][b] for e in range(4)), 36 * 9)
-                for b in range(4)
-            )
-        )
-    return JointDistribution(tuple(rows))
+    t = config.transitions
+    alice, bob = _states(config, alice_basis), _states(config, bob_basis)
+    eve = _states(config, eve_basis)
+    return _from_counts(
+        [[sum(t[a][e] * t[e][b] for e in eve) for b in bob] for a in alice], 36 * 9
+    )
 
 
 # -- delayed queries and two-step measurement ----------------------------------
@@ -171,10 +166,6 @@ class DelayedQueryResult:
     p_yes: Fraction
     post_yes: QuquartState | None
     post_no: QuquartState | None
-
-    @property
-    def p_no(self) -> Fraction:
-        return 1 - self.p_yes
 
 
 def delayed_query(state: QuquartState, probe: ProjectiveState) -> DelayedQueryResult:
@@ -300,12 +291,6 @@ class JointState:
                     new[j][k] = self.amps[j][k] * 3 - new[j][k]
         return JointState(tuple(tuple(row) for row in new), self.scale + 2)
 
-    def query_alice(self, probe: Vector) -> tuple["JointState", "JointState"]:
-        return self._project(probe, "alice", False), self._project(probe, "alice", True)
-
-    def query_bob(self, probe: Vector) -> tuple["JointState", "JointState"]:
-        return self._project(probe, "bob", False), self._project(probe, "bob", True)
-
     def measurement_distribution(
         self, alice_vectors: tuple[Vector, ...], bob_vectors: tuple[Vector, ...]
     ) -> JointDistribution:
@@ -352,6 +337,8 @@ def two_step_joint_branches(
     Alice queries her probe then completes her tetrad; Bob does the same
     with conjugated states.  The four (yes/no x yes/no) branches recompose
     exactly to the one-step joint distribution, whatever the probes are.
+    This builds every branch state over Z[w]; it is the reference that
+    :func:`probe_branches` is checked against.
     """
     ab = config.bases[alice_basis] if isinstance(alice_basis, int) else alice_basis
     bb = config.bases[bob_basis] if isinstance(bob_basis, int) else bob_basis
@@ -366,11 +353,11 @@ def two_step_joint_branches(
 
     start = JointState.entangled_pair()
     total = start.norm_sq
-    a_yes, a_no = start.query_alice(pa)
     branches = []
-    for alice_branch, a_state in (("y", a_yes), ("n", a_no)):
-        b_yes, b_no = a_state.query_bob(pb)
-        for bob_branch, state in (("y", b_yes), ("n", b_no)):
+    for alice_branch, alice_no in (("y", False), ("n", True)):
+        a_state = start._project(pa, "alice", alice_no)
+        for bob_branch, bob_no in (("y", False), ("n", True)):
+            state = a_state._project(pb, "bob", bob_no)
             prob = state.norm_sq / total
             cond = (
                 state.measurement_distribution(av, bv) if prob != 0 else None
@@ -390,6 +377,35 @@ def compose_branches(branches: tuple[TwoStepBranch, ...]) -> JointDistribution:
             for b in range(4):
                 rows[a][b] += branch.probability * branch.conditional.p[a][b]
     return JointDistribution(tuple(tuple(row) for row in rows))
+
+
+def probe_branches(
+    dist: JointDistribution, alice_position: int, bob_position: int
+) -> tuple[TwoStepBranch, ...]:
+    """The branches of :func:`two_step_joint_branches`, read off ``dist``.
+
+    Each probe is one of its own party's tetrad projectors, so a query says
+    "yes" exactly when the final outcome is the probe's position: a branch
+    is the one-step joint restricted to the probe's row or the other rows,
+    and the probe's column or the other columns.
+    """
+    branches = []
+    for label in ("yy", "yn", "ny", "nn"):
+        a_yes, b_yes = label[0] == "y", label[1] == "y"
+        kept = [
+            [
+                x if (a == alice_position) == a_yes and (b == bob_position) == b_yes
+                else Fraction(0)
+                for b, x in enumerate(row)
+            ]
+            for a, row in enumerate(dist.p)
+        ]
+        prob = sum(map(sum, kept), Fraction(0))
+        cond = None
+        if prob != 0:
+            cond = JointDistribution(tuple(tuple(x / prob for x in r) for r in kept))
+        branches.append(TwoStepBranch(label, prob, cond))
+    return tuple(branches)
 
 
 # -- exact sampling -------------------------------------------------------------
@@ -421,7 +437,6 @@ class TwoStepSampler:
     """Samples (alice, bob) outcomes through the genuine branch structure."""
 
     def __init__(self, branches: tuple[TwoStepBranch, ...]):
-        self.branches = branches
         self.branch_sampler = CumulativeSampler(
             tuple(b.probability for b in branches)
         )
@@ -438,23 +453,6 @@ class TwoStepSampler:
         assert sampler is not None  # zero-probability branches are never drawn
         flat = sampler.sample(rng)
         return divmod(flat, 4)
-
-
-def two_step_measure_pair(
-    rng: Random,
-    config: WittingConfiguration,
-    alice_probe: Card,
-    alice_basis: Basis | int,
-    bob_probe: Card,
-    bob_basis: Basis | int,
-) -> tuple[int, int]:
-    """One sampled round of the two-step joint measurement."""
-    sampler = TwoStepSampler(
-        two_step_joint_branches(
-            config, alice_probe, alice_basis, bob_probe, bob_basis
-        )
-    )
-    return sampler.sample(rng)
 
 
 # -- the query gate on qubits ----------------------------------------------------

@@ -27,7 +27,7 @@ from .measurement import (
     TwoStepSampler,
     intercept_resend_distribution,
     joint_distribution,
-    two_step_joint_branches,
+    probe_branches,
 )
 
 DEFAULT_SEED = 20240
@@ -265,8 +265,10 @@ class _TwoStepOutcomeCache:
         key = (probe_a, probe_b, basis)
         sampler = self.two_step.get(key)
         if sampler is None:
+            joint = joint_distribution(self.config, basis, basis)
+            members = self.config.bases[basis].members
             sampler = TwoStepSampler(
-                two_step_joint_branches(self.config, probe_a, basis, probe_b, basis)
+                probe_branches(joint, members.index(probe_a), members.index(probe_b))
             )
             self.two_step[key] = sampler
         return sampler.sample(rng)

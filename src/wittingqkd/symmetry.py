@@ -27,6 +27,7 @@ from .configuration import (
 )
 
 _ENTRY_BOUND = 1 << 20  # matches the Eisenstein component bound
+MIN_MAX_ELEMENTS = 60_000  # smallest closure bound generate_group accepts
 
 
 class SymmetryError(RuntimeError):
@@ -236,8 +237,8 @@ def generate_group(
     config: WittingConfiguration, max_elements: int = 200_000
 ) -> GroupTable:
     """Breadth-first closure of the four generators under exact products."""
-    if max_elements < 60_000:
-        raise ValueError("max_elements must be at least 60000")
+    if max_elements < MIN_MAX_ELEMENTS:
+        raise ValueError(f"max_elements must be at least {MIN_MAX_ELEMENTS}")
     gens = [(g.m, g.denom_exp) for g in generators(config)]
     identity = SymmetryElement.identity()
     table: dict[bytes, tuple[np.ndarray, int]] = {

@@ -123,7 +123,7 @@ def test_criterion_07_classical_scan(config):
         t0 = time.perf_counter()
         from wittingqkd.marking import exhaustive_scan
 
-        result = exhaustive_scan(config, threads=1)
+        result = exhaustive_scan(config)
         elapsed = time.perf_counter() - t0
         assert result.exists_perfect is False
         assert result.max_correct == 34

@@ -184,16 +184,50 @@ def test_group_command(capsys):
     }
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as err:
-        main(["nonsense"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main([])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["simulate", "--protocol", "naive", "--rounds", "10", "--bogus"])
-    assert err.value.code == 2
+USAGE_ERRORS = (
+    "nonsense",
+    "",
+    "simulate --protocol naive --rounds 10 --bogus",
+    "joint --alice 40 --bob 0",
+    "joint --alice 0 --bob -1",
+    "joint --alice 0 --bob 0 --eve 50",
+    "joint --alice x --bob 0",
+    "simulate --protocol naive --rounds 10 --eve 41",
+    "simulate --protocol naive --rounds 0",
+    "simulate --protocol naive --rounds 10 --seed -7",
+    "simulate --protocol naive --rounds 10 --policy correlated:abc",
+    "simulate --protocol naive --rounds 10 --policy correlated:3",
+    "simulate --protocol naive --rounds 10 --policy correlated:1/0",
+    "simulate --protocol naive --rounds 10 --policy sometimes",
+    "group --max-elements 10",
+    "classical-scan --threads 4",
+)
+
+
+def test_usage_error_exit_code(capsys):
+    for argv in USAGE_ERRORS:
+        with pytest.raises(SystemExit) as err:
+            main(argv.split())
+        assert err.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "error:" in captured.err, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--protocol", "naive", "--rounds", "10", "--transcript"],
+        ["classical-scan", "--dump-max"],
+    ],
+)
+def test_unwritable_output_fails_before_the_run(capsys, tmp_path, argv):
+    path = tmp_path / "missing-dir" / "out"
+    assert main(argv + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}")
+    assert not path.exists()
 
 
 def test_module_entry_point():

@@ -4,20 +4,22 @@ from random import Random
 
 import pytest
 
-from wittingqkd.configuration import Card
+from wittingqkd.configuration import Card, scaled_inner
+from wittingqkd.eisenstein import ZERO
 from wittingqkd.measurement import (
     CumulativeSampler,
     QuquartState,
     TwoStepSampler,
+    basis_vectors,
     compose_branches,
     delayed_query,
     intercept_resend_distribution,
     joint_distribution,
     one_step_distribution,
+    probe_branches,
     toffoli_report,
     two_step_distribution,
     two_step_joint_branches,
-    two_step_measure_pair,
 )
 
 QUARTER = Fraction(1, 4)
@@ -114,6 +116,64 @@ def test_eve_average_mismatch_by_class(config):
         else:
             expected = Fraction(2, 3)
         assert dist.mismatch_probability() == expected
+
+
+# -- the transition table against the Z[w] vector reference ----------------------
+
+
+def _plain_dot(s, t):
+    acc = ZERO
+    for x, y in zip(s, t):
+        acc = acc + x * y
+    return acc
+
+
+def _vector_joint(config, a, b, bob_conjugated=True):
+    # amplitude of outcome pair (i, j): half the bilinear product of the vectors
+    bv = basis_vectors(config, b, conjugated=bob_conjugated)
+    return tuple(
+        tuple(Fraction(_plain_dot(x, y).norm_sq(), 36) for y in bv)
+        for x in basis_vectors(config, a)
+    )
+
+
+def _vector_intercept_resend(config, a, b, e):
+    bv = basis_vectors(config, b, conjugated=True)
+    ev = basis_vectors(config, e, conjugated=True)
+    p1 = [[_plain_dot(x, z).norm_sq() for z in ev] for x in basis_vectors(config, a)]
+    p2 = [[scaled_inner(y, z).norm_sq() for y in bv] for z in ev]
+    return tuple(
+        tuple(Fraction(sum(p1[i][k] * p2[k][j] for k in range(4)), 324) for j in range(4))
+        for i in range(4)
+    )
+
+
+def test_joint_table_matches_vector_reference(config):
+    for a, b in itertools.product(range(40), repeat=2):
+        for conjugated in (True, False):
+            assert joint_distribution(config, a, b, conjugated).p == _vector_joint(
+                config, a, b, conjugated
+            ), (a, b, conjugated)
+
+
+def test_intercept_resend_table_matches_vector_reference(config):
+    triples = [(a, a, e) for a in range(40) for e in range(40)]
+    triples += [(a, b, e) for e in (0, 10, 28) for a in range(40) for b in range(40)]
+    for a, b, e in triples:
+        assert intercept_resend_distribution(
+            config, a, b, e
+        ).p == _vector_intercept_resend(config, a, b, e), (a, b, e)
+
+
+def test_probe_branches_match_joint_state_reference(config):
+    pairs = 0
+    for basis in config.bases:
+        joint = joint_distribution(config, basis.id, basis.id)
+        for (i, pa), (j, pb) in itertools.product(enumerate(basis.members), repeat=2):
+            reference = two_step_joint_branches(config, pa, basis.id, pb, basis.id)
+            assert probe_branches(joint, i, j) == reference, (basis.id, pa, pb)
+            pairs += 1
+    assert pairs == 640
 
 
 # -- delayed queries -----------------------------------------------------------
@@ -213,15 +273,6 @@ def test_two_step_sampling_marginal_uniform_chi_square(config):
     expected = n / 4
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
     assert chi2 < 16.27  # 0.999 quantile, 3 degrees of freedom
-
-
-def test_two_step_measure_pair_smoke(config):
-    rng = Random(6)
-    basis = config.bases[9]
-    a, b = two_step_measure_pair(
-        rng, config, basis.members[1], basis.id, basis.members[2], basis.id
-    )
-    assert a == b
 
 
 # -- samplers ---------------------------------------------------------------------
