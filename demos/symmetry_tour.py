@@ -1,6 +1,6 @@
 """Tour of the symmetry group: four triflections generate 51840 unitaries.
 
-Run:  python3 demos/symmetry_tour.py   (takes a few seconds)
+Run:  python3 demos/symmetry_tour.py   (takes about a second)
 """
 
 import time
@@ -34,7 +34,8 @@ gens = generators(config)
 print("  determinants:", [str(g.determinant_unit()) for g in gens])
 print()
 
-print("Breadth-first closure under exact matrix products:")
+print("Each generator permutes the 240 polytope vertices exactly; breadth-first")
+print("closure composes those permutations:")
 t0 = time.time()
 table = generate_group(config)
 print(f"  raw order:            {table.raw_order}   ({time.time() - t0:.1f}s)")

@@ -49,7 +49,7 @@ def _policy(text: str) -> PartyPolicy:
     """argparse type: a policy spec; the seed is filled in from --seed."""
     try:
         return PartyPolicy.parse(text, DEFAULT_SEED)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid policy {text!r} ({exc})") from None
 
 
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     p_verify.add_argument(
-        "--quick", action="store_true", help="skip group closure and the scan"
+        "--quick", action="store_true", help="skip the group closures and the scan"
     )
     return parser
 
@@ -194,8 +194,18 @@ _HANDLERS = {
 }
 
 
+def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse and validate argv; the parser is freed before the command runs."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "simulate" and args.eve is not None and args.protocol != "naive":
+        # Rejected here, before --transcript opens its file.
+        parser.error("--eve is only modelled for --protocol naive")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, RuntimeError) as exc:

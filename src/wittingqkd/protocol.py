@@ -59,7 +59,11 @@ class PartyPolicy:
         if text == "agreed":
             return cls("agreed", seed)
         if text.startswith("correlated:"):
-            return cls("correlated", seed, weight=Fraction(text.split(":", 1)[1]))
+            try:
+                weight = Fraction(text.split(":", 1)[1])
+            except ZeroDivisionError:
+                raise ValueError("correlation weight has a zero denominator") from None
+            return cls("correlated", seed, weight=weight)
         raise ValueError(f"unknown policy {text!r}")
 
 

@@ -3,11 +3,15 @@
 A group element is a 4x4 matrix over Z[w] together with a power-of-3
 denominator: the pair (m, d) represents m / 3**d and is kept reduced (some
 entry of m not divisible by 3 whenever d > 0).  Reduced pairs are unique,
-so hash-based closure is exact: no tolerance, no near-duplicates.
+so equality and hashing of elements are exact: no tolerance.
 
-Internally matrices are numpy int64 arrays of shape (2, 4, 4) holding the
-a- and b-components of each entry; closure over ~5e4 elements then costs a
-few seconds instead of minutes of boxed arithmetic.
+Matrices are numpy int64 arrays of shape (2, 4, 4) holding the a- and
+b-components of each entry; they serve the generators' det and unitarity
+checks and the per-element API.  The group itself is closed over
+permutations of the 240 Witting vertices: those vertices span C^4, so each
+element is exactly one permutation, and it is fixed by the images of the
+four axis vertices.  Closure composes whole frontiers of uint8 permutation
+arrays with numpy fancy indexing and takes well under a second.
 """
 
 from __future__ import annotations
@@ -206,76 +210,175 @@ def generators(config: WittingConfiguration) -> tuple[SymmetryElement, ...]:
     return tuple(gens)
 
 
+class _Vertices:
+    """The 240 polytope vertices as one integer array, with lookups.
+
+    ``m`` holds the a- and b-components of the sqrt(3)-scaled vertices as
+    columns, shape (2, 4, 240).  ``config.expand_vertices()`` lists the six
+    unit multiples of each state in turn, so vertex v lies on state v // 6.
+    """
+
+    def __init__(self, config: WittingConfiguration):
+        vectors = config.expand_vertices()
+        self.m = np.array(
+            [[x.key() for x in v] for v in vectors], dtype=np.int64
+        ).transpose(2, 1, 0)
+        self._index = {
+            col.tobytes(): i for i, col in enumerate(self.m.transpose(2, 0, 1))
+        }
+        axes = np.stack((np.eye(4, dtype=np.int64), 2 * np.eye(4, dtype=np.int64)))
+        self.axes = np.array(self._lookup(axes), dtype=np.intp)  # (1 + 2w) e_j
+        identity = SymmetryElement.identity()
+        self.scalars = np.stack(
+            [self.permutation(identity.scaled_by_unit(u)) for u in range(6)]
+        )
+
+    def _lookup(self, images: np.ndarray) -> list[int]:
+        """Vertex indices of the columns of a (2, 4, k) array."""
+        found = [self._index.get(col.tobytes()) for col in images.transpose(2, 0, 1)]
+        if None in found:
+            raise SymmetryError("a vertex image is not a polytope vertex")
+        return found  # type: ignore[return-value]
+
+    def permutation(self, g: SymmetryElement) -> np.ndarray:
+        """The vertex permutation g induces, as a (240,) uint8 array.
+
+        Raises :class:`SymmetryError` if g moves a vertex off the polytope.
+        """
+        images = _matmul(g.m, self.m)
+        scale = 3**g.denom_exp
+        if (images % scale).any():
+            raise SymmetryError("a vertex image is not a polytope vertex")
+        perm = self._lookup(images // scale)
+        if len(set(perm)) != len(perm):
+            raise SymmetryError("vertex images do not form a permutation")
+        return np.array(perm, dtype=np.uint8)
+
+    def keys(self, perms: np.ndarray) -> np.ndarray:
+        """One exact key per permutation: the images of the four axes.
+
+        A linear map is fixed by the images of a basis, so equal keys mean
+        equal group elements.
+        """
+        return _pack(perms[:, self.axes])
+
+
+def _pack(images: np.ndarray) -> np.ndarray:
+    """Pack (..., 4) uint8 vertex indices into (...) uint32 keys."""
+    return np.ascontiguousarray(images).view(np.uint32)[..., 0]
+
+
+def _closure(
+    vertices: _Vertices, gens: list[np.ndarray], max_elements: int, keep: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Breadth-first closure of vertex permutations, a whole frontier at a time.
+
+    Returns the sorted keys of all elements and, when ``keep`` is set, the
+    (n, 240) uint8 permutations in discovery order (identity first).
+    """
+    if max_elements < MIN_MAX_ELEMENTS:
+        raise ValueError(f"max_elements must be at least {MIN_MAX_ELEMENTS}")
+    frontier = np.arange(240, dtype=np.uint8)[None, :]
+    keys = vertices.keys(frontier)
+    levels = [frontier]
+    while len(frontier):
+        # The key of f*g depends only on f at the images g[axes].
+        cand = np.concatenate(
+            [_pack(frontier[:, g[vertices.axes]]) for g in gens]
+        )
+        cand, first = np.unique(cand, return_index=True)
+        fresh = ~np.isin(cand, keys, assume_unique=True)
+        if len(keys) + fresh.sum() > max_elements:
+            raise SymmetryError(f"closure exceeded {max_elements} elements")
+        keys = np.insert(keys, np.searchsorted(keys, cand[fresh]), cand[fresh])
+        gen_of, row = np.divmod(first[fresh], len(frontier))
+        frontier = np.concatenate(
+            [frontier[row[gen_of == k]][:, g] for k, g in enumerate(gens)]
+        )
+        if keep:
+            levels.append(frontier)
+    return keys, (np.concatenate(levels) if keep else None)
+
+
 @dataclass
 class GroupTable:
-    """Closure of the generators with exact deduplication.
+    """Closure of the generators, stored as permutations of the 240 vertices.
 
-    Orders are reported for three identifications: none (raw reduced
-    matrices), mod {+1,-1}, and mod all six unit scalars.  The measured
-    values are 51840, 25920 and 25920: scalars present in the closure are
-    exactly {+1,-1}, so both quotients coincide.
+    The 240 vertices span C^4, so each element is exactly one permutation;
+    ``permutations`` is an (n, 240) uint8 array, about 12 MB.  Orders are
+    reported for three identifications: none, mod {+1,-1}, and mod all six
+    unit scalars.  The measured values are 51840, 25920 and 25920: scalars
+    present in the closure are exactly {+1,-1}, so both quotients coincide.
     """
 
     raw_order: int
     order_mod_pm1: int
     projective_order: int
-    matrices: np.ndarray = field(repr=False)  # (n, 2, 4, 4) int64
-    denom_exps: np.ndarray = field(repr=False)  # (n,) int64
-    _keys: frozenset[bytes] = field(repr=False)
+    permutations: np.ndarray = field(repr=False)  # (n, 240) uint8
+    _keys: np.ndarray = field(repr=False)  # sorted uint32 axis-image keys
+    _vertices: _Vertices = field(repr=False)
 
     def __len__(self) -> int:
         return self.raw_order
 
     def element(self, i: int) -> SymmetryElement:
-        return SymmetryElement.from_parts(self.matrices[i], int(self.denom_exps[i]))
+        """The matrix of element i, rebuilt from its axis images.
+
+        Column j is the image of the axis vertex (1 + 2w) e_j divided by
+        (1 + 2w), that is multiplied by (-1 - 2w) / 3.
+        """
+        a, b = self._vertices.m[:, :, self.permutations[i, self._vertices.axes]]
+        return SymmetryElement.from_parts(np.stack((2 * b - a, b - 2 * a)), 1)
+
+    def state_permutation(self, i: int) -> tuple[int, ...]:
+        """The permutation of the 40 states induced by element i."""
+        return tuple(int(v) // 6 for v in self.permutations[i, ::6])
 
     def __contains__(self, elem: SymmetryElement) -> bool:
-        return elem.key() in self._keys
+        try:
+            perm = self._vertices.permutation(elem)
+        except SymmetryError:
+            return False
+        key = self._vertices.keys(perm[None, :])[0]
+        pos = np.searchsorted(self._keys, key)
+        return pos < len(self._keys) and self._keys[pos] == key
+
+
+def _quotient_order(vertices: _Vertices, keys4: np.ndarray, units: range) -> int:
+    """Number of classes of elements that differ by the given unit scalars."""
+    scaled = np.stack([vertices.scalars[u][keys4] for u in units])
+    return len(np.unique(_pack(scaled).min(axis=0)))
 
 
 def generate_group(
     config: WittingConfiguration, max_elements: int = 200_000
 ) -> GroupTable:
-    """Breadth-first closure of the four generators under exact products."""
-    if max_elements < MIN_MAX_ELEMENTS:
-        raise ValueError(f"max_elements must be at least {MIN_MAX_ELEMENTS}")
-    gens = [(g.m, g.denom_exp) for g in generators(config)]
-    identity = SymmetryElement.identity()
-    table: dict[bytes, tuple[np.ndarray, int]] = {
-        identity.key(): (identity.m, identity.denom_exp)
-    }
-    frontier: list[tuple[np.ndarray, int]] = [(identity.m, identity.denom_exp)]
-    while frontier:
-        new: list[tuple[np.ndarray, int]] = []
-        for m, d in frontier:
-            for gm, gd in gens:
-                pm, pd = _reduce(_matmul(m, gm), d + gd)
-                k = _key(pm, pd)
-                if k not in table:
-                    if len(table) >= max_elements:
-                        raise SymmetryError(
-                            f"closure exceeded {max_elements} elements"
-                        )
-                    table[k] = (pm, pd)
-                    new.append((pm, pd))
-        frontier = new
-
-    mod_pm1: set[bytes] = set()
-    projective: set[bytes] = set()
-    for m, d in table.values():
-        ks = [_key(_unit_scaled(m, u), d) for u in range(6)]
-        mod_pm1.add(min(ks[0], ks[1]))
-        projective.add(min(ks))
-    matrices = np.stack([m for m, _ in table.values()])
-    denom_exps = np.array([d for _, d in table.values()], dtype=np.int64)
+    """Breadth-first closure of the four generators as vertex permutations."""
+    vertices = _Vertices(config)
+    gens = [vertices.permutation(g) for g in generators(config)]
+    keys, perms = _closure(vertices, gens, max_elements, keep=True)
+    keys4 = perms[:, vertices.axes]
     return GroupTable(
-        raw_order=len(table),
-        order_mod_pm1=len(mod_pm1),
-        projective_order=len(projective),
-        matrices=matrices,
-        denom_exps=denom_exps,
-        _keys=frozenset(table),
+        raw_order=len(perms),
+        order_mod_pm1=_quotient_order(vertices, keys4, range(2)),
+        projective_order=_quotient_order(vertices, keys4, range(6)),
+        permutations=perms,
+        _keys=keys,
+        _vertices=vertices,
     )
+
+
+def reflection_group_order(
+    config: WittingConfiguration, max_elements: int = 200_000
+) -> int:
+    """Order of the group the four raw triflections generate (no det scaling).
+
+    Only the frontier and the keys are held, never every element.
+    """
+    vertices = _Vertices(config)
+    gens = [vertices.permutation(triflection(config.state_of(c))) for c in GENERATOR_CARDS]
+    keys, _ = _closure(vertices, gens, max_elements, keep=False)
+    return len(keys)
 
 
 def _image_state(

@@ -2,8 +2,8 @@
 
 Each check recomputes one family of structural claims from scratch and
 returns a short human-readable detail string; any exception or failed
-predicate marks the check failed.  ``quick=True`` skips the two expensive
-checks (group closure and the exhaustive marking scan).
+predicate marks the check failed.  ``quick=True`` skips the three expensive
+checks (the two group closures and the exhaustive marking scan).
 """
 
 from __future__ import annotations
@@ -13,7 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .configuration import Card, SUITS, WittingConfiguration, canonical_phase, scaled_inner
+from .configuration import (
+    Card,
+    ProjectiveState,
+    SUITS,
+    WittingConfiguration,
+    canonical_phase,
+    scaled_inner,
+)
 from .eisenstein import Eisenstein, UNITS
 from .marking import (
     ALL_SPADES,
@@ -32,7 +39,12 @@ from .measurement import (
     two_step_joint_branches,
 )
 from .protocol import announcement_leakage_free
-from .symmetry import generate_group, generators, orbit_of_first_basis_state
+from .symmetry import (
+    generate_group,
+    generators,
+    orbit_of_first_basis_state,
+    reflection_group_order,
+)
 
 
 @dataclass
@@ -55,12 +67,19 @@ def _check_counts(config: WittingConfiguration) -> str:
     return "40 states, 240 vertices, 12-regular graph, 40 tetrads, 4 per state"
 
 
+def _born(s: ProjectiveState, t: ProjectiveState) -> Fraction:
+    """|<s|t>|^2 recomputed from the sqrt(3)-scaled vectors, not the table."""
+    return Fraction(scaled_inner(s.vector, t.vector).norm_sq(), 9)
+
+
 def _check_spectrum(config: WittingConfiguration) -> str:
     third = Fraction(1, 3)
     for s, t in itertools.combinations(config.states, 2):
-        assert config.transition_prob(s, t) in (0, third)
+        p = _born(s, t)
+        assert p in (0, third)
+        assert config.transition_prob(s, t) == p
     for s in config.states:
-        assert config.transition_prob(s, s) == 1
+        assert _born(s, s) == config.transition_prob(s, s) == 1
     return "all 780 off-diagonal pairs in {0, 1/3}; diagonal exactly 1"
 
 
@@ -81,7 +100,8 @@ def _check_mub_slices(config: WittingConfiguration) -> str:
         for t1, t2 in itertools.combinations(triads, 2):
             for a in t1:
                 for b in t2:
-                    assert config.transition_prob(a, b) == third
+                    sa, sb = config.state_of(a), config.state_of(b)
+                    assert _born(sa, sb) == config.transition_prob(a, b) == third
     return "each coordinate slice splits into 4 triads, cross-probability 1/3"
 
 
@@ -184,6 +204,12 @@ def _check_group(config: WittingConfiguration) -> str:
     return "closure 51840; mod {+-1} and mod units both 25920; orbit 40"
 
 
+def _check_reflection_group(config: WittingConfiguration) -> str:
+    order = reflection_group_order(config)
+    assert order == 155520, order
+    return "raw triflections close to 155520 = |G32| (Shephard-Todd)"
+
+
 def _check_scan(config: WittingConfiguration) -> str:
     result = exhaustive_scan(config)
     assert not result.exists_perfect
@@ -212,6 +238,7 @@ CHECKS: tuple[tuple[str, Callable[[WittingConfiguration], str], bool], ...] = (
     ("announcement-leakage", _check_leakage, False),
     ("symmetry-group", _check_group, True),
     ("classical-scan", _check_scan, True),
+    ("reflection-group", _check_reflection_group, True),
 )
 
 

@@ -125,10 +125,11 @@ def test_simulate_policy_and_eve(capsys):
 
 
 def test_simulate_eve_rejected_for_two_step(capsys):
-    code = main(
-        ["simulate", "--protocol", "two-step", "--rounds", "10", "--eve", "0"]
-    )
-    assert code == 1
+    # A usage error since --eve is checked at argument-parsing time.
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--protocol", "two-step", "--rounds", "10", "--eve", "0"])
+    assert err.value.code == 2
+    assert "--eve is only modelled for --protocol naive" in capsys.readouterr().err
 
 
 def test_simulate_transcript_csv(tmp_path, capsys):
@@ -204,14 +205,22 @@ USAGE_ERRORS = (
 )
 
 
-def test_usage_error_exit_code(capsys):
-    for argv in USAGE_ERRORS:
+def test_usage_error_exit_code(capsys, tmp_path):
+    # --eve is only modelled for the naive protocol; the combination is a
+    # usage error caught before --transcript creates its file.
+    transcript = tmp_path / "transcript.csv"
+    eve_errors = tuple(
+        f"simulate --protocol {p} --rounds 5 --eve 0 --transcript {transcript}"
+        for p in ("two-step", "key-agreement")
+    )
+    for argv in USAGE_ERRORS + eve_errors:
         with pytest.raises(SystemExit) as err:
             main(argv.split())
         assert err.value.code == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert "error:" in captured.err, argv
+    assert not transcript.exists()
 
 
 @pytest.mark.parametrize(

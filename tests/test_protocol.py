@@ -248,6 +248,22 @@ def test_policy_validation():
         PartyPolicy("correlated", weight=Fraction(3, 2))
     assert PartyPolicy.parse("correlated:0.8", 5).weight == Fraction(4, 5)
     assert PartyPolicy.parse("agreed", 5).mode == "agreed"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["correlated:1/0", "correlated:0/0", "correlated:abc", "correlated:",
+     "correlated:3", "correlated:-1/2", "correlated:1/2/3", "sometimes"],
+)
+def test_policy_parse_rejects_malformed_weight_with_value_error(text):
+    with pytest.raises(ValueError):
+        PartyPolicy.parse(text, 5)
     with pytest.raises(ValueError):
         PartyPolicy.parse("unknown", 5)
     assert PartyPolicy().seed == DEFAULT_SEED
+
+
+def test_eve_only_modelled_for_naive_protocol(config):
+    for protocol in ("two-step", "key-agreement"):
+        with pytest.raises(ValueError):
+            run_session(config, protocol, 10, UA, UB, eve_basis=0)

@@ -10,9 +10,11 @@ from wittingqkd.symmetry import (
     GENERATOR_CARDS,
     NotASymmetryError,
     SymmetryElement,
+    SymmetryError,
     configuration_permutation,
     generators,
     orbit_of_first_basis_state,
+    reflection_group_order,
     triflection,
 )
 
@@ -157,3 +159,46 @@ def test_scalar_content_of_group(group):
     omega_id = SymmetryElement.identity().scaled_by_unit(2)
     assert minus in group
     assert omega_id not in group
+
+
+def test_rebuilt_elements_match_stored_permutations(config, group):
+    # element(i) is rebuilt from four axis images only; the matrix path of
+    # configuration_permutation must reproduce the whole stored permutation.
+    rng = Random(31)
+    for i in [0, len(group) - 1] + [rng.randrange(len(group)) for _ in range(23)]:
+        g = group.element(i)
+        assert g.is_unitary()
+        assert g.determinant_unit() == Eisenstein(1)
+        assert configuration_permutation(config, g) == group.state_permutation(i)
+
+
+def test_non_symmetry_is_not_in_group(group):
+    m = np.zeros((2, 4, 4), dtype=np.int64)
+    m[0, 0, 0] = m[0, 1, 1] = m[0, 2, 3] = m[0, 3, 2] = 1
+    swap = SymmetryElement.from_parts(m, 0)
+    assert swap not in group
+
+
+def test_raw_triflections_generate_g32(config):
+    # Shephard-Todd G32, the symmetry group of the Witting polytope.
+    assert reflection_group_order(config) == 155520
+
+
+def test_closure_over_its_bound_raises(config):
+    with pytest.raises(SymmetryError):
+        reflection_group_order(config, max_elements=60_000)
+
+
+def test_rebuilt_elements_induce_stored_vertex_permutations(config, group):
+    # Stronger than the state permutation: -g permutes the states as g does
+    # but moves every vertex to its negative.
+    assert group.element(0) == SymmetryElement.identity()
+    vertices = config.expand_vertices()
+    rng = Random(37)
+    for i in [rng.randrange(len(group)) for _ in range(10)]:
+        g = group.element(i)
+        for v, image in zip(vertices, group.permutations[i]):
+            w, d = g.apply(v)
+            assert not (w % 3**d).any()
+            w = w // 3**d
+            assert [Eisenstein(int(a), int(b)) for a, b in w.T] == list(vertices[image])
