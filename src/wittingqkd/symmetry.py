@@ -330,10 +330,6 @@ class GroupTable:
         a, b = self._vertices.m[:, :, self.permutations[i, self._vertices.axes]]
         return SymmetryElement.from_parts(np.stack((2 * b - a, b - 2 * a)), 1)
 
-    def state_permutation(self, i: int) -> tuple[int, ...]:
-        """The permutation of the 40 states induced by element i."""
-        return tuple(int(v) // 6 for v in self.permutations[i, ::6])
-
     def __contains__(self, elem: SymmetryElement) -> bool:
         try:
             perm = self._vertices.permutation(elem)
@@ -368,16 +364,14 @@ def generate_group(
     )
 
 
-def reflection_group_order(
-    config: WittingConfiguration, max_elements: int = 200_000
-) -> int:
+def reflection_group_order(config: WittingConfiguration) -> int:
     """Order of the group the four raw triflections generate (no det scaling).
 
     Only the frontier and the keys are held, never every element.
     """
     vertices = _Vertices(config)
     gens = [vertices.permutation(triflection(config.state_of(c))) for c in GENERATOR_CARDS]
-    keys, _ = _closure(vertices, gens, max_elements, keep=False)
+    keys, _ = _closure(vertices, gens, 200_000, keep=False)
     return len(keys)
 
 

@@ -236,6 +236,8 @@ def test_run_session_dispatch(config):
     with pytest.raises(ValueError):
         run_session(config, "two-step", 100, UA, UB, eve_basis=0, seed=30)
     with pytest.raises(ValueError):
+        run_session(config, "key-agreement", 100, UA, UB, eve_basis=0, seed=30)
+    with pytest.raises(ValueError):
         run_session(config, "telepathy", 100, UA, UB, seed=30)
 
 
@@ -248,6 +250,9 @@ def test_policy_validation():
         PartyPolicy("correlated", weight=Fraction(3, 2))
     assert PartyPolicy.parse("correlated:0.8", 5).weight == Fraction(4, 5)
     assert PartyPolicy.parse("agreed", 5).mode == "agreed"
+    with pytest.raises(ValueError):
+        PartyPolicy.parse("unknown", 5)
+    assert PartyPolicy().seed == DEFAULT_SEED
 
 
 @pytest.mark.parametrize(
@@ -258,12 +263,3 @@ def test_policy_validation():
 def test_policy_parse_rejects_malformed_weight_with_value_error(text):
     with pytest.raises(ValueError):
         PartyPolicy.parse(text, 5)
-    with pytest.raises(ValueError):
-        PartyPolicy.parse("unknown", 5)
-    assert PartyPolicy().seed == DEFAULT_SEED
-
-
-def test_eve_only_modelled_for_naive_protocol(config):
-    for protocol in ("two-step", "key-agreement"):
-        with pytest.raises(ValueError):
-            run_session(config, protocol, 10, UA, UB, eve_basis=0)

@@ -11,6 +11,8 @@ from wittingqkd.symmetry import (
     NotASymmetryError,
     SymmetryElement,
     SymmetryError,
+    _Vertices,
+    _closure,
     configuration_permutation,
     generators,
     orbit_of_first_basis_state,
@@ -169,7 +171,9 @@ def test_rebuilt_elements_match_stored_permutations(config, group):
         g = group.element(i)
         assert g.is_unitary()
         assert g.determinant_unit() == Eisenstein(1)
-        assert configuration_permutation(config, g) == group.state_permutation(i)
+        assert configuration_permutation(config, g) == tuple(
+            int(v) // 6 for v in group.permutations[i, ::6]
+        )
 
 
 def test_non_symmetry_is_not_in_group(group):
@@ -185,8 +189,10 @@ def test_raw_triflections_generate_g32(config):
 
 
 def test_closure_over_its_bound_raises(config):
+    vertices = _Vertices(config)
+    gens = [vertices.permutation(triflection(config.state_of(c))) for c in GENERATOR_CARDS]
     with pytest.raises(SymmetryError):
-        reflection_group_order(config, max_elements=60_000)
+        _closure(vertices, gens, 60_000, keep=False)
 
 
 def test_rebuilt_elements_induce_stored_vertex_permutations(config, group):
