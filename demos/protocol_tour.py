@@ -1,6 +1,6 @@
 """Tour of the key-distribution protocols and the intercept-resend attacker.
 
-Run:  python3 demos/protocol_tour.py   (takes a few seconds)
+Run:  python3 demos/protocol_tour.py   (takes about a second)
 """
 
 from fractions import Fraction

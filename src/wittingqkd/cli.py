@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -101,6 +100,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = WittingConfiguration()
     policy = replace(args.policy, seed=args.seed)
     with _open_output(args.transcript, newline="") as fh:
+        on_block = None
+        if fh is not None:  # rows are written block by block as the session runs
+
+            def on_block(block) -> None:
+                fh.write(transcript_csv_rows(block))
+
         transcript = run_session(
             config,
             args.protocol,
@@ -109,10 +114,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             policy,
             eve_basis=args.eve,
             seed=args.seed,
-            keep_rounds=fh is not None,
+            on_block=on_block,
         )
-        if fh is not None:
-            csv.writer(fh).writerows(transcript_csv_rows(transcript))
     _emit(transcript.to_json_dict())
     return 0
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from random import Random
 
 from .eisenstein import Eisenstein, ZERO
 from .configuration import (
@@ -406,53 +404,6 @@ def probe_branches(
             cond = JointDistribution(tuple(tuple(x / prob for x in r) for r in kept))
         branches.append(TwoStepBranch(label, prob, cond))
     return tuple(branches)
-
-
-# -- exact sampling -------------------------------------------------------------
-
-
-class CumulativeSampler:
-    """Draws an index with exact rational probabilities via one randrange call."""
-
-    def __init__(self, probs: tuple[Fraction, ...]):
-        den = lcm(*(p.denominator for p in probs))
-        acc = 0
-        self.cuts: list[int] = []
-        for p in probs:
-            acc += p.numerator * (den // p.denominator)
-            self.cuts.append(acc)
-        if acc != den:
-            raise ValueError("probabilities do not sum to 1")
-        self.den = den
-
-    def sample(self, rng: Random) -> int:
-        r = rng.randrange(self.den)
-        for i, cut in enumerate(self.cuts):
-            if r < cut:
-                return i
-        raise AssertionError("unreachable")
-
-
-class TwoStepSampler:
-    """Samples (alice, bob) outcomes through the genuine branch structure."""
-
-    def __init__(self, branches: tuple[TwoStepBranch, ...]):
-        self.branch_sampler = CumulativeSampler(
-            tuple(b.probability for b in branches)
-        )
-        self.outcome_samplers = [
-            CumulativeSampler(b.conditional.flattened())
-            if b.conditional is not None
-            else None
-            for b in branches
-        ]
-
-    def sample(self, rng: Random) -> tuple[int, int]:
-        i = self.branch_sampler.sample(rng)
-        sampler = self.outcome_samplers[i]
-        assert sampler is not None  # zero-probability branches are never drawn
-        flat = sampler.sample(rng)
-        return divmod(flat, 4)
 
 
 # -- the query gate on qubits ----------------------------------------------------

@@ -1,40 +1,76 @@
-"""Two-party session orchestration over an in-process classical channel.
+"""Two-party sessions of the three protocols, run by one vectorised round engine.
 
-Three protocol variants share the same skeleton: per round each party makes
-choices, announcements cross the (logged) classical channel, rounds are
-sifted on a coordination condition, and outcomes are sampled from the exact
-joint distributions of the measurement engine.  Bob always measures the
-conjugated copies of the announced tetrad, so without an attacker every
-sifted round matches.
+A session is a sequence of independent rounds.  Per round each party makes
+its choices and announces a tetrad (naive, two-step) or a state (key
+agreement); rounds sift on equal tetrads or on a common tetrad of the two
+states, and outcomes are drawn from the exact joint distribution of the
+entangled pair.  Bob always measures the conjugated copies of the announced
+tetrad, so without an attacker every sifted round matches.
+
+The engine runs blocks of ``BLOCK_ROUNDS`` rounds as numpy arrays.  A
+protocol is data (:class:`_Protocol`): its choice draws, its announcement
+kind, which fixes the sift rule, and the integer count tables it reads,
+built once per session from ``config.transitions``.  Every outcome law is a
+row of integer counts over a denominator: 9·|<s|t>|² products over 36, or
+over 324 with an intercept-resend attacker.  One draw below the denominator,
+located in the row's cumulative counts, samples it exactly.  A sifted
+two-step or key-agreement round needs only one draw from the shared
+tetrad's joint: the two-step branches (:func:`probe_branches`) partition
+that joint by outcome pair, so the branch is a function of the pair.
 
 Choice policies: ``uniform`` (independent), ``agreed`` (both parties replay
 one shared pseudo-random stream, so equal seeds mean identical choices),
 ``correlated`` (take the shared stream with probability ``weight``, else an
-independent draw), and ``fixed`` (a forced tetrad, used for exhaustive
+independent draw), and ``fixed`` (a forced choice, used for exhaustive
 per-tetrad checks).
+
+Seed derivation (stream version 2).  Every stream is a ``random.Random``
+seeded with ``4 * seed + stream``, which is injective for seeds >= 0:
+
+* stream 0, shared: from the policy seed alone, so parties with equal
+  seeds stay in lockstep;
+* streams 1 and 2, Alice's and Bob's own: from the policy seed and the
+  party index, for own choices and the correlated coin;
+* stream 3, outcomes: from the session seed.
+
+Draws are read in bulk, 64 bits a value (``getrandbits``), and a value below
+``bound`` is the word modulo ``bound`` after exact rejection of words at or
+above the largest multiple of ``bound``.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
+from typing import Callable, NamedTuple
 
-from .configuration import Card, WittingConfiguration
-from .measurement import (
-    CumulativeSampler,
-    JointDistribution,
-    TwoStepSampler,
-    intercept_resend_distribution,
-    joint_distribution,
-    probe_branches,
-)
+import numpy as np
+
+from .configuration import WittingConfiguration
+
+# intercept_resend_distribution is the per-pair law the Eve table reproduces.
+from .measurement import intercept_resend_distribution, joint_distribution  # noqa: F401
 
 DEFAULT_SEED = 20240
+BLOCK_ROUNDS = 1 << 16
+MAX_WEIGHT_DENOMINATOR = 1 << 63  # exclusive: a coin is one 64-bit draw
+
+_SHARED, _OUTCOMES = 0, 3  # party p's own stream is 1 + p
+# A weight is p/q or a plain decimal; the length bound keeps parsing cheap.
+_WEIGHT = re.compile(r"\d+/\d+|\d*\.?\d+")
+_WEIGHT_MAX_CHARS = 40
 
 
 class AgreementError(AssertionError):
     """Sifted outcomes disagreed in a session that has no attacker."""
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # Random(-s) would alias Random(s)
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +85,13 @@ class PartyPolicy:
             raise ValueError(f"unknown policy mode {self.mode!r}")
         if self.mode == "fixed" and self.choice is None:
             raise ValueError("fixed policy needs a choice")
+        _check_seed(self.seed)
+        if not isinstance(self.weight, (int, Fraction)):
+            raise ValueError(f"correlation weight must be an int or Fraction, got {self.weight!r}")
         if not 0 <= self.weight <= 1:
             raise ValueError("correlation weight must lie in [0, 1]")
+        if self.weight.denominator >= MAX_WEIGHT_DENOMINATOR:
+            raise ValueError("correlation weight denominator must be below 2^63")
 
     @classmethod
     def parse(cls, text: str, seed: int) -> "PartyPolicy":
@@ -59,63 +100,129 @@ class PartyPolicy:
         if text == "agreed":
             return cls("agreed", seed)
         if text.startswith("correlated:"):
+            spec = text.split(":", 1)[1]
+            if len(spec) > _WEIGHT_MAX_CHARS or not _WEIGHT.fullmatch(spec):
+                raise ValueError("correlation weight must be p/q or a plain decimal")
             try:
-                weight = Fraction(text.split(":", 1)[1])
+                weight = Fraction(spec)
             except ZeroDivisionError:
                 raise ValueError("correlation weight has a zero denominator") from None
             return cls("correlated", seed, weight=weight)
         raise ValueError(f"unknown policy {text!r}")
 
 
-class _ChoiceStream:
-    """Per-party source of choices honouring the policy's coordination mode.
+def _stream(seed: int, stream: int) -> Random:
+    return Random(4 * seed + stream)
 
-    The shared stream is seeded by the policy seed alone (so two parties
-    with equal seeds stay in lockstep) and is advanced every round whether
-    or not its value is used; private streams mix in the party index.
+
+def _uniform(rng: Random, bound: int, n: int) -> np.ndarray:
+    """``n`` exact uniform draws below ``bound`` (at most 2^63) from ``rng``."""
+    excess = (1 << 64) % bound  # the top ``excess`` words are rejected
+    words = np.empty(0, np.uint64)
+    while len(words) < n:
+        more = n - len(words)
+        fresh = np.frombuffer(rng.getrandbits(64 * more).to_bytes(8 * more, "little"), "<u8")
+        if excess:
+            fresh = fresh[fresh < (1 << 64) - excess]
+        words = np.concatenate((words, fresh))
+    return (words % np.uint64(bound)).astype(np.intp)
+
+
+class _Party:
+    """One party's choice streams; each draw covers a whole block of rounds."""
+
+    def __init__(self, policy: PartyPolicy, index: int):
+        self.policy = policy
+        self.shared = _stream(policy.seed, _SHARED)
+        self.own = _stream(policy.seed, 1 + index)
+
+    def draw(self, bound: int, n: int) -> np.ndarray:
+        policy = self.policy
+        if policy.mode == "fixed":
+            if not 0 <= policy.choice < bound:
+                raise ValueError(f"fixed choice {policy.choice} not in 0..{bound - 1}")
+            return np.full(n, policy.choice, np.intp)
+        if policy.mode == "agreed":
+            return _uniform(self.shared, bound, n)
+        own = _uniform(self.own, bound, n)
+        if policy.mode == "uniform":
+            return own
+        shared = _uniform(self.shared, bound, n)
+        coin = _uniform(self.own, policy.weight.denominator, n) < policy.weight.numerator
+        return np.where(coin, shared, own)
+
+
+@dataclass(frozen=True)
+class _Protocol:
+    """A protocol as data.
+
+    ``picks_state``: each party first draws one of the 40 states.
+    ``announces``: "basis" -- each party measures its own tetrad (drawn
+    directly, or among the four holding its state) every round, and rounds
+    sift on equal tetrads; "state" -- the parties measure only when their
+    states share a tetrad (``config.common_basis``), and those rounds sift.
+    ``extras`` maps the counts (same state, sifted, same state and sifted)
+    to the protocol's extra rates.
     """
 
-    def __init__(self, policy: PartyPolicy, party: int):
-        self.policy = policy
-        self.shared = Random(policy.seed)
-        self.own = Random(policy.seed * 1_000_003 + 2 * party + 1)
-        self.weight_num = policy.weight.numerator
-        self.weight_den = policy.weight.denominator
-
-    def draw(self, n_options: int) -> int:
-        shared = self.shared.randrange(n_options)
-        own = self.own.randrange(n_options)
-        mode = self.policy.mode
-        if mode == "agreed":
-            return shared
-        if mode == "uniform":
-            return own
-        if mode == "fixed":
-            assert self.policy.choice is not None
-            return self.policy.choice
-        # correlated: exact-rational coin from the private stream
-        coin = self.own.randrange(self.weight_den) < self.weight_num
-        return shared if coin else own
+    name: str
+    picks_state: bool
+    announces: str
+    extras: Callable[[int, int, int], dict[str, int]] = lambda same, sifted, both: {}
 
 
-@dataclass(frozen=True)
-class ChannelMessage:
-    round_index: int
-    sender: str  # "alice" | "bob"
-    kind: str  # "basis" | "state"
-    payload: int
+_NAIVE = _Protocol("naive", picks_state=False, announces="basis")
+_TWO_STEP = _Protocol(
+    "two-step",
+    picks_state=True,
+    announces="basis",
+    extras=lambda same, sifted, both: {
+        "sameStateRate": same,
+        "sameBasisRate": sifted,
+        "sameStateAndBasisRate": both,
+    },
+)
+_KEY_AGREEMENT = _Protocol(
+    "key-agreement",
+    picks_state=True,
+    announces="state",
+    extras=lambda same, sifted, both: {
+        "sameStateRate": both,
+        "distinctOrthogonalRate": sifted - both,
+    },
+)
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    index: int
-    alice_choice: tuple[int, ...]
-    bob_choice: tuple[int, ...]
-    announcements: tuple[ChannelMessage, ...]
-    alice_outcome: int | None
-    bob_outcome: int | None
-    sifted: bool
-    matched: bool
+def outcome_counts(
+    config: WittingConfiguration, eve_basis: int | None = None
+) -> tuple[np.ndarray, int]:
+    """Integer outcome counts of every (Alice tetrad, Bob tetrad) pair.
+
+    Returns ``(counts, den)``: ``counts[a, b, i, j] / den`` is the
+    probability of outcomes (i, j) when Alice measures tetrad a and Bob the
+    conjugated copies of tetrad b.  Without an attacker it is
+    T(a_i, b_j) / 36 with T = 9·|<s|t>|²; with an intercept-resend attacker
+    on tetrad e it is sum_k T(a_i, e_k) T(e_k, b_j) / 324.
+    """
+    t = np.array(config.transitions, dtype=np.int64)
+    members = np.array(config.basis_states)  # (40, 4) state indices
+    if eve_basis is None:
+        return t[members[:, None, :, None], members[None, :, None, :]], 36
+    flat, eve = members.reshape(-1), members[eve_basis]
+    counts = t[flat][:, eve] @ t[eve][:, flat]  # (160, 160) over 9·9·4
+    return counts.reshape(40, 4, 40, 4).transpose(0, 2, 1, 3), 324
+
+
+class RoundBlock(NamedTuple):
+    """One block of rounds; outcome -1 marks a round nobody measured."""
+
+    start: int
+    alice_choice: tuple[np.ndarray, ...]  # (state,), (state, tetrad) or (tetrad,)
+    bob_choice: tuple[np.ndarray, ...]
+    alice_outcome: np.ndarray
+    bob_outcome: np.ndarray
+    sifted: np.ndarray
+    matched: np.ndarray
 
 
 @dataclass
@@ -128,8 +235,6 @@ class SessionTranscript:
     n_matched: int = 0
     key_bits: bytes = b""
     extras: dict[str, Fraction] = field(default_factory=dict)
-    round_records: list[RoundRecord] | None = None
-    messages: list[ChannelMessage] | None = None
 
     @property
     def n_mismatched(self) -> int:
@@ -167,26 +272,85 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-class _KeyAccumulator:
-    """Packs outcome indices (2 bits each) into bytes, zero-padded at the end."""
+def _pack_key(outcomes: np.ndarray) -> bytes:
+    """Outcome indices, 2 bits each, first in the high bits, zero-padded at the end."""
+    quads = np.zeros(-(-len(outcomes) // 4) * 4, np.uint8)
+    quads[: len(outcomes)] = outcomes
+    quads = quads.reshape(-1, 4)
+    return (quads[:, 0] << 6 | quads[:, 1] << 4 | quads[:, 2] << 2 | quads[:, 3]).tobytes()
 
-    def __init__(self) -> None:
-        self.buffer = bytearray()
-        self.current = 0
-        self.filled = 0
 
-    def push(self, outcome: int) -> None:
-        self.current = (self.current << 2) | outcome
-        self.filled += 2
-        if self.filled == 8:
-            self.buffer.append(self.current)
-            self.current = 0
-            self.filled = 0
+def _run(
+    config: WittingConfiguration,
+    protocol: _Protocol,
+    rounds: int,
+    policies: tuple[PartyPolicy, PartyPolicy],
+    seed: int,
+    eve_basis: int | None,
+    on_block: Callable[[RoundBlock], None] | None,
+) -> SessionTranscript:
+    """The round engine: every protocol, block by block."""
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    _check_seed(seed)
+    counts, den = outcome_counts(config, eve_basis)
+    cuts = counts.reshape(1600, 16).cumsum(axis=1)
+    # Row r's cuts shifted by r·den: one sorted array for every row's lookup.
+    offset_cuts = (cuts + den * np.arange(1600)[:, None]).ravel()
+    if protocol.announces == "state":
+        common = np.array(
+            [[-1 if (c := config.common_basis(s.card, t.card)) is None else c
+              for t in config.states] for s in config.states]
+        )
+    elif protocol.picks_state:
+        bases_of = np.array([config.bases_of(s.card) for s in config.states])
 
-    def finish(self) -> bytes:
-        if self.filled:
-            self.buffer.append(self.current << (8 - self.filled))
-        return bytes(self.buffer)
+    parties = [_Party(policy, index) for index, policy in enumerate(policies)]
+    outcome_rng = _stream(seed, _OUTCOMES)
+    keys: list[np.ndarray] = []
+    n_sifted = n_matched = same = both = 0
+    for start in range(0, rounds, BLOCK_ROUNDS):
+        n = min(BLOCK_ROUNDS, rounds - start)
+        choices = []
+        for party in parties:
+            state = party.draw(40, n) if protocol.picks_state else None
+            if protocol.announces == "state":
+                choices.append((state,))
+            elif state is None:
+                choices.append((party.draw(40, n),))
+            else:
+                choices.append((state, bases_of[state, party.draw(4, n)]))
+        alice, bob = choices
+        if protocol.announces == "state":
+            shared = common[alice[0], bob[0]]
+            sifted = shared >= 0
+            measured = sifted
+            rows = shared[sifted] * 41  # the shared tetrad's own joint
+        else:
+            sifted = alice[-1] == bob[-1]
+            measured = slice(None)
+            rows = alice[-1] * 40 + bob[-1]
+        draws = rows * den + _uniform(outcome_rng, den, len(rows))
+        flat = np.searchsorted(offset_cuts, draws, side="right") - 16 * rows
+        a_out, b_out = np.full(n, -1), np.full(n, -1)
+        a_out[measured], b_out[measured] = np.divmod(flat, 4)
+        matched = sifted & (a_out == b_out)
+        n_sifted += int(sifted.sum())
+        n_matched += int(matched.sum())
+        keys.append(a_out[sifted].astype(np.uint8))
+        if protocol.picks_state:
+            equal = alice[0] == bob[0]
+            same += int(equal.sum())
+            both += int((equal & sifted).sum())
+        if on_block is not None:
+            on_block(RoundBlock(start, alice, bob, a_out, b_out, sifted, matched))
+
+    extras = protocol.extras(same, n_sifted, both)
+    return SessionTranscript(
+        protocol.name, rounds, seed, eve_basis, n_sifted, n_matched,
+        key_bits=_pack_key(np.concatenate(keys)),
+        extras={k: Fraction(v, rounds) for k, v in extras.items()},
+    )
 
 
 def run_naive_session(
@@ -196,98 +360,13 @@ def run_naive_session(
     policy_b: PartyPolicy,
     eve_basis: int | None = None,
     seed: int = DEFAULT_SEED,
-    keep_rounds: bool = False,
+    on_block: Callable[[RoundBlock], None] | None = None,
 ) -> SessionTranscript:
-    """Both parties draw one of the 40 tetrads; rounds sift on equality."""
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    alice = _ChoiceStream(policy_a, 0)
-    bob = _ChoiceStream(policy_b, 1)
-    outcome_rng = Random(seed * 1_000_003 + 17)
-    samplers: dict[tuple[int, int], CumulativeSampler] = {}
+    """Both parties draw one of the 40 tetrads; rounds sift on equality.
 
-    transcript = SessionTranscript("naive", rounds, seed, eve_basis)
-    records: list[RoundRecord] | None = [] if keep_rounds else None
-    messages: list[ChannelMessage] | None = [] if keep_rounds else None
-    key = _KeyAccumulator()
-
-    for i in range(rounds):
-        ba = alice.draw(40)
-        bb = bob.draw(40)
-        pair = (ba, bb)
-        sampler = samplers.get(pair)
-        if sampler is None:
-            if eve_basis is None:
-                dist = joint_distribution(config, ba, bb)
-            else:
-                dist = intercept_resend_distribution(config, ba, bb, eve_basis)
-            sampler = CumulativeSampler(dist.flattened())
-            samplers[pair] = sampler
-        a_out, b_out = divmod(sampler.sample(outcome_rng), 4)
-        sifted = ba == bb
-        matched = sifted and a_out == b_out
-        if sifted:
-            transcript.n_sifted += 1
-            key.push(a_out)
-            if matched:
-                transcript.n_matched += 1
-        if records is not None:
-            announce = (
-                ChannelMessage(i, "alice", "basis", ba),
-                ChannelMessage(i, "bob", "basis", bb),
-            )
-            messages.extend(announce)  # type: ignore[union-attr]
-            records.append(
-                RoundRecord(i, (ba,), (bb,), announce, a_out, b_out, sifted, matched)
-            )
-    transcript.key_bits = key.finish()
-    transcript.round_records = records
-    transcript.messages = messages
-    return transcript
-
-
-def _state_and_basis(
-    config: WittingConfiguration, stream: _ChoiceStream
-) -> tuple[Card, int]:
-    state_idx = stream.draw(40)
-    card = config.states[state_idx].card
-    basis_pick = stream.draw(4)
-    return card, config.bases_of(card)[basis_pick]
-
-
-class _TwoStepOutcomeCache:
-    """Lazy cache of exact samplers for the states/tetrads actually visited."""
-
-    def __init__(self, config: WittingConfiguration):
-        self.config = config
-        self.two_step: dict[tuple[Card, Card, int], TwoStepSampler] = {}
-        self.one_step: dict[tuple[int, int], CumulativeSampler] = {}
-
-    def sample_sifted(
-        self, rng: Random, probe_a: Card, probe_b: Card, basis: int
-    ) -> tuple[int, int]:
-        key = (probe_a, probe_b, basis)
-        sampler = self.two_step.get(key)
-        if sampler is None:
-            joint = joint_distribution(self.config, basis, basis)
-            members = self.config.bases[basis].members
-            sampler = TwoStepSampler(
-                probe_branches(joint, members.index(probe_a), members.index(probe_b))
-            )
-            self.two_step[key] = sampler
-        return sampler.sample(rng)
-
-    def sample_unsifted(self, rng: Random, ba: int, bb: int) -> tuple[int, int]:
-        # Query projectors commute with the final tetrad projectors, so the
-        # composed distribution equals the one-step joint; sampling from it
-        # is exact (the equality itself is tested exhaustively).
-        sampler = self.one_step.get((ba, bb))
-        if sampler is None:
-            sampler = CumulativeSampler(
-                joint_distribution(self.config, ba, bb).flattened()
-            )
-            self.one_step[(ba, bb)] = sampler
-        return divmod(sampler.sample(rng), 4)
+    ``on_block`` receives each :class:`RoundBlock` as it is run.
+    """
+    return _run(config, _NAIVE, rounds, (policy_a, policy_b), seed, eve_basis, on_block)
 
 
 def run_two_step_session(
@@ -296,72 +375,16 @@ def run_two_step_session(
     policy_a: PartyPolicy,
     policy_b: PartyPolicy,
     seed: int = DEFAULT_SEED,
-    keep_rounds: bool = False,
+    on_block: Callable[[RoundBlock], None] | None = None,
 ) -> SessionTranscript:
     """Each party picks a state, queries it, then one of its four tetrads.
 
     Sifting is on tetrad equality only: even when the step-1 states differ,
-    a shared tetrad still yields identical outcomes.
+    a shared tetrad still yields identical outcomes.  The queries commute
+    with the final tetrad projectors, so every round's outcome law is the
+    one-step joint of the two tetrads.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    alice = _ChoiceStream(policy_a, 0)
-    bob = _ChoiceStream(policy_b, 1)
-    outcome_rng = Random(seed * 1_000_003 + 29)
-    cache = _TwoStepOutcomeCache(config)
-
-    transcript = SessionTranscript("two-step", rounds, seed, None)
-    records: list[RoundRecord] | None = [] if keep_rounds else None
-    messages: list[ChannelMessage] | None = [] if keep_rounds else None
-    key = _KeyAccumulator()
-    same_state = same_basis = same_both = 0
-
-    for i in range(rounds):
-        card_a, ba = _state_and_basis(config, alice)
-        card_b, bb = _state_and_basis(config, bob)
-        sifted = ba == bb
-        if card_a == card_b:
-            same_state += 1
-            if sifted:
-                same_both += 1
-        if sifted:
-            same_basis += 1
-            a_out, b_out = cache.sample_sifted(outcome_rng, card_a, card_b, ba)
-        else:
-            a_out, b_out = cache.sample_unsifted(outcome_rng, ba, bb)
-        matched = sifted and a_out == b_out
-        if sifted:
-            transcript.n_sifted += 1
-            key.push(a_out)
-            if matched:
-                transcript.n_matched += 1
-        if records is not None:
-            announce = (
-                ChannelMessage(i, "alice", "basis", ba),
-                ChannelMessage(i, "bob", "basis", bb),
-            )
-            messages.extend(announce)  # type: ignore[union-attr]
-            records.append(
-                RoundRecord(
-                    i,
-                    (config.state_of(card_a).index, ba),
-                    (config.state_of(card_b).index, bb),
-                    announce,
-                    a_out,
-                    b_out,
-                    sifted,
-                    matched,
-                )
-            )
-    transcript.key_bits = key.finish()
-    transcript.extras = {
-        "sameStateRate": Fraction(same_state, rounds),
-        "sameBasisRate": Fraction(same_basis, rounds),
-        "sameStateAndBasisRate": Fraction(same_both, rounds),
-    }
-    transcript.round_records = records
-    transcript.messages = messages
-    return transcript
+    return _run(config, _TWO_STEP, rounds, (policy_a, policy_b), seed, None, on_block)
 
 
 def run_key_agreement(
@@ -370,67 +393,11 @@ def run_key_agreement(
     policy_a: PartyPolicy,
     policy_b: PartyPolicy,
     seed: int = DEFAULT_SEED,
-    keep_rounds: bool = False,
+    on_block: Callable[[RoundBlock], None] | None = None,
 ) -> SessionTranscript:
     """Parties pick states, exchange their identities, then measure in the
     shared tetrad when one exists (13/40 of the time under uniform picks)."""
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    alice = _ChoiceStream(policy_a, 0)
-    bob = _ChoiceStream(policy_b, 1)
-    outcome_rng = Random(seed * 1_000_003 + 43)
-    cache = _TwoStepOutcomeCache(config)
-
-    transcript = SessionTranscript("key-agreement", rounds, seed, None)
-    records: list[RoundRecord] | None = [] if keep_rounds else None
-    messages: list[ChannelMessage] | None = [] if keep_rounds else None
-    key = _KeyAccumulator()
-    same_state = distinct_orthogonal = 0
-
-    for i in range(rounds):
-        card_a = config.states[alice.draw(40)].card
-        card_b = config.states[bob.draw(40)].card
-        common = config.common_basis(card_a, card_b)
-        sifted = common is not None
-        a_out = b_out = None
-        if sifted:
-            if card_a == card_b:
-                same_state += 1
-            else:
-                distinct_orthogonal += 1
-            a_out, b_out = cache.sample_sifted(outcome_rng, card_a, card_b, common)
-        matched = sifted and a_out == b_out
-        if sifted:
-            transcript.n_sifted += 1
-            key.push(a_out)  # type: ignore[arg-type]
-            if matched:
-                transcript.n_matched += 1
-        if records is not None:
-            announce = (
-                ChannelMessage(i, "alice", "state", config.state_of(card_a).index),
-                ChannelMessage(i, "bob", "state", config.state_of(card_b).index),
-            )
-            messages.extend(announce)  # type: ignore[union-attr]
-            records.append(
-                RoundRecord(
-                    i,
-                    (config.state_of(card_a).index,),
-                    (config.state_of(card_b).index,),
-                    announce,
-                    a_out,
-                    b_out,
-                    sifted,
-                    matched,
-                )
-            )
-    transcript.key_bits = key.finish()
-    transcript.extras = {
-        "sameStateRate": Fraction(same_state, rounds),
-        "distinctOrthogonalRate": Fraction(distinct_orthogonal, rounds),
-    }
-    transcript.round_records = records
-    transcript.messages = messages
-    return transcript
+    return _run(config, _KEY_AGREEMENT, rounds, (policy_a, policy_b), seed, None, on_block)
 
 
 def run_session(
@@ -441,18 +408,18 @@ def run_session(
     policy_b: PartyPolicy,
     eve_basis: int | None = None,
     seed: int = DEFAULT_SEED,
-    keep_rounds: bool = False,
+    on_block: Callable[[RoundBlock], None] | None = None,
 ) -> SessionTranscript:
     if protocol == "naive":
         return run_naive_session(
-            config, rounds, policy_a, policy_b, eve_basis, seed, keep_rounds
+            config, rounds, policy_a, policy_b, eve_basis, seed, on_block
         )
     if eve_basis is not None:
         raise ValueError("an attacker is only modelled for the naive protocol")
     if protocol == "two-step":
-        return run_two_step_session(config, rounds, policy_a, policy_b, seed, keep_rounds)
+        return run_two_step_session(config, rounds, policy_a, policy_b, seed, on_block)
     if protocol == "key-agreement":
-        return run_key_agreement(config, rounds, policy_a, policy_b, seed, keep_rounds)
+        return run_key_agreement(config, rounds, policy_a, policy_b, seed, on_block)
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
@@ -515,31 +482,43 @@ def announcement_leakage_free(config: WittingConfiguration) -> bool:
     return True
 
 
-def transcript_csv_rows(transcript: SessionTranscript) -> list[list]:
-    """Per-round rows for the CSV dump (requires keep_rounds=True)."""
-    if transcript.round_records is None:
-        raise ValueError("session was run without keep_rounds")
-    rows: list[list] = [
-        [
-            "round",
-            "alice_choice",
-            "bob_choice",
-            "alice_outcome",
-            "bob_outcome",
-            "sifted",
-            "matched",
-        ]
+TRANSCRIPT_HEADER = "round,alice_choice,bob_choice,alice_outcome,bob_outcome,sifted,matched\r\n"
+
+
+def transcript_csv_rows(block: RoundBlock) -> str:
+    """The CSV rows of one block of rounds as text, after the header in the first block.
+
+    A choice of several values is joined with ";"; an outcome nobody
+    measured is empty; lines end in CRLF, as ``csv.writer`` writes them.
+    Every row is joined from five cells read from small tables of strings,
+    so no string is made per round: the round number's thousands, its last
+    three digits, the two choices, and the outcomes with the sift flags.
+    """
+    n = len(block.sifted)
+    thousands, units = np.divmod(np.arange(block.start, block.start + n), 1000)
+    first = int(thousands[0])
+    high = [str(k) if k else "" for k in range(first, int(thousands[-1]) + 1)]
+    low = [str(i) for i in range(1000)] + [f"{i:03d}" for i in range(1000)]
+
+    def choice(columns: tuple[np.ndarray, ...]) -> tuple[list[str], np.ndarray]:
+        index = np.zeros(n, np.intp)
+        for column in columns:
+            index = index * 40 + column
+        combos = itertools.product(range(40), repeat=len(columns))
+        return ["," + ";".join(map(str, combo)) for combo in combos], index
+
+    outcomes = ["", "0", "1", "2", "3"]  # indexed by outcome + 1
+    tails = [f",{a},{b},{s},{m}\r\n" for a in outcomes for b in outcomes for s in "01" for m in "01"]
+    tail = ((block.alice_outcome + 1) * 5 + block.bob_outcome + 1) * 4 + block.sifted * 2 + block.matched
+    columns = [
+        (high, thousands - first),
+        (low, units + 1000 * (thousands > 0)),
+        choice(block.alice_choice),
+        choice(block.bob_choice),
+        (tails, tail),
     ]
-    for r in transcript.round_records:
-        rows.append(
-            [
-                r.index,
-                ";".join(map(str, r.alice_choice)),
-                ";".join(map(str, r.bob_choice)),
-                "" if r.alice_outcome is None else r.alice_outcome,
-                "" if r.bob_outcome is None else r.bob_outcome,
-                int(r.sifted),
-                int(r.matched),
-            ]
-        )
-    return rows
+    cells = np.empty((n, len(columns)), dtype=object)
+    for j, (table, index) in enumerate(columns):
+        cells[:, j] = np.array(table, dtype=object)[index]
+    text = "".join(cells.ravel().tolist())
+    return TRANSCRIPT_HEADER + text if block.start == 0 else text

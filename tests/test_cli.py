@@ -199,6 +199,7 @@ USAGE_ERRORS = (
     "simulate --protocol naive --rounds 10 --policy correlated:abc",
     "simulate --protocol naive --rounds 10 --policy correlated:3",
     "simulate --protocol naive --rounds 10 --policy correlated:1/0",
+    "simulate --protocol naive --rounds 10 --policy correlated:1e-10000000",
     "simulate --protocol naive --rounds 10 --policy sometimes",
     "group --max-elements 10",
     "classical-scan --threads 4",

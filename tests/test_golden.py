@@ -16,18 +16,18 @@ from wittingqkd.cli import main
 
 STDOUT_SHA256 = {
     "simulate --protocol naive --rounds 20000 --seed 7":
-        "8a697fcee66ca418ec40cc3810222e4c1abaf00be55617afcd44e16ac22d334b",
+        "b7212fc7f400ade5406e292340fbe8e8a3a35c5f1ec8dad60dc032af0f8761df",
     # one Eve tetrad of each class: rank, mixed-suit, mono-suit
     "simulate --protocol naive --rounds 20000 --seed 7 --eve 3":
-        "845c46aced551544c81e60668c15ea2c2a42c2edbaa6819cc2106a2720858cff",
+        "4d376cf66d0186a75abe4e219aee4d122ca1b531453c2967015a565d3c5fad4b",
     "simulate --protocol naive --rounds 20000 --seed 7 --eve 15":
-        "457b102dcccf03685c7ec503afb3ea358a889f14295232a9581e6d2e123d7f27",
+        "d19f8fc4a2200d6367b8b3167c6c264de8195b4541cacb64923c5a0b3c453822",
     "simulate --protocol naive --rounds 20000 --seed 7 --eve 33":
-        "1b4be6dd13135dfe6367ec26ff7a0fa51795b6dd5049f52f1404dbd281e345a9",
+        "825164d4a4d78d06aa83660d123f8e5ce12bcfa2a895f232cbc8627b8811c331",
     "simulate --protocol two-step --rounds 20000 --seed 7":
-        "8081fb4650e922873677efdbb4441dcf18f867f4a9f3ba0fc6033a81f9eb5bcf",
+        "87b1ed3519b00059c7d92d238c679e964b0a410e81b170b2be9f50246701a28a",
     "simulate --protocol two-step --rounds 20000 --seed 7 --policy agreed":
-        "d700ab2c5aeef65b989377b5f2890dfcf3bedb929666cdd6536768c89c5ea368",
+        "81909ea5b49df6ec9b7f55ec74811d70a4810989382e0b147acdec1456d7828b",
     "joint --alice 5 --bob 12":
         "cc84ae4c6d9638490aca9b42043ddb9595e79a79aeeb03ff5dc96a7228b2ee0c",
     "joint --alice 2 --bob 30 --eve 17":
@@ -41,10 +41,10 @@ KEY_AGREEMENT_LINE = (
     " --policy correlated:9/10 --transcript"
 )
 KEY_AGREEMENT_STDOUT_SHA256 = (
-    "d37dbd56de02f48c1655b01090903dddb98d28275d9a36d74227eb13849f5486"
+    "0682e14e3573f75d2ce01d959061ed403fe402c3f6e34df20302812c4ca65c08"
 )
 KEY_AGREEMENT_CSV_SHA256 = (
-    "9f449d015902c309e7ead9b4549ab43083968cb04e300463aca9c5ea4fc63e26"
+    "1e624d43e7c9117930ada32462f15c393957d51f98488de9ea7d377b88e4ba3b"
 )
 
 

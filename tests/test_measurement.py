@@ -7,9 +7,7 @@ import pytest
 from wittingqkd.configuration import Card, scaled_inner
 from wittingqkd.eisenstein import ZERO
 from wittingqkd.measurement import (
-    CumulativeSampler,
     QuquartState,
-    TwoStepSampler,
     basis_vectors,
     compose_branches,
     delayed_query,
@@ -253,46 +251,6 @@ def test_joint_branches_same_basis_give_quarter_identity(config):
         for pb in basis.members:
             branches = two_step_joint_branches(config, pa, basis.id, pb, basis.id)
             assert compose_branches(branches).is_quarter_diagonal()
-
-
-def test_two_step_sampling_marginal_uniform_chi_square(config):
-    # empirical two-step outcomes vs the exact (1/4)I distribution
-    basis = config.bases[0]
-    sampler = TwoStepSampler(
-        two_step_joint_branches(
-            config, Card("S", 1), basis.id, Card("S", 1), basis.id
-        )
-    )
-    rng = Random(12345)
-    n = 100_000
-    counts = [0] * 4
-    for _ in range(n):
-        a, b = sampler.sample(rng)
-        assert a == b  # same tetrad: outcomes always agree
-        counts[a] += 1
-    expected = n / 4
-    chi2 = sum((c - expected) ** 2 / expected for c in counts)
-    assert chi2 < 16.27  # 0.999 quantile, 3 degrees of freedom
-
-
-# -- samplers ---------------------------------------------------------------------
-
-
-def test_cumulative_sampler_is_exact(config):
-    probs = (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))
-    sampler = CumulativeSampler(probs)
-    assert sampler.den == 6
-    counts = [0] * 3
-    rng = Random(0)
-    for _ in range(60_000):
-        counts[sampler.sample(rng)] += 1
-    for c, p in zip(counts, probs):
-        assert abs(c / 60_000 - p) < 0.01
-
-
-def test_cumulative_sampler_rejects_bad_probs():
-    with pytest.raises(ValueError):
-        CumulativeSampler((Fraction(1, 3), Fraction(1, 3)))
 
 
 # -- the query gate ----------------------------------------------------------------

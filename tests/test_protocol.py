@@ -1,14 +1,23 @@
+import csv
+import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import wittingqkd.protocol as protocol_mod
+from wittingqkd.measurement import compose_branches, probe_branches
 from wittingqkd.protocol import (
     AgreementError,
+    BLOCK_ROUNDS,
     DEFAULT_SEED,
     PartyPolicy,
     agreement_report,
     announcement_leakage_free,
+    intercept_resend_distribution,
+    joint_distribution,
+    outcome_counts,
     run_key_agreement,
     run_naive_session,
     run_session,
@@ -130,41 +139,52 @@ def test_key_agreement_rates(config):
 # -- transcripts and determinism ---------------------------------------------------
 
 
+def run_with_csv(run, *args, **kwargs):
+    """Run a session writing its CSV transcript block by block, as the CLI does."""
+    out = io.StringIO()
+    tr = run(*args, on_block=lambda block: out.write(transcript_csv_rows(block)), **kwargs)
+    return tr, out.getvalue()
+
+
+def csv_records(text: str) -> list[dict]:
+    return list(csv.DictReader(io.StringIO(text)))
+
+
 def test_sessions_are_deterministic(config):
-    a = run_naive_session(config, 5_000, UA, UB, seed=77, keep_rounds=True)
-    b = run_naive_session(config, 5_000, UA, UB, seed=77, keep_rounds=True)
+    a, text_a = run_with_csv(run_naive_session, config, 5_000, UA, UB, seed=77)
+    b, text_b = run_with_csv(run_naive_session, config, 5_000, UA, UB, seed=77)
     assert a.to_json_dict() == b.to_json_dict()
-    assert a.round_records == b.round_records
-    assert a.messages == b.messages
+    assert text_a == text_b
     c = run_naive_session(config, 5_000, UA, UB, seed=78)
     assert c.key_bits != a.key_bits
 
 
 def test_keep_rounds_does_not_change_outcomes(config):
-    a = run_two_step_session(config, 3_000, UA, UB, seed=12, keep_rounds=True)
-    b = run_two_step_session(config, 3_000, UA, UB, seed=12, keep_rounds=False)
+    a, text = run_with_csv(run_two_step_session, config, 3_000, UA, UB, seed=12)
+    b = run_two_step_session(config, 3_000, UA, UB, seed=12)
     assert a.key_bits == b.key_bits
     assert a.n_sifted == b.n_sifted
-    assert b.round_records is None
+    assert sum(int(r["sifted"]) for r in csv_records(text)) == b.n_sifted
 
 
 def test_round_records_consistency(config):
-    tr = run_key_agreement(config, 4_000, UA, UB, seed=13, keep_rounds=True)
-    assert tr.round_records is not None
+    tr, text = run_with_csv(run_key_agreement, config, 4_000, UA, UB, seed=13)
+    records = csv_records(text)
+    assert [int(r["round"]) for r in records] == list(range(4_000))
     sifted = 0
-    for r in tr.round_records:
-        assert r.matched <= r.sifted  # matched implies sifted
-        if r.sifted:
+    for r in records:
+        assert int(r["matched"]) <= int(r["sifted"])  # matched implies sifted
+        if r["sifted"] == "1":
             sifted += 1
-            assert r.alice_outcome is not None
+            assert r["alice_outcome"] != ""
         else:
-            assert r.alice_outcome is None  # no completed measurement
+            assert r["alice_outcome"] == ""  # no completed measurement
     assert sifted == tr.n_sifted
 
 
 def test_key_bits_come_from_sifted_rounds(config):
-    tr = run_naive_session(config, 3_000, UA, UB, seed=14, keep_rounds=True)
-    outcomes = [r.alice_outcome for r in tr.round_records if r.sifted]
+    tr, text = run_with_csv(run_naive_session, config, 3_000, UA, UB, seed=14)
+    outcomes = [int(r["alice_outcome"]) for r in csv_records(text) if r["sifted"] == "1"]
     bits = "".join(format(o, "02b") for o in outcomes)
     bits += "0" * (-len(bits) % 8)
     assert tr.key_bits == bytes(
@@ -173,20 +193,132 @@ def test_key_bits_come_from_sifted_rounds(config):
 
 
 def test_csv_rows(config):
-    tr = run_naive_session(config, 50, UA, UB, seed=15, keep_rounds=True)
-    rows = transcript_csv_rows(tr)
+    blocks = []
+    run_naive_session(config, 50, UA, UB, seed=15, on_block=blocks.append)
+    assert len(blocks) == 1
+    text = transcript_csv_rows(blocks[0])
+    rows = list(csv.reader(io.StringIO(text)))
     assert rows[0][0] == "round"
     assert len(rows) == 51
-    with pytest.raises(ValueError):
-        transcript_csv_rows(run_naive_session(config, 50, UA, UB, seed=15))
+    # The text is what csv.writer writes for the same rows.
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    assert out.getvalue() == text
 
 
 def test_channel_messages_logged(config):
-    tr = run_key_agreement(config, 10, UA, UB, seed=16, keep_rounds=True)
-    assert len(tr.messages) == 20
-    assert {m.kind for m in tr.messages} == {"state"}
-    tr2 = run_naive_session(config, 10, UA, UB, seed=16, keep_rounds=True)
-    assert {m.kind for m in tr2.messages} == {"basis"}
+    # Key agreement announces states and sifts on a common tetrad; the naive
+    # protocol announces tetrads and sifts on equality.
+    _, text = run_with_csv(run_key_agreement, config, 10, UA, UB, seed=16)
+    records = csv_records(text)
+    assert len(records) == 10
+    for r in records:
+        a, b = (config.states[int(r[k])].card for k in ("alice_choice", "bob_choice"))
+        assert r["sifted"] == str(int(config.common_basis(a, b) is not None))
+    _, text = run_with_csv(run_naive_session, config, 10, UA, UB, seed=16)
+    for r in csv_records(text):
+        assert 0 <= int(r["alice_choice"]) < 40
+        assert r["sifted"] == str(int(r["alice_choice"] == r["bob_choice"]))
+
+
+@pytest.mark.parametrize(
+    "run, kwargs",
+    [(run_naive_session, {"eve_basis": 0}), (run_two_step_session, {}), (run_key_agreement, {})],
+)
+def test_csv_column_sums_across_block_boundary(config, run, kwargs):
+    rounds = BLOCK_ROUNDS + 1
+    tr, text = run_with_csv(run, config, rounds, UA, UB, seed=17, **kwargs)
+    records = csv_records(text)
+    assert [int(r["round"]) for r in records] == list(range(rounds))
+    assert sum(int(r["sifted"]) for r in records) == tr.n_sifted
+    assert sum(int(r["matched"]) for r in records) == tr.n_matched
+
+
+@pytest.mark.parametrize("run", [run_naive_session, run_two_step_session, run_key_agreement])
+def test_one_round_sessions(config, run):
+    for seed in range(20):
+        tr, text = run_with_csv(run, config, 1, UA, UB, seed=seed)
+        assert tr.rounds == 1 and len(csv_records(text)) == 1
+        assert tr.n_matched == tr.n_sifted
+        assert len(tr.key_bits) == tr.n_sifted
+
+
+def test_key_agreement_without_common_tetrad_sifts_nothing(config):
+    t = config.transitions
+    a, b = next((i, j) for i in range(40) for j in range(40) if t[i][j] == 3)
+    pa, pb = PartyPolicy("fixed", choice=a), PartyPolicy("fixed", choice=b)
+    tr, text = run_with_csv(run_key_agreement, config, BLOCK_ROUNDS + 3, pa, pb, seed=18)
+    assert tr.n_sifted == tr.n_matched == 0
+    assert tr.key_bits == b""
+    assert tr.extras == {"sameStateRate": 0, "distinctOrthogonalRate": 0}
+    assert {r["sifted"] for r in csv_records(text)} == {"0"}
+
+
+def _peak_bytes(config, rounds: int, path) -> int:
+    tracemalloc.start()
+    try:
+        with open(path, "w", newline="") as fh:
+            run_key_agreement(
+                config, rounds, UA, UB, seed=19,
+                on_block=lambda block: fh.write(transcript_csv_rows(block)),
+            )
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transcript_memory_is_flat_in_rounds(config, tmp_path):
+    rounds = 2 * BLOCK_ROUNDS
+    small = _peak_bytes(config, rounds, tmp_path / "small.csv")
+    large = _peak_bytes(config, 10 * rounds, tmp_path / "large.csv")
+    assert large <= 1.2 * small, (small, large)
+
+
+# -- exact count tables ------------------------------------------------------------
+
+
+def test_outcome_counts_equal_joint_distribution(config):
+    counts, den = outcome_counts(config)
+    assert den == 36
+    for a in range(40):
+        for b in range(40):
+            dist = joint_distribution(config, a, b)
+            assert [[Fraction(int(x), den) for x in row] for row in counts[a, b]] == [
+                list(row) for row in dist.p
+            ]
+
+
+@pytest.mark.parametrize("eve", [0, 10, 28])
+def test_outcome_counts_equal_intercept_resend_distribution(config, eve):
+    counts, den = outcome_counts(config, eve)
+    assert den == 324
+    for a in range(40):
+        for b in range(40):
+            dist = intercept_resend_distribution(config, a, b, eve)
+            assert [[Fraction(int(x), den) for x in row] for row in counts[a, b]] == [
+                list(row) for row in dist.p
+            ]
+
+
+def test_probe_branches_partition_the_shared_joint(config):
+    # A sifted round draws its outcome pair from the shared tetrad's joint in
+    # one step: the branches recompose it, and the pair fixes the branch.
+    pairs = 0
+    for basis in range(40):
+        joint = joint_distribution(config, basis, basis)
+        for pa in range(4):
+            for pb in range(4):
+                branches = probe_branches(joint, pa, pb)
+                assert compose_branches(branches).p == joint.p
+                for branch in branches:
+                    if branch.conditional is None:
+                        continue
+                    for i in range(4):
+                        for j in range(4):
+                            if branch.conditional.p[i][j]:
+                                assert branch.label == "yn"[i != pa] + "yn"[j != pb]
+                pairs += 1
+    assert pairs == 640
 
 
 # -- agreement check and leakage ----------------------------------------------------
@@ -258,8 +390,47 @@ def test_policy_validation():
 @pytest.mark.parametrize(
     "text",
     ["correlated:1/0", "correlated:0/0", "correlated:abc", "correlated:",
-     "correlated:3", "correlated:-1/2", "correlated:1/2/3", "sometimes"],
+     "correlated:3", "correlated:-1/2", "correlated:1/2/3", "sometimes",
+     "correlated:1e-3", "correlated:0x1p-1", "correlated: 0.5", "correlated:0." + "0" * 40 + "1",
+     "correlated:1/" + "9" * 19],
 )
 def test_policy_parse_rejects_malformed_weight_with_value_error(text):
     with pytest.raises(ValueError):
         PartyPolicy.parse(text, 5)
+
+
+def test_policy_parse_rejects_exponents_before_building_a_fraction(monkeypatch):
+    built = []
+
+    class Spy(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol_mod, "Fraction", Spy)
+        with pytest.raises(ValueError):
+            PartyPolicy.parse("correlated:1e-10000000", 5)
+        assert PartyPolicy.parse("correlated:1/8", 5).weight == Fraction(1, 8)
+    assert built == [("1/8",)]
+    assert PartyPolicy.parse("correlated:0.9", 5).weight == Fraction(9, 10)
+    assert PartyPolicy.parse("correlated:9/10", 5).weight == Fraction(9, 10)
+
+
+def test_policy_weight_bounds():
+    assert PartyPolicy("correlated", weight=Fraction(1, 2**63 - 1)).weight.denominator == 2**63 - 1
+    with pytest.raises(ValueError):
+        PartyPolicy("correlated", weight=Fraction(1, 2**63))
+    with pytest.raises(ValueError):
+        PartyPolicy("correlated", weight=0.5)
+    assert PartyPolicy("correlated", weight=1).weight == 1
+
+
+def test_policy_rejects_negative_seed():
+    with pytest.raises(ValueError):
+        PartyPolicy("uniform", -7)
+
+
+def test_run_session_rejects_negative_seed(config):
+    with pytest.raises(ValueError):
+        run_session(config, "naive", 10, UA, UB, seed=-7)
