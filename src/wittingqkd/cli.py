@@ -5,7 +5,7 @@ All output is JSON on stdout (CSV only for per-round transcript files) and
 byte-stable for a given command line; randomness is controlled by --seed,
 which defaults to a fixed constant, never the clock.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification/runtime failure, 2 usage error.
 """
 
 from __future__ import annotations

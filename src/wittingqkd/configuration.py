@@ -21,14 +21,24 @@ Z[w]; the canonical representative of a state is the unit multiple whose
 first nonzero coordinate has the lexicographically smallest (a, b) pair.
 The axis states are stored via the in-ring multiple i*sqrt(3) = 1 + 2w, so
 e.g. (sqrt(3),0,0,0) is represented by the class of ((1,2),0,0,0).
+
+The build runs on one integer array: the 40 canonical vectors as a
+(40, 4, 2) array of (a, b) pairs, with Z[w] products, conjugates and
+canonical phases computed elementwise (:func:`ring_mul`, :func:`ring_conj`,
+:func:`canonical_rows`) and the transition table as one integer Gram
+product.  Boxed :class:`Eisenstein` vectors appear only at the API edge
+(``ProjectiveState.vector``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .eisenstein import Eisenstein, UNITS, ZERO
 
@@ -103,8 +113,65 @@ Vector = tuple[Eisenstein, Eisenstein, Eisenstein, Eisenstein]
 _Table = tuple[tuple[int, ...], ...]
 
 
-def parse_vector(text: str) -> Vector:
-    return tuple(Eisenstein(*_TOKENS[t]) for t in text.split())  # type: ignore[return-value]
+def _parse_pairs(text: str) -> list[tuple[int, int]]:
+    return [_TOKENS[t] for t in text.split()]
+
+
+# -- Z[w] on integer arrays: the last axis holds the (a, b) of a + b*w ----------
+
+_UNIT_PAIRS = np.array([u.key() for u in UNITS])
+
+
+def ring_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise (broadcast) product; same rule as ``Eisenstein.__mul__``."""
+    a, b, c, d = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+    bd = b * d
+    return np.stack((a * c - bd, a * d + b * c - bd), axis=-1)
+
+
+def ring_conj(x: np.ndarray) -> np.ndarray:
+    """Elementwise complex conjugate: a + b*w -> (a - b) - b*w."""
+    return np.stack((x[..., 0] - x[..., 1], -x[..., 1]), axis=-1)
+
+
+def ring_norm(x: np.ndarray) -> np.ndarray:
+    """Elementwise a**2 - a*b + b**2, as ``Eisenstein.norm_sq``."""
+    a, b = x[..., 0], x[..., 1]
+    return a * a - a * b + b * b
+
+
+def canonical_rows(vectors: np.ndarray) -> np.ndarray:
+    """:func:`canonical_phase` of every vector in a (..., n, 2) integer array."""
+    nonzero = vectors.any(axis=-1)
+    if not nonzero.any(axis=-1).all():
+        raise ValueError("cannot canonicalise the zero vector")
+    lead_at = nonzero.argmax(axis=-1)[..., None, None]
+    lead = np.take_along_axis(vectors, lead_at, axis=-2)[..., 0, :]
+    return ring_mul(_UNIT_PAIRS[_best_unit(lead)][..., None, :], vectors)
+
+
+def _best_unit(lead: np.ndarray) -> np.ndarray:
+    """Index into ``UNITS`` of the unit u minimising (u * lead) as an (a, b) pair.
+
+    Only the leading coordinate's six unit multiples are compared; the
+    winning unit then scales the whole vector.  The minimum is unique, as
+    the units act freely on nonzero elements.
+    """
+    multiples = ring_mul(_UNIT_PAIRS, lead[..., None, :])  # (..., 6, 2)
+    a, b = multiples[..., 0], multiples[..., 1]
+    b_where_a_least = np.where(a == a.min(axis=-1, keepdims=True), b, np.iinfo(b.dtype).max)
+    return b_where_a_least.argmin(axis=-1)
+
+
+@functools.lru_cache(maxsize=1024)
+def _unit_for_lead(lead: Eisenstein) -> Eisenstein:
+    return UNITS[int(_best_unit(np.array(lead.key())))]
+
+
+def vector_set(vectors: np.ndarray) -> set[tuple[int, ...]]:
+    """The vectors of a (..., n, 2) integer array as a set of flat int tuples."""
+    flat = vectors.reshape(-1, vectors.shape[-2] * 2)
+    return set(map(tuple, flat.tolist()))
 
 
 def canonical_phase(vector: Iterable[Eisenstein]) -> Vector:
@@ -118,8 +185,8 @@ def canonical_phase(vector: Iterable[Eisenstein]) -> Vector:
     lead = next((x for x in vec if not x.is_zero()), None)
     if lead is None:
         raise ValueError("cannot canonicalise the zero vector")
-    best = min(UNITS, key=lambda u: (u * lead).key())
-    return tuple(best * x for x in vec)  # type: ignore[return-value]
+    unit = _unit_for_lead(lead)  # the unit canonical_rows picks
+    return tuple(unit * x for x in vec)  # type: ignore[return-value]
 
 
 def scaled_inner(s: Iterable[Eisenstein], t: Iterable[Eisenstein]) -> Eisenstein:
@@ -182,10 +249,18 @@ class WittingConfiguration:
     other and the generative families, builds the orthogonality graph,
     enumerates the 40 orthogonal tetrads and checks every structural count.
     The resulting object is immutable and safe to share between threads.
+
+    Integer arrays, all read-only and indexed by state index:
+    ``vector_array`` (40, 4, 2), the canonical vectors as (a, b) pairs;
+    ``transition_array`` (40, 40), the values of ``transitions``;
+    ``tetrads_of_state`` (40, 4), the four tetrad ids of each state in
+    ascending order (``bases_of``); ``common_tetrad`` (40, 40), the tetrad
+    shared by two states or -1 (``common_basis``).
     """
 
     def __init__(self) -> None:
-        states: list[ProjectiveState] = []
+        placed: list[tuple[Card, tuple[int, int]]] = []
+        rows = []
         for si, suit in enumerate(SUITS):
             for rank in RANKS:
                 text, row = _CARD_TABLE[rank][si]
@@ -193,85 +268,98 @@ class WittingConfiguration:
                     raise ConfigurationError(
                         f"card table {suit}{rank} disagrees with block ({si},{row})"
                     )
-                vec = parse_vector(text)
-                if sum(x.norm_sq() for x in vec) != 3:
-                    raise ConfigurationError(f"state {suit}{rank} has norm^2 != 3")
-                states.append(
-                    ProjectiveState(canonical_phase(vec), Card(suit, rank), (si, row))
-                )
-        self.states: tuple[ProjectiveState, ...] = tuple(states)
-        self._by_card = {s.card: s for s in states}
-        self._by_vector = {s.vector: s for s in states}
+                placed.append((Card(suit, rank), (si, row)))
+                rows.append(_parse_pairs(text))
+        raw = np.array(rows, dtype=np.int64)
+        bad = ring_norm(raw).sum(axis=1) != 3
+        if bad.any():
+            raise ConfigurationError(f"state {placed[bad.argmax()][0].label} has norm^2 != 3")
+        self.vector_array = _frozen(canonical_rows(raw))
+        boxed = (tuple(Eisenstein(*x) for x in vec) for vec in self.vector_array.tolist())
+        self.states: tuple[ProjectiveState, ...] = tuple(
+            ProjectiveState(vec, card, block)  # type: ignore[arg-type]
+            for vec, (card, block) in zip(boxed, placed)
+        )
+        self._by_card = {s.card: s for s in self.states}
+        self._by_vector = {s.vector: s for s in self.states}
         if len(self._by_vector) != 40:
             raise ConfigurationError("states are not projectively distinct")
         self._check_families()
 
         # transitions[i][j] = 9 |<s_i|s_j>|^2 in {0, 3, 9}, by state index:
         # every Born probability between states is an entry over 9.
-        self.adjacency, self.transitions = self._build_graph()
+        self.transition_array = _frozen(self._build_table())
+        self.transitions: _Table = tuple(map(tuple, self.transition_array.tolist()))
+        self.adjacency = tuple(
+            frozenset(j for j, n in enumerate(r) if n == 0) for r in self.transitions
+        )
         self.bases: tuple[Basis, ...] = self._enumerate_bases()
         # Member state indices of each tetrad, in announcement order.
         self.basis_states: _Table = tuple(
             tuple(self._by_card[c].index for c in b.members) for b in self.bases
         )
-        self._bases_by_card: dict[Card, tuple[int, ...]] = {}
-        for basis in self.bases:
-            for card in basis.members:
-                ids = self._bases_by_card.get(card, ())
-                self._bases_by_card[card] = ids + (basis.id,)
-        if any(len(v) != 4 for v in self._bases_by_card.values()):
+        members = np.array(self.basis_states)
+        if (np.bincount(members.ravel(), minlength=40) != 4).any():
             raise ConfigurationError("some state is not in exactly 4 tetrads")
-        self._pair_basis: dict[frozenset[Card], int] = {}
-        for basis in self.bases:
-            for a, b in itertools.combinations(basis.members, 2):
-                key = frozenset((a, b))
-                if key in self._pair_basis:
-                    raise ConfigurationError(f"pair {a},{b} lies in two tetrads")
-                self._pair_basis[key] = basis.id
-        if len(self._pair_basis) != 240:
-            raise ConfigurationError("orthogonal pairs do not cover 240 edges")
+        owner = np.repeat(np.arange(40), 4)  # tetrad id of each entry of members
+        by_state = members.ravel().argsort(kind="stable")
+        self.tetrads_of_state = _frozen(owner[by_state].reshape(40, 4))
+        # Each tetrad's 12 ordered pairs of distinct members.  The 40 tetrads
+        # hold 480 such pairs, so fewer than 480 entries set means that some
+        # pair lies in two tetrads.
+        s, t, tetrad = np.broadcast_arrays(
+            members[:, :, None], members[:, None, :], np.arange(40)[:, None, None]
+        )
+        distinct = s != t
+        common = np.full((40, 40), -1)
+        common[s[distinct], t[distinct]] = tetrad[distinct]
+        if (common >= 0).sum() != 480:
+            raise ConfigurationError("some orthogonal pair lies in two tetrads")
+        np.fill_diagonal(common, self.tetrads_of_state[:, 0])  # the lowest of four
+        self.common_tetrad = _frozen(common)
         self._check_conjugation()
 
     # -- construction helpers -------------------------------------------------
 
     def _check_families(self) -> None:
         """Block columns must reproduce the four generative nine-state families."""
-        w_pow = [Eisenstein(1, 0), Eisenstein(0, 1), Eisenstein(-1, -1)]
-        patterns = {
-            0: lambda m, n: (ZERO, w_pow[0], -w_pow[m], w_pow[n]),
-            1: lambda m, n: (w_pow[0], ZERO, -w_pow[m], -w_pow[n]),
-            2: lambda m, n: (w_pow[0], -w_pow[m], ZERO, w_pow[n]),
-            3: lambda m, n: (w_pow[0], w_pow[m], w_pow[n], ZERO),
-        }
+        block = np.array([[_parse_pairs(t) for t in column] for column in _BLOCK_TABLE])
+        axes = np.eye(4, dtype=np.int64)[:, :, None] * np.array((1, 2))
+        w_pow = np.array([(1, 0), (0, 1), (-1, -1)])
+        m, n = np.divmod(np.arange(9), 3)
+        wm, wn = w_pow[m], w_pow[n]
+        one, zero = np.broadcast_to(w_pow[0], (9, 2)), np.zeros((9, 2), np.int64)
+        families = np.stack([
+            np.stack((zero, one, -wm, wn), axis=1),
+            np.stack((one, zero, -wm, -wn), axis=1),
+            np.stack((one, -wm, zero, wn), axis=1),
+            np.stack((one, wm, wn, zero), axis=1),
+        ])
+        expected, got = canonical_rows(families), canonical_rows(block[:, 1:])
         for col in range(4):
-            axis = [ZERO] * 4
-            axis[col] = Eisenstein(1, 2)
-            if parse_vector(_BLOCK_TABLE[col][0]) != tuple(axis):
+            if not (block[col, 0] == axes[col]).all():
                 raise ConfigurationError(f"block ({col},0) is not the axis state")
-            expected = {
-                canonical_phase(patterns[col](m, n))
-                for m in range(3)
-                for n in range(3)
-            }
-            got = {canonical_phase(parse_vector(_BLOCK_TABLE[col][r])) for r in range(1, 10)}
-            if got != expected:
+            if vector_set(got[col]) != vector_set(expected[col]):
                 raise ConfigurationError(f"block column {col} mismatches its family")
 
-    def _build_graph(self) -> tuple[tuple[frozenset[int], ...], _Table]:
-        """Transition table from one pass of norms; its zeros are the graph."""
-        table = [[9 if i == j else 0 for j in range(40)] for i in range(40)]
-        for s, t in itertools.combinations(self.states, 2):
-            n = scaled_inner(s.vector, t.vector).norm_sq()
-            if n not in (0, 3):
-                raise ConfigurationError(
-                    f"|<{s.card.label}|{t.card.label}>|^2 outside {{0, 3}}: {n}"
-                )
-            table[s.index][t.index] = table[t.index][s.index] = n
-        adj = tuple(frozenset(j for j, n in enumerate(r) if n == 0) for r in table)
-        degrees = {len(a) for a in adj}
+    def _build_table(self) -> np.ndarray:
+        """9 |<s|t>|^2 for all pairs, as one integer Gram product over Z[w]."""
+        v = self.vector_array
+        p, q = ring_conj(v).transpose(2, 0, 1)  # conj(s) = p + q w, each (40, 4)
+        c, d = v.transpose(2, 1, 0)  # t = c + d w, each (4, 40); <s|t> = Σ (p + q w)(c + d w)
+        qd = q @ d
+        table = ring_norm(np.stack((p @ c - qd, p @ d + q @ c - qd), axis=-1))
+        if (np.diagonal(table) != 9).any():
+            raise ConfigurationError("some state has |<s|s>|^2 != 9")
+        off = np.triu((table != 0) & (table != 3), k=1)
+        if off.any():
+            i, j = np.unravel_index(off.argmax(), off.shape)  # first pair in row order
+            s, t = self.states[i].card.label, self.states[j].card.label
+            raise ConfigurationError(f"|<{s}|{t}>|^2 outside {{0, 3}}: {table[i, j]}")
+        degrees = set((table == 0).sum(axis=1).tolist())
         if degrees != {12}:
             raise ConfigurationError(f"orthogonality graph not 12-regular: {degrees}")
-        return adj, tuple(tuple(r) for r in table)
+        return table
 
     def _enumerate_bases(self) -> tuple[Basis, ...]:
         masks = [sum(1 << j for j in adj) for adj in self.adjacency]
@@ -284,11 +372,11 @@ class WittingConfiguration:
                     for d in _bits_above(mabc, c):
                         if masks[a] & masks[b] & masks[c] & masks[d]:
                             raise ConfigurationError("5-clique found; not maximal")
-                        quads.append(tuple(self.states[i].card for i in (a, b, c, d)))
+                        quads.append(_sorted_members(self.states[i].card for i in (a, b, c, d)))
         if len(quads) != 40:
             raise ConfigurationError(f"expected 40 tetrads, found {len(quads)}")
 
-        tagged = [(_tag_of(_sorted_members(q)), _sorted_members(q)) for q in quads]
+        tagged = [(_tag_of(q), q) for q in quads]
         rank_tetrads = sorted(
             (m for t, m in tagged if t == "rank-tetrad"), key=lambda m: m[0].rank
         )
@@ -314,13 +402,14 @@ class WittingConfiguration:
         return tuple(bases)
 
     def _check_conjugation(self) -> None:
-        for state in self.states:
-            image = self.conjugate_card(state.card)
-            conj_vec = canonical_phase(x.conj() for x in state.vector)
-            if conj_vec != self._by_card[image].vector:
-                raise ConfigurationError(
-                    f"conjugate of {state.card.label} is not {image.label}"
-                )
+        v = self.vector_array
+        images = [self._by_card[self.conjugate_card(s.card)] for s in self.states]
+        bad = (canonical_rows(ring_conj(v)) != v[[t.index for t in images]]).any(axis=(1, 2))
+        if bad.any():
+            i = bad.argmax()
+            raise ConfigurationError(
+                f"conjugate of {self.states[i].card.label} is not {images[i].card.label}"
+            )
 
     # -- queries ---------------------------------------------------------------
 
@@ -339,7 +428,7 @@ class WittingConfiguration:
         return Card(card.suit, RANK_CONJUGATION[card.rank])
 
     def bases_of(self, card: Card) -> tuple[int, ...]:
-        return self._bases_by_card[card]
+        return tuple(self.tetrads_of_state[self._by_card[card].index].tolist())
 
     def common_basis(self, a: Card, b: Card) -> int | None:
         """The tetrad shared by two cards.
@@ -349,9 +438,8 @@ class WittingConfiguration:
         tie-break both protocol parties can apply without communicating);
         non-orthogonal pairs share none.
         """
-        if a == b:
-            return min(self._bases_by_card[a])
-        return self._pair_basis.get(frozenset((a, b)))
+        shared = int(self.common_tetrad[self._by_card[a].index, self._by_card[b].index])
+        return None if shared < 0 else shared
 
     def expand_vertices(self) -> list[Vector]:
         """All unit multiples of the 40 states: the 240 polytope vertices."""
@@ -400,6 +488,11 @@ class WittingConfiguration:
             unused -= group
         triads.sort(key=lambda t: index[t[0]])
         return tuple(triads)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _bits_above(mask: int, threshold: int) -> list[int]:

@@ -10,11 +10,11 @@ tetrad, so without an attacker every sifted round matches.
 The engine runs blocks of ``BLOCK_ROUNDS`` rounds as numpy arrays.  A
 protocol is data (:class:`_Protocol`): its choice draws, its announcement
 kind, which fixes the sift rule, and the integer count tables it reads,
-built once per session from ``config.transitions``.  Every outcome law is a
-row of integer counts over a denominator: 9·|<s|t>|² products over 36, or
-over 324 with an intercept-resend attacker.  One draw below the denominator,
-located in the row's cumulative counts, samples it exactly.  A sifted
-two-step or key-agreement round needs only one draw from the shared
+built once per session from ``config.transition_array``.  Every outcome
+law is a row of integer counts over a denominator: 9·|<s|t>|² products over
+36, or over 324 with an intercept-resend attacker.  One draw below the
+denominator, located in the row's cumulative counts, samples it exactly.  A
+sifted two-step or key-agreement round needs only one draw from the shared
 tetrad's joint: the two-step branches (:func:`probe_branches`) partition
 that joint by outcome pair, so the branch is a function of the pair.
 
@@ -160,7 +160,7 @@ class _Protocol:
     ``announces``: "basis" -- each party measures its own tetrad (drawn
     directly, or among the four holding its state) every round, and rounds
     sift on equal tetrads; "state" -- the parties measure only when their
-    states share a tetrad (``config.common_basis``), and those rounds sift.
+    states share a tetrad (``config.common_tetrad``), and those rounds sift.
     ``extras`` maps the counts (same state, sifted, same state and sifted)
     to the protocol's extra rates.
     """
@@ -204,7 +204,7 @@ def outcome_counts(
     T(a_i, b_j) / 36 with T = 9·|<s|t>|²; with an intercept-resend attacker
     on tetrad e it is sum_k T(a_i, e_k) T(e_k, b_j) / 324.
     """
-    t = np.array(config.transitions, dtype=np.int64)
+    t = config.transition_array
     members = np.array(config.basis_states)  # (40, 4) state indices
     if eve_basis is None:
         return t[members[:, None, :, None], members[None, :, None, :]], 36
@@ -297,13 +297,6 @@ def _run(
     cuts = counts.reshape(1600, 16).cumsum(axis=1)
     # Row r's cuts shifted by r·den: one sorted array for every row's lookup.
     offset_cuts = (cuts + den * np.arange(1600)[:, None]).ravel()
-    if protocol.announces == "state":
-        common = np.array(
-            [[-1 if (c := config.common_basis(s.card, t.card)) is None else c
-              for t in config.states] for s in config.states]
-        )
-    elif protocol.picks_state:
-        bases_of = np.array([config.bases_of(s.card) for s in config.states])
 
     parties = [_Party(policy, index) for index, policy in enumerate(policies)]
     outcome_rng = _stream(seed, _OUTCOMES)
@@ -319,10 +312,10 @@ def _run(
             elif state is None:
                 choices.append((party.draw(40, n),))
             else:
-                choices.append((state, bases_of[state, party.draw(4, n)]))
+                choices.append((state, config.tetrads_of_state[state, party.draw(4, n)]))
         alice, bob = choices
         if protocol.announces == "state":
-            shared = common[alice[0], bob[0]]
+            shared = config.common_tetrad[alice[0], bob[0]]
             sifted = shared >= 0
             measured = sifted
             rows = shared[sifted] * 41  # the shared tetrad's own joint

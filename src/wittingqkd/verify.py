@@ -4,6 +4,13 @@ Each check recomputes one family of structural claims from scratch and
 returns a short human-readable detail string; any exception or failed
 predicate marks the check failed.  ``quick=True`` skips the three expensive
 checks (the two group closures and the exhaustive marking scan).
+
+The configuration builds its transition table on an integer array
+(``config.vector_array``, one Gram product over Z[w]).  The checks
+``transition-spectrum``, ``mub-embedding`` and ``pair-bases`` deliberately
+recompute every overlap they use from the boxed vectors with
+:func:`scaled_inner`, so they stay independent of that array kernel and
+can catch a fault in it.  ``column-shifts`` runs on the array.
 """
 
 from __future__ import annotations
@@ -13,15 +20,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from .configuration import (
-    Card,
     ProjectiveState,
-    SUITS,
     WittingConfiguration,
-    canonical_phase,
+    canonical_rows,
+    ring_conj,
+    ring_mul,
+    ring_norm,
     scaled_inner,
+    vector_set,
 )
-from .eisenstein import Eisenstein, UNITS
 from .marking import (
     ALL_SPADES,
     MAX_SCORE_EXAMPLE,
@@ -111,32 +121,42 @@ def _check_conjugate_coordination(config: WittingConfiguration) -> str:
     return "joint distribution is (1/4)I for all 40 conjugate-coordinated tetrads"
 
 
+def _block_columns(config: WittingConfiguration) -> np.ndarray:
+    """The canonical vectors by block column, (4, 10, 4, 2); row 0 is the axis."""
+    order = sorted(range(40), key=lambda i: config.states[i].block)
+    return config.vector_array[order].reshape(4, 10, 4, 2)
+
+
 def _check_column_shifts(config: WittingConfiguration) -> str:
+    return _check_columns(_block_columns(config))
+
+
+def _check_columns(columns: np.ndarray) -> str:
     """Every block column maps onto every other by a monomial map: a cyclic
-    coordinate shift composed with per-coordinate unit phases."""
-    columns: dict[int, set] = {c: set() for c in range(4)}
-    for state in config.states:
-        columns[state.block[0]].add(state.vector)
+    coordinate shift composed with per-coordinate unit phases.
 
-    def shifted(vec, k):
-        return tuple(vec[(i - k) % 4] for i in range(4))
-
+    Column c's axis state is its only vector supported on coordinate c
+    alone, and a monomial map keeps supports' sizes, so mapping column c1
+    onto c2 fixes the shift k = c2 - c1 (mod 4).  The phases then follow
+    from one family vector f: its shifted image must be a unit multiple of
+    a target vector g with the same support, so u_i = g_i conj(f_i) up to a
+    common unit, which canonicalisation removes (u_i = 1 where f_i = 0; that
+    coordinate only scales the axis state).  Each candidate g gives one
+    phase vector, and the pair passes when one of them maps the whole
+    column onto the target column.
+    """
+    one = np.array((1, 0))
     for c1, c2 in itertools.permutations(range(4), 2):
-        found = False
-        for k in range(1, 4):
-            if found:
-                break
-            for phases in itertools.product(range(6), repeat=3):
-                units = (Eisenstein(1, 0),) + tuple(UNITS[p] for p in phases)
-                image = {
-                    canonical_phase(
-                        tuple(u * x for u, x in zip(units, shifted(v, k)))
-                    )
-                    for v in columns[c1]
-                }
-                if image == columns[c2]:
-                    found = True
-                    break
+        source = np.roll(columns[c1], (c2 - c1) % 4, axis=1)  # v[(i - k) % 4] at i
+        target = columns[c2]
+        f = source[1]
+        support = f.any(axis=-1)
+        candidates = target[(target.any(axis=-1) == support).all(axis=1)]
+        phases = np.where(support[:, None], ring_mul(candidates, ring_conj(f)), one)
+        units = (ring_norm(phases) == 1).all(axis=1)
+        images = canonical_rows(ring_mul(phases[units][:, None], source))
+        wanted = vector_set(target)
+        found = any(vector_set(image) == wanted for image in images)
         assert found, f"no monomial shift maps column {c1} to column {c2}"
     return "block columns related by shift + per-coordinate unit phases"
 

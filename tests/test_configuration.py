@@ -1,18 +1,24 @@
 import cmath
 import itertools
 from fractions import Fraction
+from random import Random
 
 import networkx as nx
+import numpy as np
 import pytest
 
-from wittingqkd import WittingConfiguration
+from wittingqkd import WittingConfiguration, configuration
 from wittingqkd.configuration import (
     Card,
+    ConfigurationError,
     SUITS,
     canonical_phase,
+    canonical_rows,
+    ring_conj,
+    ring_mul,
     scaled_inner,
 )
-from wittingqkd.eisenstein import Eisenstein, I_SQRT3, UNITS, ZERO
+from wittingqkd.eisenstein import Eisenstein, I_SQRT3, ONE, UNITS, ZERO
 
 W = cmath.exp(2j * cmath.pi / 3)
 
@@ -301,3 +307,135 @@ def test_columns_monomially_equivalent(config):
 
     for c1, c2 in itertools.permutations(range(4), 2):
         assert attempt(c1, c2), (c1, c2)
+
+
+# -- the integer-array kernel ----------------------------------------------------
+
+
+def _random_elements(rng, n):
+    return [Eisenstein(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(n)]
+
+
+def test_ring_ops_match_boxed_arithmetic():
+    rng = Random(1)
+    xs, ys = _random_elements(rng, 500), _random_elements(rng, 500)
+    x, y = np.array([e.key() for e in xs]), np.array([e.key() for e in ys])
+    assert ring_mul(x, y).tolist() == [list((p * q).key()) for p, q in zip(xs, ys)]
+    assert ring_conj(x).tolist() == [list(p.conj().key()) for p in xs]
+
+
+def _boxed_canonical(vec):
+    """The canonical-phase convention stated with boxed products: the unit
+    whose product with the leading coordinate has the smallest (a, b)."""
+    lead = next(x for x in vec if not x.is_zero())
+    best = min(UNITS, key=lambda u: (u * lead).key())
+    return tuple(best * x for x in vec)
+
+
+def test_canonical_phase_matches_boxed_definition(config):
+    rng = Random(2)
+    vectors = [tuple(u * x for x in v) for v in config.expand_vertices() for u in UNITS]
+    vectors += [tuple(_random_elements(rng, 4)) for _ in range(300)]
+    vectors += [(ZERO, ZERO, Eisenstein(-3, 4), ZERO), (ZERO, Eisenstein(0, -2), ZERO, ONE)]
+    vectors = [v for v in vectors if any(not x.is_zero() for x in v)]
+    expected = [_boxed_canonical(v) for v in vectors]
+    assert [canonical_phase(v) for v in vectors] == expected
+    array = np.array([[x.key() for x in v] for v in vectors])
+    assert canonical_rows(array).tolist() == [[list(x.key()) for x in v] for v in expected]
+    with pytest.raises(ValueError):
+        canonical_phase((ZERO,) * 4)
+    with pytest.raises(ValueError):
+        canonical_rows(np.zeros((1, 4, 2), np.int64))
+
+
+def test_vector_array_holds_the_state_vectors(config):
+    assert config.vector_array.shape == (40, 4, 2)
+    for s in config.states:
+        assert config.vector_array[s.index].tolist() == [list(x.key()) for x in s.vector]
+        assert all(type(x) is Eisenstein for x in s.vector)
+
+
+def test_transition_table_matches_boxed_overlaps(config):
+    """The Gram-product table against scaled_inner, all 1600 ordered pairs."""
+    assert config.transition_array.shape == (40, 40)
+    for s in config.states:
+        for t in config.states:
+            n = scaled_inner(s.vector, t.vector).norm_sq()
+            assert config.transition_array[s.index, t.index] == n
+            assert config.transitions[s.index][t.index] == n
+    assert isinstance(config.transitions, tuple)
+    assert all(type(n) is int for row in config.transitions for n in row)
+
+
+def test_session_tables_match_card_queries(config):
+    """The arrays against the card queries and against the tetrads' members."""
+    for s in config.states:
+        holding = [b.id for b in config.bases if s.card in b.members]
+        assert list(config.bases_of(s.card)) == holding
+        assert config.tetrads_of_state[s.index].tolist() == holding
+        for t in config.states:
+            common = config.common_basis(s.card, t.card)
+            shared = [b for b in holding if t.card in config.bases[b].members]
+            expected = -1 if common is None else common
+            assert config.common_tetrad[s.index, t.index] == expected == min(shared, default=-1)
+
+
+def test_arrays_are_read_only(config):
+    for array in (config.vector_array, config.transition_array,
+                  config.tetrads_of_state, config.common_tetrad):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
+
+
+# -- build self-checks -----------------------------------------------------------
+
+
+def _set_vector(monkeypatch, suit_index, rank, text):
+    """Give one card a new vector in both tables, so that they still agree."""
+    cards = dict(configuration._CARD_TABLE)
+    entries = list(cards[rank])
+    row = entries[suit_index][1]
+    entries[suit_index] = (text, row)
+    cards[rank] = tuple(entries)
+    blocks = [list(column) for column in configuration._BLOCK_TABLE]
+    blocks[suit_index][row] = text
+    monkeypatch.setattr(configuration, "_CARD_TABLE", cards)
+    monkeypatch.setattr(configuration, "_BLOCK_TABLE", tuple(map(tuple, blocks)))
+
+
+def test_build_rejects_card_block_disagreement(monkeypatch):
+    cards = dict(configuration._CARD_TABLE)
+    cards[3] = (("0 1 -w W", 3),) + cards[3][1:]  # S3's vector is block row 2
+    monkeypatch.setattr(configuration, "_CARD_TABLE", cards)
+    with pytest.raises(ConfigurationError, match=r"S3 disagrees with block \(0,3\)"):
+        WittingConfiguration()
+
+
+def test_build_rejects_wrong_norm(monkeypatch):
+    _set_vector(monkeypatch, 0, 2, "0 1 -1 0")
+    with pytest.raises(ConfigurationError, match=r"S2 has norm\^2 != 3"):
+        WittingConfiguration()
+
+
+def test_build_rejects_overlap_outside_spectrum(monkeypatch):
+    # The family check pins every vector, so it is bypassed to reach the
+    # overlap check: (1, 1, -1, 0) has norm 3 but overlap 1 with C2.
+    monkeypatch.setattr(WittingConfiguration, "_check_families", lambda self: None)
+    _set_vector(monkeypatch, 0, 2, "1 1 -1 0")
+    with pytest.raises(ConfigurationError, match=r"outside \{0, 3\}: 1$"):
+        WittingConfiguration()
+
+
+def test_build_rejects_family_mismatch(monkeypatch):
+    _set_vector(monkeypatch, 0, 2, "0 1 -1 -1")  # norm 3, but -1 is no power of w
+    with pytest.raises(ConfigurationError, match="block column 0 mismatches its family"):
+        WittingConfiguration()
+
+
+def test_build_rejects_conjugation_mismatch(monkeypatch):
+    # Swapping whole ranks keeps every tetrad's shape, but conj(S3) is S4.
+    cards = dict(configuration._CARD_TABLE)
+    cards[3], cards[5] = cards[5], cards[3]
+    monkeypatch.setattr(configuration, "_CARD_TABLE", cards)
+    with pytest.raises(ConfigurationError, match="conjugate of S3 is not S4"):
+        WittingConfiguration()
