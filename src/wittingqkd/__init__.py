@@ -2,7 +2,7 @@
 Witting configuration: state geometry, symmetry group, exact Born-rule
 measurement, protocol simulation, and classical-model refutation."""
 
-from .eisenstein import Eisenstein, UNITS, units
+from .eisenstein import Eisenstein, UNITS
 from .configuration import (
     Basis,
     Card,
@@ -19,7 +19,6 @@ __all__ = [
     "ProjectiveState",
     "UNITS",
     "WittingConfiguration",
-    "units",
 ]
 
 __version__ = "0.1.0"

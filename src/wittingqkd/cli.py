@@ -20,7 +20,7 @@ from .configuration import WittingConfiguration, bases_payload, states_payload
 from .marking import exhaustive_scan, Marking
 from .measurement import intercept_resend_distribution, joint_distribution
 from .protocol import DEFAULT_SEED, PartyPolicy, run_session, transcript_csv_rows
-from .symmetry import MIN_MAX_ELEMENTS, generate_group, group_payload
+from .symmetry import generate_group, group_payload
 from .verify import run_checks
 
 
@@ -74,7 +74,7 @@ def _cmd_bases(args: argparse.Namespace) -> int:
 
 def _cmd_group(args: argparse.Namespace) -> int:
     config = WittingConfiguration()
-    table = generate_group(config, max_elements=args.max_elements)
+    table = generate_group(config)
     _emit(group_payload(config, table))
     return 0
 
@@ -154,8 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("states", help="dump the 40 states with both numberings")
     sub.add_parser("bases", help="dump the 40 measurement tetrads")
 
-    p_group = sub.add_parser("group", help="generate the symmetry group")
-    p_group.add_argument("--max-elements", type=_int_in(MIN_MAX_ELEMENTS), default=200_000)
+    sub.add_parser("group", help="generate the symmetry group")
 
     p_joint = sub.add_parser("joint", help="exact joint outcome distribution")
     p_joint.add_argument("--alice", type=_TETRAD_ID, required=True, metavar="BASIS")

@@ -26,13 +26,13 @@ The build runs on one integer array: the 40 canonical vectors as a
 (40, 4, 2) array of (a, b) pairs, with Z[w] products, conjugates and
 canonical phases computed elementwise (:func:`ring_mul`, :func:`ring_conj`,
 :func:`canonical_rows`) and the transition table as one integer Gram
-product.  Boxed :class:`Eisenstein` vectors appear only at the API edge
-(``ProjectiveState.vector``).
+product (:func:`ring_matmul`).  The symmetry group computes with the
+same functions.  Boxed :class:`Eisenstein` vectors appear only at the API
+edge (``ProjectiveState.vector``).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,7 +119,7 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 
 # -- Z[w] on integer arrays: the last axis holds the (a, b) of a + b*w ----------
 
-_UNIT_PAIRS = np.array([u.key() for u in UNITS])
+UNIT_PAIRS = np.array([u.key() for u in UNITS])  # UNITS as (a, b) rows
 
 
 def ring_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -127,6 +127,13 @@ def ring_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     a, b, c, d = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
     bd = b * d
     return np.stack((a * c - bd, a * d + b * c - bd), axis=-1)
+
+
+def ring_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Matrix product of (..., n, k, 2) and (..., k, m, 2) arrays; rule of :func:`ring_mul`."""
+    a, b, c, d = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+    bd = b @ d
+    return np.stack((a @ c - bd, a @ d + b @ c - bd), axis=-1)
 
 
 def ring_conj(x: np.ndarray) -> np.ndarray:
@@ -147,7 +154,7 @@ def canonical_rows(vectors: np.ndarray) -> np.ndarray:
         raise ValueError("cannot canonicalise the zero vector")
     lead_at = nonzero.argmax(axis=-1)[..., None, None]
     lead = np.take_along_axis(vectors, lead_at, axis=-2)[..., 0, :]
-    return ring_mul(_UNIT_PAIRS[_best_unit(lead)][..., None, :], vectors)
+    return ring_mul(UNIT_PAIRS[_best_unit(lead)][..., None, :], vectors)
 
 
 def _best_unit(lead: np.ndarray) -> np.ndarray:
@@ -157,15 +164,10 @@ def _best_unit(lead: np.ndarray) -> np.ndarray:
     winning unit then scales the whole vector.  The minimum is unique, as
     the units act freely on nonzero elements.
     """
-    multiples = ring_mul(_UNIT_PAIRS, lead[..., None, :])  # (..., 6, 2)
+    multiples = ring_mul(UNIT_PAIRS, lead[..., None, :])  # (..., 6, 2)
     a, b = multiples[..., 0], multiples[..., 1]
     b_where_a_least = np.where(a == a.min(axis=-1, keepdims=True), b, np.iinfo(b.dtype).max)
     return b_where_a_least.argmin(axis=-1)
-
-
-@functools.lru_cache(maxsize=1024)
-def _unit_for_lead(lead: Eisenstein) -> Eisenstein:
-    return UNITS[int(_best_unit(np.array(lead.key())))]
 
 
 def vector_set(vectors: np.ndarray) -> set[tuple[int, ...]]:
@@ -185,7 +187,7 @@ def canonical_phase(vector: Iterable[Eisenstein]) -> Vector:
     lead = next((x for x in vec if not x.is_zero()), None)
     if lead is None:
         raise ValueError("cannot canonicalise the zero vector")
-    unit = _unit_for_lead(lead)  # the unit canonical_rows picks
+    unit = UNITS[int(_best_unit(np.array(lead.key())))]  # the unit canonical_rows picks
     return tuple(unit * x for x in vec)  # type: ignore[return-value]
 
 
@@ -281,8 +283,7 @@ class WittingConfiguration:
             for vec, (card, block) in zip(boxed, placed)
         )
         self._by_card = {s.card: s for s in self.states}
-        self._by_vector = {s.vector: s for s in self.states}
-        if len(self._by_vector) != 40:
+        if len(vector_set(self.vector_array)) != 40:
             raise ConfigurationError("states are not projectively distinct")
         self._check_families()
 
@@ -345,10 +346,7 @@ class WittingConfiguration:
     def _build_table(self) -> np.ndarray:
         """9 |<s|t>|^2 for all pairs, as one integer Gram product over Z[w]."""
         v = self.vector_array
-        p, q = ring_conj(v).transpose(2, 0, 1)  # conj(s) = p + q w, each (40, 4)
-        c, d = v.transpose(2, 1, 0)  # t = c + d w, each (4, 40); <s|t> = Σ (p + q w)(c + d w)
-        qd = q @ d
-        table = ring_norm(np.stack((p @ c - qd, p @ d + q @ c - qd), axis=-1))
+        table = ring_norm(ring_matmul(ring_conj(v), v.transpose(1, 0, 2)))
         if (np.diagonal(table) != 9).any():
             raise ConfigurationError("some state has |<s|s>|^2 != 9")
         off = np.triu((table != 0) & (table != 3), k=1)
@@ -415,9 +413,6 @@ class WittingConfiguration:
 
     def state_of(self, card: Card) -> ProjectiveState:
         return self._by_card[card]
-
-    def state_by_vector(self, vector: Vector) -> ProjectiveState | None:
-        return self._by_vector.get(vector)
 
     def transition_prob(self, s: ProjectiveState | Card, t: ProjectiveState | Card) -> Fraction:
         """Born probability |<s|t>|^2: exactly 0, 1/3, or 1."""

@@ -63,9 +63,6 @@ class Eisenstein:
         """Lexicographic sort key; fixes the canonical-phase convention."""
         return (self.a, self.b)
 
-    def to_complex(self) -> complex:
-        return complex(self.a - 0.5 * self.b, 0.8660254037844386 * self.b)
-
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)
@@ -86,8 +83,3 @@ I_SQRT3 = Eisenstein(1, 2)
 # The six elements of norm 1, in the fixed public order (1, -1, w, -w, w^2, -w^2).
 # Canonicalisation and serialisation depend on this order; do not reorder.
 UNITS = (ONE, -ONE, OMEGA, -OMEGA, OMEGA2, -OMEGA2)
-
-
-def units() -> tuple[Eisenstein, ...]:
-    """The unit group of Z[w] in its documented order."""
-    return UNITS

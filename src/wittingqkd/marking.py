@@ -74,10 +74,6 @@ class MarkingScore:
     def double_marked(self) -> int:
         return self.by_count[2]
 
-    @property
-    def other_multiplicity(self) -> int:
-        return self.by_count[3] + self.by_count[4]
-
 
 def _member_keys(config: WittingConfiguration) -> list[list[tuple[int, int]]]:
     return [
@@ -188,15 +184,6 @@ def contextuality_witness(
         if card in unmarked:
             return (card, marked[card][0], unmarked[card][0])
     return None
-
-
-def spade_preference_table(config: WittingConfiguration) -> tuple[int, ...]:
-    """Per-tetrad table marking each tetrad's spade when it has exactly one."""
-    table = []
-    for basis in config.bases:
-        spades = [i for i, c in enumerate(basis.members) if c.suit == "S"]
-        table.append(spades[0] if len(spades) == 1 else 0)
-    return tuple(table)
 
 
 def rank_tetrad_partition_ok(config: WittingConfiguration) -> bool:

@@ -64,10 +64,6 @@ _WEIGHT = re.compile(r"\d+/\d+|\d*\.?\d+")
 _WEIGHT_MAX_CHARS = 40
 
 
-class AgreementError(AssertionError):
-    """Sifted outcomes disagreed in a session that has no attacker."""
-
-
 def _check_seed(seed: int) -> None:
     if seed < 0:  # Random(-s) would alias Random(s)
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -414,41 +410,6 @@ def run_session(
     if protocol == "key-agreement":
         return run_key_agreement(config, rounds, policy_a, policy_b, seed, on_block)
     raise ValueError(f"unknown protocol {protocol!r}")
-
-
-def agreement_report(
-    config: WittingConfiguration,
-    rounds: int,
-    seed: int = DEFAULT_SEED,
-    eve_basis: int | None = None,
-) -> dict[str, dict[str, int]]:
-    """Run every variant and count sifted-round mismatches.
-
-    Without an attacker any mismatch raises :class:`AgreementError`; with
-    one, the (naive-protocol) mismatches are simply reported.  ``rounds``
-    may be 0, in which case the check passes vacuously.
-    """
-    report: dict[str, dict[str, int]] = {}
-    if rounds == 0:
-        return report
-    pa = PartyPolicy("uniform", seed)
-    pb = PartyPolicy("uniform", seed + 1)
-    sessions = {
-        "naive": run_naive_session(config, rounds, pa, pb, eve_basis, seed),
-        "two-step": run_two_step_session(config, rounds, pa, pb, seed),
-        "key-agreement": run_key_agreement(config, rounds, pa, pb, seed),
-    }
-    for name, transcript in sessions.items():
-        mismatches = transcript.n_mismatched
-        if eve_basis is None and mismatches:
-            raise AgreementError(
-                f"{name}: {mismatches} mismatches in {transcript.n_sifted} sifted rounds"
-            )
-        report[name] = {
-            "sifted": transcript.n_sifted,
-            "mismatches": mismatches,
-        }
-    return report
 
 
 def announcement_leakage_free(config: WittingConfiguration) -> bool:

@@ -5,33 +5,44 @@ denominator: the pair (m, d) represents m / 3**d and is kept reduced (some
 entry of m not divisible by 3 whenever d > 0).  Reduced pairs are unique,
 so equality and hashing of elements are exact: no tolerance.
 
-Matrices are numpy int64 arrays of shape (2, 4, 4) holding the a- and
-b-components of each entry; they serve the generators' det and unitarity
-checks and the per-element API.  The group itself is closed over
-permutations of the 240 Witting vertices: those vertices span C^4, so each
-element is exactly one permutation, and it is fixed by the images of the
-four axis vertices.  Closure composes whole frontiers of uint8 permutation
-arrays with numpy fancy indexing and takes well under a second.
+Matrices are (4, 4, 2) int64 arrays in the layout of
+``config.vector_array``: the last axis holds the (a, b) of a + b*w.  All
+their arithmetic goes through the array kernel of :mod:`.configuration`
+(:func:`ring_mul`, :func:`ring_matmul`, :func:`ring_conj`).  The group
+itself is closed over permutations of the 240 Witting vertices: those
+vertices span C^4, so each element is exactly one permutation, and it is
+fixed by the images of the four axis vertices.  Closure composes whole
+frontiers of uint8 permutation arrays with numpy fancy indexing and takes
+well under a second.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eisenstein import Eisenstein, OMEGA, UNITS
+from .eisenstein import Eisenstein, UNITS
 from .configuration import (
+    UNIT_PAIRS,
     Card,
     ProjectiveState,
-    Vector,
     WittingConfiguration,
-    canonical_phase,
+    canonical_rows,
+    ring_conj,
+    ring_matmul,
+    ring_mul,
 )
 
 _ENTRY_BOUND = 1 << 20  # matches the Eisenstein component bound
-MIN_MAX_ELEMENTS = 60_000  # smallest closure bound generate_group accepts
+_CLOSURE_BOUND = 200_000  # above |G32| = 155520, the largest closure here
+_IDENTITY = np.eye(4, dtype=np.int64)[:, :, None] * UNIT_PAIRS[0]  # (4, 4, 2)
+_PERMS = np.array(list(itertools.permutations(range(4))))  # (24, 4)
+_PERM_SIGNS = 1 - 2 * (  # parity of each permutation's inversion count
+    np.triu(_PERMS[:, :, None] > _PERMS[:, None, :], 1).sum(axis=(1, 2)) % 2
+)
 
 
 class SymmetryError(RuntimeError):
@@ -51,45 +62,11 @@ def _reduce(m: np.ndarray, d: int) -> tuple[np.ndarray, int]:
     return m, d
 
 
-def _matmul(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    a1, b1 = m1
-    a2, b2 = m2
-    bb = b1 @ b2
-    return np.stack((a1 @ a2 - bb, a1 @ b2 + b1 @ a2 - bb))
-
-
-def _unit_scaled(m: np.ndarray, unit_index: int) -> np.ndarray:
-    """Scale by UNITS[unit_index]; index order matches eisenstein.UNITS."""
-    a, b = m
-    if unit_index == 0:
-        return m
-    if unit_index == 1:
-        return np.stack((-a, -b))
-    if unit_index == 2:  # * w
-        return np.stack((-b, a - b))
-    if unit_index == 3:  # * -w
-        return np.stack((b, b - a))
-    if unit_index == 4:  # * w^2
-        return np.stack((b - a, -a))
-    if unit_index == 5:  # * -w^2
-        return np.stack((a - b, a))
-    raise IndexError(unit_index)
-
-
-def _conj_transpose(m: np.ndarray) -> np.ndarray:
-    a, b = m
-    return np.stack(((a - b).T, -b.T))
-
-
-def _key(m: np.ndarray, d: int) -> bytes:
-    return bytes((d,)) + m.tobytes()
-
-
 @dataclass(frozen=True)
 class SymmetryElement:
     """A unitary m / 3**denom_exp with entries in Z[w], reduced."""
 
-    m: np.ndarray  # shape (2, 4, 4), int64; treated as immutable
+    m: np.ndarray  # shape (4, 4, 2), int64; treated as immutable
     denom_exp: int
 
     def __post_init__(self) -> None:
@@ -101,12 +78,10 @@ class SymmetryElement:
 
     @classmethod
     def identity(cls) -> "SymmetryElement":
-        return cls.from_parts(
-            np.stack((np.eye(4, dtype=np.int64), np.zeros((4, 4), np.int64))), 0
-        )
+        return cls.from_parts(_IDENTITY, 0)
 
     def key(self) -> bytes:
-        return _key(self.m, self.denom_exp)
+        return bytes((self.denom_exp,)) + self.m.tobytes()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SymmetryElement) and self.key() == other.key()
@@ -116,61 +91,49 @@ class SymmetryElement:
 
     def __matmul__(self, other: "SymmetryElement") -> "SymmetryElement":
         return SymmetryElement.from_parts(
-            _matmul(self.m, other.m), self.denom_exp + other.denom_exp
+            ring_matmul(self.m, other.m), self.denom_exp + other.denom_exp
         )
 
     def entry(self, i: int, j: int) -> Eisenstein:
-        return Eisenstein(int(self.m[0, i, j]), int(self.m[1, i, j]))
+        return Eisenstein(*self.m[i, j].tolist())
 
     def scaled_by_unit(self, unit_index: int) -> "SymmetryElement":
+        """Multiply by UNITS[unit_index]."""
+        if not 0 <= unit_index < len(UNITS):
+            raise IndexError(unit_index)
         return SymmetryElement.from_parts(
-            _unit_scaled(self.m, unit_index), self.denom_exp
+            ring_mul(UNIT_PAIRS[unit_index], self.m), self.denom_exp
         )
 
     def is_unitary(self) -> bool:
-        prod = _matmul(_conj_transpose(self.m), self.m)
-        scale = 3 ** (2 * self.denom_exp)
-        expect_a = scale * np.eye(4, dtype=np.int64)
-        return (prod[0] == expect_a).all() and not prod[1].any()
+        prod = ring_matmul(ring_conj(self.m).transpose(1, 0, 2), self.m)
+        return bool((prod == 3 ** (2 * self.denom_exp) * _IDENTITY).all())
 
     def determinant_unit(self) -> Eisenstein:
-        """det(m) / 3**(4 d), which must be one of the six units."""
-        det = _det4(self.m)
-        scale = 3 ** (4 * self.denom_exp)
-        for u in UNITS:
-            if det == u * scale:
-                return u
-        raise SymmetryError(f"determinant {det} is not a unit times 3^(4d)")
+        """det(m) / 3**(4 d), which must be one of the six units.
 
-    def apply(self, vector: Vector) -> tuple[np.ndarray, int]:
-        """Image of a sqrt(3)-scaled vector, as ((2,4) int array, denom_exp)."""
-        va = np.array([x.a for x in vector], dtype=np.int64)
-        vb = np.array([x.b for x in vector], dtype=np.int64)
-        a, b = self.m
-        bvb = b @ vb
-        wa = a @ va - bvb
-        wb = a @ vb + b @ va - bvb
-        return np.stack((wa, wb)), self.denom_exp
+        The determinant is the Leibniz sum over the 24 permutations of the
+        four columns.
+        """
+        factors = self.m[np.arange(4), _PERMS]  # (24, 4, 2): m[i, p(i)]
+        terms = functools.reduce(ring_mul, factors.transpose(1, 0, 2))
+        det = (_PERM_SIGNS[:, None] * terms).sum(axis=0)
+        match = (det == 3 ** (4 * self.denom_exp) * UNIT_PAIRS).all(axis=1)
+        if not match.any():
+            raise SymmetryError(f"determinant {det.tolist()} is not a unit times 3^(4d)")
+        return UNITS[int(match.argmax())]
 
+    def apply(self, vectors: np.ndarray) -> np.ndarray:
+        """Exact images of a (..., 4, 2) array of vectors, same shape.
 
-def _det4(m: np.ndarray) -> Eisenstein:
-    entries = [[Eisenstein(int(m[0, i, j]), int(m[1, i, j])) for j in range(4)] for i in range(4)]
-    total = Eisenstein(0, 0)
-    for perm in itertools.permutations(range(4)):
-        sign = _perm_sign(perm)
-        term = entries[0][perm[0]]
-        for i in range(1, 4):
-            term = term * entries[i][perm[i]]
-        total = total + term * sign
-    return total
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    for i, j in itertools.combinations(range(len(perm)), 2):
-        if perm[i] > perm[j]:
-            sign = -sign
-    return sign
+        Raises :class:`NotASymmetryError` if an image leaves Z[w]^4, that is
+        if m v is not divisible by 3**denom_exp.
+        """
+        images = ring_matmul(self.m, vectors[..., None, :])[..., 0, :]
+        scale = 3**self.denom_exp
+        if (images % scale).any():
+            raise NotASymmetryError("an image is not a vector over Z[w]")
+        return images // scale
 
 
 def triflection(state: ProjectiveState) -> SymmetryElement:
@@ -181,16 +144,10 @@ def triflection(state: ProjectiveState) -> SymmetryElement:
     cube is the identity.  The projector v v^dag is phase-invariant, making
     the construction independent of the canonical representative.
     """
-    v = state.vector
-    w_minus_1 = Eisenstein(-1, 1)
-    m = np.zeros((2, 4, 4), dtype=np.int64)
-    for i in range(4):
-        for j in range(4):
-            e = w_minus_1 * (v[i] * v[j].conj())
-            m[0, i, j] = e.a
-            m[1, i, j] = e.b
-        m[0, i, i] += 3
-    return SymmetryElement.from_parts(m, 1)
+    v = np.array([x.key() for x in state.vector])
+    projector = ring_mul(v[:, None], ring_conj(v))  # v v^dag, scaled by 3
+    w_minus_1 = np.array((-1, 1))
+    return SymmetryElement.from_parts(3 * _IDENTITY + ring_mul(w_minus_1, projector), 1)
 
 
 GENERATOR_CARDS = (Card("S", 1), Card("C", 2), Card("D", 1), Card("S", 2))
@@ -213,20 +170,15 @@ def generators(config: WittingConfiguration) -> tuple[SymmetryElement, ...]:
 class _Vertices:
     """The 240 polytope vertices as one integer array, with lookups.
 
-    ``m`` holds the a- and b-components of the sqrt(3)-scaled vertices as
-    columns, shape (2, 4, 240).  ``config.expand_vertices()`` lists the six
-    unit multiples of each state in turn, so vertex v lies on state v // 6.
+    ``m`` holds the sqrt(3)-scaled vertices, shape (240, 4, 2).  Vertex
+    6 s + u is UNITS[u] times state s, the order of
+    ``config.expand_vertices()``, so vertex v lies on state v // 6.
     """
 
     def __init__(self, config: WittingConfiguration):
-        vectors = config.expand_vertices()
-        self.m = np.array(
-            [[x.key() for x in v] for v in vectors], dtype=np.int64
-        ).transpose(2, 1, 0)
-        self._index = {
-            col.tobytes(): i for i, col in enumerate(self.m.transpose(2, 0, 1))
-        }
-        axes = np.stack((np.eye(4, dtype=np.int64), 2 * np.eye(4, dtype=np.int64)))
+        self.m = ring_mul(UNIT_PAIRS[:, None], config.vector_array[:, None]).reshape(240, 4, 2)
+        self._index = {row.tobytes(): i for i, row in enumerate(self.m)}
+        axes = np.eye(4, dtype=np.int64)[:, :, None] * np.array((1, 2))
         self.axes = np.array(self._lookup(axes), dtype=np.intp)  # (1 + 2w) e_j
         identity = SymmetryElement.identity()
         self.scalars = np.stack(
@@ -234,8 +186,8 @@ class _Vertices:
         )
 
     def _lookup(self, images: np.ndarray) -> list[int]:
-        """Vertex indices of the columns of a (2, 4, k) array."""
-        found = [self._index.get(col.tobytes()) for col in images.transpose(2, 0, 1)]
+        """Vertex indices of the rows of a (k, 4, 2) array."""
+        found = [self._index.get(row.tobytes()) for row in images]
         if None in found:
             raise SymmetryError("a vertex image is not a polytope vertex")
         return found  # type: ignore[return-value]
@@ -243,13 +195,10 @@ class _Vertices:
     def permutation(self, g: SymmetryElement) -> np.ndarray:
         """The vertex permutation g induces, as a (240,) uint8 array.
 
-        Raises :class:`SymmetryError` if g moves a vertex off the polytope.
+        Raises :class:`NotASymmetryError` if an image leaves Z[w]^4 and
+        :class:`SymmetryError` if g moves a vertex off the polytope.
         """
-        images = _matmul(g.m, self.m)
-        scale = 3**g.denom_exp
-        if (images % scale).any():
-            raise SymmetryError("a vertex image is not a polytope vertex")
-        perm = self._lookup(images // scale)
+        perm = self._lookup(g.apply(self.m))
         if len(set(perm)) != len(perm):
             raise SymmetryError("vertex images do not form a permutation")
         return np.array(perm, dtype=np.uint8)
@@ -276,8 +225,6 @@ def _closure(
     Returns the sorted keys of all elements and, when ``keep`` is set, the
     (n, 240) uint8 permutations in discovery order (identity first).
     """
-    if max_elements < MIN_MAX_ELEMENTS:
-        raise ValueError(f"max_elements must be at least {MIN_MAX_ELEMENTS}")
     frontier = np.arange(240, dtype=np.uint8)[None, :]
     keys = vertices.keys(frontier)
     levels = [frontier]
@@ -327,13 +274,16 @@ class GroupTable:
         Column j is the image of the axis vertex (1 + 2w) e_j divided by
         (1 + 2w), that is multiplied by (-1 - 2w) / 3.
         """
-        a, b = self._vertices.m[:, :, self.permutations[i, self._vertices.axes]]
-        return SymmetryElement.from_parts(np.stack((2 * b - a, b - 2 * a)), 1)
+        columns = self._vertices.m[self.permutations[i, self._vertices.axes]]
+        minus_1_minus_2w = np.array((-1, -2))
+        return SymmetryElement.from_parts(
+            ring_mul(minus_1_minus_2w, columns.transpose(1, 0, 2)), 1
+        )
 
     def __contains__(self, elem: SymmetryElement) -> bool:
         try:
             perm = self._vertices.permutation(elem)
-        except SymmetryError:
+        except (SymmetryError, NotASymmetryError):
             return False
         key = self._vertices.keys(perm[None, :])[0]
         pos = np.searchsorted(self._keys, key)
@@ -346,13 +296,11 @@ def _quotient_order(vertices: _Vertices, keys4: np.ndarray, units: range) -> int
     return len(np.unique(_pack(scaled).min(axis=0)))
 
 
-def generate_group(
-    config: WittingConfiguration, max_elements: int = 200_000
-) -> GroupTable:
+def generate_group(config: WittingConfiguration) -> GroupTable:
     """Breadth-first closure of the four generators as vertex permutations."""
     vertices = _Vertices(config)
     gens = [vertices.permutation(g) for g in generators(config)]
-    keys, perms = _closure(vertices, gens, max_elements, keep=True)
+    keys, perms = _closure(vertices, gens, _CLOSURE_BOUND, keep=True)
     keys4 = perms[:, vertices.axes]
     return GroupTable(
         raw_order=len(perms),
@@ -371,22 +319,8 @@ def reflection_group_order(config: WittingConfiguration) -> int:
     """
     vertices = _Vertices(config)
     gens = [vertices.permutation(triflection(config.state_of(c))) for c in GENERATOR_CARDS]
-    keys, _ = _closure(vertices, gens, 200_000, keep=False)
+    keys, _ = _closure(vertices, gens, _CLOSURE_BOUND, keep=False)
     return len(keys)
-
-
-def _image_state(
-    config: WittingConfiguration, w: np.ndarray, d: int
-) -> ProjectiveState | None:
-    """Match m v / 3^d to a configuration state, or None if it leaves the set."""
-    for _ in range(d):
-        if (w % 3).any():
-            return None
-        w = w // 3
-    vec = tuple(Eisenstein(int(w[0, i]), int(w[1, i])) for i in range(4))
-    if all(x.is_zero() for x in vec):
-        return None
-    return config.state_by_vector(canonical_phase(vec))
 
 
 def configuration_permutation(
@@ -398,50 +332,37 @@ def configuration_permutation(
     configuration, and :class:`SymmetryError` if the images fail to form a
     permutation (which a unitary cannot cause; it would be an internal bug).
     """
-    images = []
-    for state in config.states:
-        w, d = g.apply(state.vector)
-        image = _image_state(config, w, d)
-        if image is None:
-            raise NotASymmetryError(
-                f"state {state.card.label} is mapped outside the configuration"
-            )
-        images.append(image.index)
-    if len(set(images)) != 40:
+    states = config.vector_array
+    images = g.apply(states)
+    found = np.zeros((40, 40), dtype=bool)
+    nonzero = images.any(axis=(1, 2))
+    found[nonzero] = (canonical_rows(images[nonzero])[:, None] == states).all(axis=(2, 3))
+    lost = ~found.any(axis=1)
+    if lost.any():
+        raise NotASymmetryError(
+            f"state {config.states[lost.argmax()].card.label} is mapped outside the configuration"
+        )
+    perm = found.argmax(axis=1).tolist()
+    if len(set(perm)) != 40:
         raise SymmetryError("state images do not form a permutation")
-    return tuple(images)
+    return tuple(perm)
 
 
-def orbit_of_first_basis_state(
-    config: WittingConfiguration, gens: tuple[SymmetryElement, ...] | None = None
-) -> frozenset[Card]:
+def orbit_of_first_basis_state(config: WittingConfiguration) -> frozenset[Card]:
     """Orbit of the first axis state (card S1) under the generated group.
 
-    The four generators already suffice: the orbit must be the whole
-    40-state set, and anything else raises.
+    A breadth-first walk over the four generators' state permutations: the
+    generators already suffice, the orbit must be the whole 40-state set,
+    and anything else raises.
     """
-    if gens is None:
-        gens = generators(config)
-    start = config.state_of(Card("S", 1))
-    seen: dict[Vector, ProjectiveState] = {start.vector: start}
-    frontier = [start]
+    perms = [configuration_permutation(config, g) for g in generators(config)]
+    frontier = seen = {config.state_of(Card("S", 1)).index}
     while frontier:
-        new = []
-        for state in frontier:
-            for g in gens:
-                w, d = g.apply(state.vector)
-                image = _image_state(config, w, d)
-                if image is None:
-                    raise SymmetryError(
-                        "generator moved an orbit point off the configuration"
-                    )
-                if image.vector not in seen:
-                    seen[image.vector] = image
-                    new.append(image)
-        frontier = new
+        frontier = {p[s] for s in frontier for p in perms} - seen
+        seen = seen | frontier
     if len(seen) != 40:
         raise SymmetryError(f"orbit has {len(seen)} states, expected 40")
-    return frozenset(s.card for s in seen.values())
+    return frozenset(config.states[i].card for i in seen)
 
 
 def group_payload(config: WittingConfiguration, table: GroupTable) -> dict:

@@ -6,11 +6,14 @@ predicate marks the check failed.  ``quick=True`` skips the three expensive
 checks (the two group closures and the exhaustive marking scan).
 
 The configuration builds its transition table on an integer array
-(``config.vector_array``, one Gram product over Z[w]).  The checks
+(``config.vector_array``, one Gram product over Z[w]), and the symmetry
+group's matrices run on the same array kernel.  The checks
 ``transition-spectrum``, ``mub-embedding`` and ``pair-bases`` deliberately
 recompute every overlap they use from the boxed vectors with
 :func:`scaled_inner`, so they stay independent of that array kernel and
-can catch a fault in it.  ``column-shifts`` runs on the array.
+can catch a fault in it.  ``column-shifts``, ``symmetry-group`` and
+``reflection-group`` run on the array; the group orders they assert are
+known values, so a fault in the kernel still shows.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from .measurement import (
 from .protocol import announcement_leakage_free
 from .symmetry import (
     generate_group,
-    generators,
     orbit_of_first_basis_state,
     reflection_group_order,
 )
@@ -219,7 +221,7 @@ def _check_group(config: WittingConfiguration) -> str:
     assert table.raw_order == 51840, table.raw_order
     assert table.order_mod_pm1 == 25920
     assert table.projective_order == 25920
-    orbit = orbit_of_first_basis_state(config, generators(config))
+    orbit = orbit_of_first_basis_state(config)
     assert len(orbit) == 40
     return "closure 51840; mod {+-1} and mod units both 25920; orbit 40"
 

@@ -13,7 +13,6 @@ from wittingqkd.marking import (
     exhaustive_scan,
     rank_tetrad_partition_ok,
     score_marking,
-    spade_preference_table,
 )
 
 
@@ -65,7 +64,6 @@ def test_example_marking_scores_34_3_3(config):
     assert score.correct == 34
     assert score.double_marked == 3
     assert score.unmarked == 3
-    assert score.other_multiplicity == 0
 
 
 def test_scan_headline_numbers(scan):
@@ -134,11 +132,6 @@ def test_contextuality_witness_exists_for_any_complete_table(config):
         assert card in unmarked_basis.members
         assert marked_basis.members.index(card) == table[marked_id]
         assert unmarked_basis.members.index(card) != table[unmarked_id]
-
-
-def test_spade_preference_table_has_witness(config):
-    witness = contextuality_witness(config, spade_preference_table(config))
-    assert witness is not None
 
 
 def test_rank_tetrads_alone_need_no_witness(config):

@@ -9,11 +9,9 @@ import pytest
 import wittingqkd.protocol as protocol_mod
 from wittingqkd.measurement import compose_branches, probe_branches
 from wittingqkd.protocol import (
-    AgreementError,
     BLOCK_ROUNDS,
     DEFAULT_SEED,
     PartyPolicy,
-    agreement_report,
     announcement_leakage_free,
     intercept_resend_distribution,
     joint_distribution,
@@ -321,38 +319,7 @@ def test_probe_branches_partition_the_shared_joint(config):
     assert pairs == 640
 
 
-# -- agreement check and leakage ----------------------------------------------------
-
-
-def test_agreement_report_clean(config):
-    report = agreement_report(config, 3_000, seed=20)
-    assert set(report) == {"naive", "two-step", "key-agreement"}
-    assert all(v["mismatches"] == 0 for v in report.values())
-
-
-def test_agreement_report_vacuous_on_zero_rounds(config):
-    assert agreement_report(config, 0) == {}
-
-
-def test_agreement_report_detects_eve(config):
-    report = agreement_report(config, 6_000, seed=21, eve_basis=0)
-    assert report["naive"]["mismatches"] > 0
-
-
-def test_agreement_error_raised_on_forged_mismatch(config, monkeypatch):
-    # sanity-check the failure path by corrupting the naive sampler
-    import wittingqkd.protocol as protocol_mod
-
-    real = protocol_mod.run_naive_session
-
-    def corrupted(*args, **kwargs):
-        tr = real(*args, **kwargs)
-        tr.n_matched = max(0, tr.n_matched - 1)
-        return tr
-
-    monkeypatch.setattr(protocol_mod, "run_naive_session", corrupted)
-    with pytest.raises(AgreementError):
-        protocol_mod.agreement_report(config, 2_000, seed=22)
+# -- leakage ------------------------------------------------------------------------
 
 
 def test_announcements_leak_nothing(config):
