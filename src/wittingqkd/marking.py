@@ -22,6 +22,7 @@ import numpy as np
 from .configuration import Card, SUITS, WittingConfiguration
 
 N_MARKINGS = 4**10
+_HALF = 4**5  # markings of five ranks: one half of a marking index
 
 
 @dataclass(frozen=True)
@@ -116,21 +117,39 @@ class ScanResult:
         }
 
 
+def _correct_counts(config: WittingConfiguration) -> np.ndarray:
+    """Correct-tetrad count of every marking, a (4**10,) int8 array.
+
+    Entry i belongs to ``Marking.from_index(i)``.  The index splits into a
+    low half (bits 0-9: the suits of ranks 1-5) and a high half (bits
+    10-19: ranks 6-10), so a tetrad's number of marked members is a low
+    part plus a high part, each a 1024-entry vector read off one (1024, 5)
+    half-digit table.  The counts accumulate in a (1024, 1024) grid indexed
+    [high, low], whose row-major ravel is marking-index order.
+    """
+    half = ((np.arange(_HALF)[:, None] >> (2 * np.arange(5))) & 3).astype(np.int8)
+    grid = np.zeros((_HALF, _HALF), dtype=np.int8)
+    for members in _member_keys(config):
+        low = np.zeros(_HALF, dtype=np.int8)
+        high = np.zeros(_HALF, dtype=np.int8)
+        for r, s in members:
+            if r < 5:
+                low += half[:, r] == s
+            else:
+                high += half[:, r - 5] == s
+        grid += (high[:, None] + low[None, :]) == 1
+    return grid.ravel()
+
+
 def exhaustive_scan(config: WittingConfiguration) -> ScanResult:
     """Score every candidate marking; exact counts, no sampling.
 
-    The scan vectorises over markings (numpy int8 arithmetic on base-4
-    digit arrays).
+    Every marking is scored on one (1024, 1024) int8 grid indexed [suits
+    of ranks 6-10, suits of ranks 1-5], whose row-major order is
+    marking-index order (:func:`_correct_counts`).  The maximizers are
+    therefore listed in increasing marking index.
     """
-    idx = np.arange(N_MARKINGS, dtype=np.int32)
-    digits = ((idx[:, None] >> (2 * np.arange(10))) & 3).astype(np.int8)
-    correct = np.zeros(N_MARKINGS, dtype=np.int8)
-    for members in _member_keys(config):
-        (r0, s0), *rest = members
-        cnt = (digits[:, r0] == s0).astype(np.int8)
-        for r, s in rest:
-            cnt = cnt + (digits[:, r] == s)
-        correct += cnt == 1
+    correct = _correct_counts(config)
     hist = np.bincount(correct, minlength=41)
     max_correct = int(correct.max())
     maximizers = np.nonzero(correct == max_correct)[0]

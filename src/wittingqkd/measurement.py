@@ -75,9 +75,6 @@ class JointDistribution:
             for b in range(4)
         )
 
-    def flattened(self) -> tuple[Fraction, ...]:
-        return tuple(x for row in self.p for x in row)
-
     def as_strings(self) -> list[list[str]]:
         return [
             [f"{x.numerator}/{x.denominator}" for x in row] for row in self.p

@@ -74,7 +74,10 @@ class SymmetryElement:
 
     @classmethod
     def from_parts(cls, m: np.ndarray, d: int) -> "SymmetryElement":
-        return cls(*_reduce(np.ascontiguousarray(m, dtype=np.int64), d))
+        a = np.ascontiguousarray(m, dtype=np.int64)
+        if a is m:  # never freeze the caller's array
+            a = a.copy()
+        return cls(*_reduce(a, d))
 
     @classmethod
     def identity(cls) -> "SymmetryElement":

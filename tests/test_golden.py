@@ -1,8 +1,8 @@
 """Golden output digests: fixed command lines must reproduce these bytes.
 
 Each digest is the sha256 of everything ``wittingqkd.cli.main`` prints to
-stdout for the command line (and, for the key-agreement run, of the CSV
-transcript it writes).  A change to the exact kernel, the samplers or the
+stdout for the command line (and, for the key-agreement run and the
+``classical-scan --dump-max`` run, of the file it writes).  A change to the exact kernel, the samplers or the
 random streams that alters any probability, draw or formatting shows here.
 The digests change only with a deliberate stream-version bump recorded in
 CHANGES.md.
@@ -34,6 +34,10 @@ STDOUT_SHA256 = {
         "e1fd2ba7c0a057db80b3e294a92b611ff8572e2899cb2a5d876e2a4b7cb63652",
     "verify --quick":
         "f13c52104f0c6d36bab3d2496bc131a3a561871232b4b1ec4269b0b05cd4d267",
+    "verify":
+        "09d88708025f8fbb04eeb2381315a4c2264687d2227c964c84f4aa4e7dba7c36",
+    "classical-scan":
+        "e576b3d6d989705ac6a225807473c2e3f078660afe8e3d9e9ddb7b1b23211249",
 }
 
 KEY_AGREEMENT_LINE = (
@@ -45,6 +49,11 @@ KEY_AGREEMENT_STDOUT_SHA256 = (
 )
 KEY_AGREEMENT_CSV_SHA256 = (
     "1e624d43e7c9117930ada32462f15c393957d51f98488de9ea7d377b88e4ba3b"
+)
+
+# the JSON list of all 720 maximizing markings, in marking-index order
+DUMP_MAX_SHA256 = (
+    "9c9b08ddcee0eab3d30c9cb3b527c1807a569df99d7469211547cb860b196e29"
 )
 
 
@@ -63,3 +72,10 @@ def test_key_agreement_transcript_digest(capsys, tmp_path):
     assert main(KEY_AGREEMENT_LINE.split() + [str(path)]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == KEY_AGREEMENT_STDOUT_SHA256
     assert _sha256(path.read_bytes()) == KEY_AGREEMENT_CSV_SHA256
+
+
+def test_classical_scan_dump_max_digest(capsys, tmp_path):
+    path = tmp_path / "maximizers.json"
+    assert main(["classical-scan", "--dump-max", str(path)]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == STDOUT_SHA256["classical-scan"]
+    assert _sha256(path.read_bytes()) == DUMP_MAX_SHA256

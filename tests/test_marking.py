@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -8,6 +10,7 @@ from wittingqkd.marking import (
     MAX_SCORE_EXAMPLE,
     Marking,
     N_MARKINGS,
+    _correct_counts,
     build_contextual_deck_model,
     contextuality_witness,
     exhaustive_scan,
@@ -97,15 +100,31 @@ def test_scan_maximizers(config, scan):
         assert score_marking(config, Marking.from_index(idx)).correct == 34
 
 
-def test_scan_spot_check_against_scored_markings(config, scan):
-    # the vectorised histogram must agree with the scalar scorer
-    from collections import Counter
+def test_correct_counts_equal_scalar_scores(config, scan):
+    # the split-digit grid must give every marking exactly the scalar score;
+    # 0, 1023, 1024 and 4**10 - 1 sit on the seams between the two halves
+    counts = _correct_counts(config)
+    assert counts.shape == (N_MARKINGS,)
+    rng = Random(2024)
+    indices = {rng.randrange(N_MARKINGS) for _ in range(2000)}
+    indices |= set(scan.maximizer_indices) | {0, 1023, 1024, N_MARKINGS - 1}
+    for idx in sorted(indices):
+        assert counts[idx] == score_marking(config, Marking.from_index(idx)).correct
 
-    counter = Counter()
-    for idx in range(0, N_MARKINGS, 9973):
-        counter[score_marking(config, Marking.from_index(idx)).correct] += 1
-    for value, count in counter.items():
-        assert scan.histogram[value] >= count
+
+def test_scan_mean_is_exact(scan):
+    assert scan.mean_correct_fraction == Fraction(145, 256)
+
+
+def test_scan_memory_is_bounded(config):
+    exhaustive_scan(config)  # warm caches so only the scan itself is traced
+    tracemalloc.start()
+    try:
+        exhaustive_scan(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_contextual_deck_model(config):

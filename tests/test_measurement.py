@@ -52,7 +52,7 @@ def test_mismatched_bases_uniform_marginals(config):
         dist = joint_distribution(config, a, b)
         assert dist.row_marginals() == quarter
         assert dist.col_marginals() == quarter
-        values = set(dist.flattened())
+        values = {x for row in dist.p for x in row}
         members_a = set(config.bases[a].members)
         members_b = set(config.bases[b].members)
         if members_a & members_b:

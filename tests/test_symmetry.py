@@ -151,6 +151,14 @@ def test_non_symmetry_is_rejected(config, group):
     assert third not in group
 
 
+def test_from_parts_leaves_the_callers_array_writable():
+    m = np.zeros((4, 4, 2), np.int64)
+    element = SymmetryElement.from_parts(m, 0)
+    m[0, 0, 0] = 2
+    assert not element.m.flags.writeable
+    assert (element.m == 0).all()
+
+
 def test_scalar_content_of_group(group):
     # -1 times the identity is in the closure; w times it is not.
     minus = SymmetryElement.identity().scaled_by_unit(1)
