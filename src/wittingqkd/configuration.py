@@ -254,7 +254,7 @@ class WittingConfiguration:
 
     Integer arrays, all read-only and indexed by state index:
     ``vector_array`` (40, 4, 2), the canonical vectors as (a, b) pairs;
-    ``transition_array`` (40, 40), the values of ``transitions``;
+    ``transition_array`` (40, 40), 9 |<s|t>|^2 in {0, 3, 9};
     ``tetrads_of_state`` (40, 4), the four tetrad ids of each state in
     ascending order (``bases_of``); ``common_tetrad`` (40, 40), the tetrad
     shared by two states or -1 (``common_basis``).
@@ -287,12 +287,12 @@ class WittingConfiguration:
             raise ConfigurationError("states are not projectively distinct")
         self._check_families()
 
-        # transitions[i][j] = 9 |<s_i|s_j>|^2 in {0, 3, 9}, by state index:
-        # every Born probability between states is an entry over 9.
+        # transition_array[i, j] = 9 |<s_i|s_j>|^2 in {0, 3, 9}, by state
+        # index: every Born probability between states is an entry over 9.
         self.transition_array = _frozen(self._build_table())
-        self.transitions: _Table = tuple(map(tuple, self.transition_array.tolist()))
         self.adjacency = tuple(
-            frozenset(j for j, n in enumerate(r) if n == 0) for r in self.transitions
+            frozenset(j for j, n in enumerate(r) if n == 0)
+            for r in self.transition_array.tolist()
         )
         self.bases: tuple[Basis, ...] = self._enumerate_bases()
         # Member state indices of each tetrad, in announcement order.
@@ -417,7 +417,7 @@ class WittingConfiguration:
     def transition_prob(self, s: ProjectiveState | Card, t: ProjectiveState | Card) -> Fraction:
         """Born probability |<s|t>|^2: exactly 0, 1/3, or 1."""
         i, j = (x if isinstance(x, ProjectiveState) else self._by_card[x] for x in (s, t))
-        return Fraction(self.transitions[i.index][j.index], 9)
+        return Fraction(int(self.transition_array[i.index, j.index]), 9)
 
     def conjugate_card(self, card: Card) -> Card:
         return Card(card.suit, RANK_CONJUGATION[card.rank])

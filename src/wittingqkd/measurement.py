@@ -4,12 +4,14 @@ The shared state is the maximally entangled pair (|00> + |11> + |22> + |33>)/2.
 Rewriting it over any orthonormal basis {x_k} pairs each |x_k> on one side
 with the componentwise-conjugated |x_k*> on the other, so when Bob measures
 the conjugated copy of Alice's tetrad the outcome indices agree with
-certainty.  All probabilities here are exact ``Fraction`` values.  The
-distributions the protocols sample are read from the configuration's
-integer transition table; the Z[w] vector code (delayed queries,
-``JointState``) is the reference that ``verify`` and the tests check them
-against.  Its vectors are kept unnormalised with an explicit
-power-of-sqrt(3) scale so no irrational number ever appears.
+certainty.  All probabilities here are exact ``Fraction`` values.
+:func:`outcome_counts` is the one reader of the configuration's integer
+transition table, and the round engine samples its counts;
+:func:`joint_distribution` and :func:`intercept_resend_distribution` are
+views of one block of it.  The rest (delayed queries, two-step measurement,
+``JointState``) is the Z[w] vector reference that ``verify`` and the tests
+check the table against.  Its vectors are kept unnormalised with an
+explicit power-of-sqrt(3) scale so no irrational number ever appears.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .eisenstein import Eisenstein, ZERO
 from .configuration import (
-    Basis,
     Card,
     ProjectiveState,
     Vector,
@@ -55,12 +58,6 @@ class JointDistribution:
         if total != 1:
             raise ValueError(f"joint distribution sums to {total}, not 1")
 
-    def row_marginals(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row, Fraction(0)) for row in self.p)
-
-    def col_marginals(self) -> tuple[Fraction, ...]:
-        return tuple(sum(col, Fraction(0)) for col in zip(*self.p))
-
     def mismatch_probability(self) -> Fraction:
         return sum(
             (self.p[a][b] for a in range(4) for b in range(4) if a != b),
@@ -82,7 +79,7 @@ class JointDistribution:
 
 
 def basis_vectors(
-    config: WittingConfiguration, basis: Basis | int, conjugated: bool = False
+    config: WittingConfiguration, basis: int, conjugated: bool = False
 ) -> tuple[Vector, ...]:
     """Member vectors of a tetrad, in announcement order.
 
@@ -90,60 +87,73 @@ def basis_vectors(
     states Bob actually measures.  (Each conjugate is again a configuration
     state, with the same suit and the conjugation-partner rank.)
     """
-    if isinstance(basis, int):
-        basis = config.bases[basis]
-    vecs = tuple(config.state_of(c).vector for c in basis.members)
+    vecs = tuple(config.state_of(c).vector for c in config.bases[basis].members)
     if conjugated:
         vecs = tuple(tuple(x.conj() for x in v) for v in vecs)
     return vecs
 
 
-def _states(config: WittingConfiguration, basis: Basis | int) -> tuple[int, ...]:
-    return config.basis_states[basis if isinstance(basis, int) else basis.id]
+def _check_tetrad(config: WittingConfiguration, tetrad: object) -> None:
+    last = len(config.bases) - 1
+    if not isinstance(tetrad, int) or isinstance(tetrad, bool) or not 0 <= tetrad <= last:
+        raise ValueError(f"tetrad id must be an int in 0..{last}, got {tetrad!r}")
 
 
-def _from_counts(counts: list[list[int]], den: int) -> JointDistribution:
-    return JointDistribution(tuple(tuple(Fraction(n, den) for n in r) for r in counts))
+def outcome_counts(
+    config: WittingConfiguration, eve_basis: int | None = None
+) -> tuple[np.ndarray, int]:
+    """Integer outcome counts of every (Alice tetrad, Bob tetrad) pair.
+
+    Returns ``(counts, den)``: ``counts[a, b, i, j] / den`` is the
+    probability of outcomes (i, j) when Alice measures tetrad a and Bob the
+    conjugated copies of tetrad b.  Without an attacker it is
+    T(a_i, b_j) / 36 with T = 9·|<s|t>|²; with an intercept-resend attacker
+    on tetrad e it is sum_k T(a_i, e_k) T(e_k, b_j) / 324.
+    """
+    t = config.transition_array
+    members = np.array(config.basis_states)  # (40, 4) state indices
+    if eve_basis is None:
+        return t[members[:, None, :, None], members[None, :, None, :]], 36
+    _check_tetrad(config, eve_basis)
+    flat, eve = members.reshape(-1), members[eve_basis]
+    counts = t[flat][:, eve] @ t[eve][:, flat]  # (160, 160) over 9·9·4
+    return counts.reshape(40, 4, 40, 4).transpose(0, 2, 1, 3), 324
+
+
+def _block(
+    config: WittingConfiguration, alice_basis: int, bob_basis: int, eve_basis: int | None
+) -> JointDistribution:
+    _check_tetrad(config, alice_basis)
+    _check_tetrad(config, bob_basis)
+    counts, den = outcome_counts(config, eve_basis)
+    rows = counts[alice_basis, bob_basis].tolist()
+    return JointDistribution(tuple(tuple(Fraction(n, den) for n in row) for row in rows))
 
 
 def joint_distribution(
-    config: WittingConfiguration,
-    alice_basis: Basis | int,
-    bob_basis: Basis | int,
-    bob_conjugated: bool = True,
+    config: WittingConfiguration, alice_basis: int, bob_basis: int
 ) -> JointDistribution:
     """Exact outcome distribution when both sides measure the entangled pair.
 
     The amplitude for outcomes (a, b) is half the plain (bilinear) dot
     product of the two measured vectors, so P(a, b) = |<a|b>|^2 / 4; with
     Bob conjugate-coordinated to Alice's own tetrad this is (1/4) I exactly.
+    Block ``[alice_basis, bob_basis]`` of :func:`outcome_counts`.
     """
-    rows = _states(config, alice_basis)
-    if not bob_conjugated:  # the bilinear product then meets Alice's conjugates
-        cards = (config.conjugate_card(config.states[i].card) for i in rows)
-        rows = tuple(config.state_of(c).index for c in cards)
-    t = config.transitions
-    return _from_counts([[t[a][b] for b in _states(config, bob_basis)] for a in rows], 36)
+    return _block(config, alice_basis, bob_basis, None)
 
 
 def intercept_resend_distribution(
-    config: WittingConfiguration,
-    alice_basis: Basis | int,
-    bob_basis: Basis | int,
-    eve_basis: Basis | int,
+    config: WittingConfiguration, alice_basis: int, bob_basis: int, eve_basis: int
 ) -> JointDistribution:
     """Outcome distribution with an intercept-resend attacker on Bob's channel.
 
     Eve measures Bob's particle in her own conjugate-coordinated tetrad and
     forwards the eigenstate she observed; Bob then measures the resent state
     in his conjugate-coordinated tetrad: P(a, b) = sum_e P(a, e) |<e|b>|^2.
+    Block ``[alice_basis, bob_basis]`` of ``outcome_counts(config, eve_basis)``.
     """
-    t = config.transitions
-    alice, bob = _states(config, alice_basis), _states(config, bob_basis)
-    eve = _states(config, eve_basis)
-    return _from_counts(
-        [[sum(t[a][e] * t[e][b] for e in eve) for b in bob] for a in alice], 36 * 9
-    )
+    return _block(config, alice_basis, bob_basis, eve_basis)
 
 
 # -- delayed queries and two-step measurement ----------------------------------
@@ -183,7 +193,7 @@ def delayed_query(state: QuquartState, probe: ProjectiveState) -> DelayedQueryRe
 
 
 def one_step_distribution(
-    config: WittingConfiguration, basis: Basis | int, state: QuquartState
+    config: WittingConfiguration, basis: int, state: QuquartState
 ) -> tuple[Fraction, ...]:
     """Born distribution of a direct tetrad measurement on ``state``."""
     norm = state.norm_sq
@@ -217,7 +227,7 @@ class TwoStepBreakdown:
 def two_step_distribution(
     config: WittingConfiguration,
     probe: Card,
-    basis: Basis | int,
+    basis: int,
     state: QuquartState,
 ) -> TwoStepBreakdown:
     """Query a state first, then finish the measurement in a tetrad holding it.
@@ -225,7 +235,7 @@ def two_step_distribution(
     Because the query projector is one of the tetrad's own projectors, the
     composition reproduces the direct measurement distribution exactly.
     """
-    b = config.bases[basis] if isinstance(basis, int) else basis
+    b = config.bases[basis]
     if probe not in b.members:
         raise ValueError(f"{probe.label} is not a member of tetrad {b.id}")
     position = b.members.index(probe)
@@ -236,7 +246,7 @@ def two_step_distribution(
             Fraction(1) if k == position else Fraction(0) for k in range(4)
         )
     dist_no = (
-        one_step_distribution(config, b, q.post_no)
+        one_step_distribution(config, basis, q.post_no)
         if q.post_no is not None
         else None
     )
@@ -323,26 +333,26 @@ class TwoStepBranch:
 def two_step_joint_branches(
     config: WittingConfiguration,
     alice_probe: Card,
-    alice_basis: Basis | int,
+    alice_basis: int,
     bob_probe: Card,
-    bob_basis: Basis | int,
+    bob_basis: int,
 ) -> tuple[TwoStepBranch, ...]:
     """Exact branch structure of both parties measuring the pair in two steps.
 
     Alice queries her probe then completes her tetrad; Bob does the same
     with conjugated states.  The four (yes/no x yes/no) branches recompose
     exactly to the one-step joint distribution, whatever the probes are.
-    This builds every branch state over Z[w]; it is the reference that
-    :func:`probe_branches` is checked against.
+    This builds every branch state over Z[w].  In one shared tetrad the
+    outcome pair fixes the branch, so the round engine sifts a two-step
+    round with one draw from the one-step joint.
     """
-    ab = config.bases[alice_basis] if isinstance(alice_basis, int) else alice_basis
-    bb = config.bases[bob_basis] if isinstance(bob_basis, int) else bob_basis
+    ab, bb = config.bases[alice_basis], config.bases[bob_basis]
     if alice_probe not in ab.members:
         raise ValueError(f"{alice_probe.label} not in tetrad {ab.id}")
     if bob_probe not in bb.members:
         raise ValueError(f"{bob_probe.label} not in tetrad {bb.id}")
-    av = basis_vectors(config, ab)
-    bv = basis_vectors(config, bb, conjugated=True)
+    av = basis_vectors(config, alice_basis)
+    bv = basis_vectors(config, bob_basis, conjugated=True)
     pa = config.state_of(alice_probe).vector
     pb = tuple(x.conj() for x in config.state_of(bob_probe).vector)
 
@@ -372,35 +382,6 @@ def compose_branches(branches: tuple[TwoStepBranch, ...]) -> JointDistribution:
             for b in range(4):
                 rows[a][b] += branch.probability * branch.conditional.p[a][b]
     return JointDistribution(tuple(tuple(row) for row in rows))
-
-
-def probe_branches(
-    dist: JointDistribution, alice_position: int, bob_position: int
-) -> tuple[TwoStepBranch, ...]:
-    """The branches of :func:`two_step_joint_branches`, read off ``dist``.
-
-    Each probe is one of its own party's tetrad projectors, so a query says
-    "yes" exactly when the final outcome is the probe's position: a branch
-    is the one-step joint restricted to the probe's row or the other rows,
-    and the probe's column or the other columns.
-    """
-    branches = []
-    for label in ("yy", "yn", "ny", "nn"):
-        a_yes, b_yes = label[0] == "y", label[1] == "y"
-        kept = [
-            [
-                x if (a == alice_position) == a_yes and (b == bob_position) == b_yes
-                else Fraction(0)
-                for b, x in enumerate(row)
-            ]
-            for a, row in enumerate(dist.p)
-        ]
-        prob = sum(map(sum, kept), Fraction(0))
-        cond = None
-        if prob != 0:
-            cond = JointDistribution(tuple(tuple(x / prob for x in r) for r in kept))
-        branches.append(TwoStepBranch(label, prob, cond))
-    return tuple(branches)
 
 
 # -- the query gate on qubits ----------------------------------------------------

@@ -10,13 +10,14 @@ tetrad, so without an attacker every sifted round matches.
 The engine runs blocks of ``BLOCK_ROUNDS`` rounds as numpy arrays.  A
 protocol is data (:class:`_Protocol`): its choice draws, its announcement
 kind, which fixes the sift rule, and the integer count tables it reads,
-built once per session from ``config.transition_array``.  Every outcome
-law is a row of integer counts over a denominator: 9·|<s|t>|² products over
-36, or over 324 with an intercept-resend attacker.  One draw below the
-denominator, located in the row's cumulative counts, samples it exactly.  A
-sifted two-step or key-agreement round needs only one draw from the shared
-tetrad's joint: the two-step branches (:func:`probe_branches`) partition
-that joint by outcome pair, so the branch is a function of the pair.
+built once per session by :func:`~wittingqkd.measurement.outcome_counts`.
+Every outcome law is a row of integer counts over a denominator: 9·|<s|t>|²
+products over 36, or over 324 with an intercept-resend attacker.  One draw
+below the denominator, located in the row's cumulative counts, samples it
+exactly.  A sifted two-step or key-agreement round needs only one draw from
+the shared tetrad's joint: the two-step branches
+(:func:`~wittingqkd.measurement.two_step_joint_branches`) partition that
+joint by outcome pair, so the branch is a function of the pair.
 
 Choice policies: ``uniform`` (independent), ``agreed`` (both parties replay
 one shared pseudo-random stream, so equal seeds mean identical choices),
@@ -51,8 +52,9 @@ import numpy as np
 
 from .configuration import WittingConfiguration
 
-# intercept_resend_distribution is the per-pair law the Eve table reproduces.
+# The benchmark's tracer looks the per-pair laws up here.
 from .measurement import intercept_resend_distribution, joint_distribution  # noqa: F401
+from .measurement import outcome_counts
 
 DEFAULT_SEED = 20240
 BLOCK_ROUNDS = 1 << 16
@@ -187,26 +189,6 @@ _KEY_AGREEMENT = _Protocol(
         "distinctOrthogonalRate": sifted - both,
     },
 )
-
-
-def outcome_counts(
-    config: WittingConfiguration, eve_basis: int | None = None
-) -> tuple[np.ndarray, int]:
-    """Integer outcome counts of every (Alice tetrad, Bob tetrad) pair.
-
-    Returns ``(counts, den)``: ``counts[a, b, i, j] / den`` is the
-    probability of outcomes (i, j) when Alice measures tetrad a and Bob the
-    conjugated copies of tetrad b.  Without an attacker it is
-    T(a_i, b_j) / 36 with T = 9·|<s|t>|²; with an intercept-resend attacker
-    on tetrad e it is sum_k T(a_i, e_k) T(e_k, b_j) / 324.
-    """
-    t = config.transition_array
-    members = np.array(config.basis_states)  # (40, 4) state indices
-    if eve_basis is None:
-        return t[members[:, None, :, None], members[None, :, None, :]], 36
-    flat, eve = members.reshape(-1), members[eve_basis]
-    counts = t[flat][:, eve] @ t[eve][:, flat]  # (160, 160) over 9·9·4
-    return counts.reshape(40, 4, 40, 4).transpose(0, 2, 1, 3), 324
 
 
 class RoundBlock(NamedTuple):
@@ -418,21 +400,16 @@ def announcement_leakage_free(config: WittingConfiguration) -> bool:
     Conditioned on any sifted announcement transcript, each party's outcome
     is uniform on 0..3: true for every tetrad (naive and two-step announce
     tetrads) and for every sifted state pair (key agreement announces
-    states).
+    states).  Both parties measure a sifted round in one tetrad, so each row
+    and column of its own block of :func:`outcome_counts` sums to ``den/4``.
     """
-    quarter = (Fraction(1, 4),) * 4
-    for basis in config.bases:
-        dist = joint_distribution(config, basis.id, basis.id)
-        if dist.row_marginals() != quarter or dist.col_marginals() != quarter:
+    counts, den = outcome_counts(config)
+    tetrads = set(range(len(config.bases)))
+    tetrads |= {t for t in config.common_tetrad.ravel().tolist() if t >= 0}
+    for t in tetrads:
+        own = counts[t, t]
+        if (own.sum(axis=0) != den // 4).any() or (own.sum(axis=1) != den // 4).any():
             return False
-    for a in config.states:
-        for b in config.states:
-            common = config.common_basis(a.card, b.card)
-            if common is None:
-                continue
-            dist = joint_distribution(config, common, common)
-            if dist.row_marginals() != quarter:
-                return False
     return True
 
 

@@ -362,9 +362,7 @@ def test_transition_table_matches_boxed_overlaps(config):
         for t in config.states:
             n = scaled_inner(s.vector, t.vector).norm_sq()
             assert config.transition_array[s.index, t.index] == n
-            assert config.transitions[s.index][t.index] == n
-    assert isinstance(config.transitions, tuple)
-    assert all(type(n) is int for row in config.transitions for n in row)
+            assert config.transition_prob(s, t) == Fraction(n, 9)
 
 
 def test_session_tables_match_card_queries(config):

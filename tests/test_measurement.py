@@ -7,6 +7,7 @@ import pytest
 from wittingqkd.configuration import Card, scaled_inner
 from wittingqkd.eisenstein import ZERO
 from wittingqkd.measurement import (
+    JointDistribution,
     QuquartState,
     basis_vectors,
     compose_branches,
@@ -14,7 +15,7 @@ from wittingqkd.measurement import (
     intercept_resend_distribution,
     joint_distribution,
     one_step_distribution,
-    probe_branches,
+    outcome_counts,
     toffoli_report,
     two_step_distribution,
     two_step_joint_branches,
@@ -30,7 +31,7 @@ def test_computational_basis_is_quarter_diagonal(config):
     dist = joint_distribution(config, 0, 0)
     assert dist.is_quarter_diagonal()
     # real vectors: conjugation changes nothing
-    assert joint_distribution(config, 0, 0, bob_conjugated=False).is_quarter_diagonal()
+    assert JointDistribution(_vector_joint(config, 0, 0, bob_conjugated=False)).is_quarter_diagonal()
 
 
 def test_conjugate_coordination_all_forty(config):
@@ -41,7 +42,8 @@ def test_conjugate_coordination_all_forty(config):
 def test_unconjugated_complex_basis_breaks_coordination(config):
     # basis 2 (rank-3 tetrad) has complex members; skipping conjugation must
     # destroy the perfect correlation.
-    assert not joint_distribution(config, 2, 2, bob_conjugated=False).is_quarter_diagonal()
+    unconjugated = _vector_joint(config, 2, 2, bob_conjugated=False)
+    assert not JointDistribution(unconjugated).is_quarter_diagonal()
 
 
 def test_mismatched_bases_uniform_marginals(config):
@@ -50,8 +52,8 @@ def test_mismatched_bases_uniform_marginals(config):
     quarter = (QUARTER,) * 4
     for a, b in itertools.combinations(range(40), 2):
         dist = joint_distribution(config, a, b)
-        assert dist.row_marginals() == quarter
-        assert dist.col_marginals() == quarter
+        assert tuple(map(sum, dist.p)) == quarter
+        assert tuple(map(sum, zip(*dist.p))) == quarter
         values = {x for row in dist.p for x in row}
         members_a = set(config.bases[a].members)
         members_b = set(config.bases[b].members)
@@ -146,30 +148,56 @@ def _vector_intercept_resend(config, a, b, e):
     )
 
 
+def _fractions(block, den):
+    return tuple(tuple(Fraction(n, den) for n in row) for row in block.tolist())
+
+
 def test_joint_table_matches_vector_reference(config):
+    counts, den = outcome_counts(config)
     for a, b in itertools.product(range(40), repeat=2):
-        for conjugated in (True, False):
-            assert joint_distribution(config, a, b, conjugated).p == _vector_joint(
-                config, a, b, conjugated
-            ), (a, b, conjugated)
+        assert _fractions(counts[a, b], den) == _vector_joint(config, a, b), (a, b)
 
 
 def test_intercept_resend_table_matches_vector_reference(config):
-    triples = [(a, a, e) for a in range(40) for e in range(40)]
-    triples += [(a, b, e) for e in (0, 10, 28) for a in range(40) for b in range(40)]
-    for a, b, e in triples:
-        assert intercept_resend_distribution(
-            config, a, b, e
-        ).p == _vector_intercept_resend(config, a, b, e), (a, b, e)
+    # every Eve on the diagonal a == b; every (a, b) under three Eves
+    for e in range(40):
+        counts, den = outcome_counts(config, e)
+        if e in (0, 10, 28):
+            pairs = itertools.product(range(40), repeat=2)
+        else:
+            pairs = zip(range(40), range(40))
+        for a, b in pairs:
+            assert _fractions(counts[a, b], den) == _vector_intercept_resend(
+                config, a, b, e
+            ), (a, b, e)
 
 
-def test_probe_branches_match_joint_state_reference(config):
+def test_per_pair_laws_are_views_of_outcome_counts(config):
+    counts, den = outcome_counts(config)
+    for a, b in itertools.product(range(0, 40, 7), repeat=2):
+        assert joint_distribution(config, a, b).p == _fractions(counts[a, b], den)
+    for e in (0, 10, 28):
+        counts, den = outcome_counts(config, e)
+        for a, b in itertools.product(range(0, 40, 7), repeat=2):
+            dist = intercept_resend_distribution(config, a, b, e)
+            assert dist.p == _fractions(counts[a, b], den), (a, b, e)
+
+
+def test_two_step_branches_partition_the_shared_joint(config):
+    # A sifted round draws its outcome pair from the shared tetrad's joint in
+    # one step: the branches recompose it, and the pair fixes the branch.
     pairs = 0
     for basis in config.bases:
         joint = joint_distribution(config, basis.id, basis.id)
         for (i, pa), (j, pb) in itertools.product(enumerate(basis.members), repeat=2):
-            reference = two_step_joint_branches(config, pa, basis.id, pb, basis.id)
-            assert probe_branches(joint, i, j) == reference, (basis.id, pa, pb)
+            branches = two_step_joint_branches(config, pa, basis.id, pb, basis.id)
+            assert compose_branches(branches).p == joint.p
+            for branch in branches:
+                if branch.conditional is None:
+                    continue
+                for x, y in itertools.product(range(4), repeat=2):
+                    if branch.conditional.p[x][y]:
+                        assert branch.label == "yn"[x != i] + "yn"[y != j]
             pairs += 1
     assert pairs == 640
 

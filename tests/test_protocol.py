@@ -7,15 +7,12 @@ from fractions import Fraction
 import pytest
 
 import wittingqkd.protocol as protocol_mod
-from wittingqkd.measurement import compose_branches, probe_branches
+from wittingqkd.measurement import intercept_resend_distribution, joint_distribution, outcome_counts
 from wittingqkd.protocol import (
     BLOCK_ROUNDS,
     DEFAULT_SEED,
     PartyPolicy,
     announcement_leakage_free,
-    intercept_resend_distribution,
-    joint_distribution,
-    outcome_counts,
     run_key_agreement,
     run_naive_session,
     run_session,
@@ -242,8 +239,8 @@ def test_one_round_sessions(config, run):
 
 
 def test_key_agreement_without_common_tetrad_sifts_nothing(config):
-    t = config.transitions
-    a, b = next((i, j) for i in range(40) for j in range(40) if t[i][j] == 3)
+    t = config.transition_array
+    a, b = next((i, j) for i in range(40) for j in range(40) if t[i, j] == 3)
     pa, pb = PartyPolicy("fixed", choice=a), PartyPolicy("fixed", choice=b)
     tr, text = run_with_csv(run_key_agreement, config, BLOCK_ROUNDS + 3, pa, pb, seed=18)
     assert tr.n_sifted == tr.n_matched == 0
@@ -272,51 +269,19 @@ def test_transcript_memory_is_flat_in_rounds(config, tmp_path):
     assert large <= 1.2 * small, (small, large)
 
 
-# -- exact count tables ------------------------------------------------------------
+# -- tetrad ids ------------------------------------------------------------------
 
 
-def test_outcome_counts_equal_joint_distribution(config):
-    counts, den = outcome_counts(config)
-    assert den == 36
-    for a in range(40):
-        for b in range(40):
-            dist = joint_distribution(config, a, b)
-            assert [[Fraction(int(x), den) for x in row] for row in counts[a, b]] == [
-                list(row) for row in dist.p
-            ]
-
-
-@pytest.mark.parametrize("eve", [0, 10, 28])
-def test_outcome_counts_equal_intercept_resend_distribution(config, eve):
-    counts, den = outcome_counts(config, eve)
-    assert den == 324
-    for a in range(40):
-        for b in range(40):
-            dist = intercept_resend_distribution(config, a, b, eve)
-            assert [[Fraction(int(x), den) for x in row] for row in counts[a, b]] == [
-                list(row) for row in dist.p
-            ]
-
-
-def test_probe_branches_partition_the_shared_joint(config):
-    # A sifted round draws its outcome pair from the shared tetrad's joint in
-    # one step: the branches recompose it, and the pair fixes the branch.
-    pairs = 0
-    for basis in range(40):
-        joint = joint_distribution(config, basis, basis)
-        for pa in range(4):
-            for pb in range(4):
-                branches = probe_branches(joint, pa, pb)
-                assert compose_branches(branches).p == joint.p
-                for branch in branches:
-                    if branch.conditional is None:
-                        continue
-                    for i in range(4):
-                        for j in range(4):
-                            if branch.conditional.p[i][j]:
-                                assert branch.label == "yn"[i != pa] + "yn"[j != pb]
-                pairs += 1
-    assert pairs == 640
+@pytest.mark.parametrize("bad", [-1, 40, True, 2.0])
+def test_bad_tetrad_ids_are_rejected(config, bad):
+    for args in ((bad, 0), (0, bad)):
+        with pytest.raises(ValueError):
+            joint_distribution(config, *args)
+    for args in ((bad, 0, 0), (0, bad, 0), (0, 0, bad)):
+        with pytest.raises(ValueError):
+            intercept_resend_distribution(config, *args)
+    with pytest.raises(ValueError):
+        run_session(config, "naive", 10, UA, UB, eve_basis=bad, seed=31)
 
 
 # -- leakage ------------------------------------------------------------------------
@@ -324,6 +289,16 @@ def test_probe_branches_partition_the_shared_joint(config):
 
 def test_announcements_leak_nothing(config):
     assert announcement_leakage_free(config)
+
+
+@pytest.mark.parametrize("to", [(1, 0), (0, 1)], ids=["other-row", "other-column"])
+def test_leakage_check_catches_a_skewed_own_block(config, monkeypatch, to):
+    counts, den = outcome_counts(config)
+    counts = counts.copy()
+    counts[5, 5, 0, 0] -= 1  # one count of tetrad 5's own joint moves elsewhere
+    counts[5, 5][to] += 1
+    monkeypatch.setattr(protocol_mod, "outcome_counts", lambda *args: (counts, den))
+    assert not announcement_leakage_free(config)
 
 
 # -- dispatch ------------------------------------------------------------------------
