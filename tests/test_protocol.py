@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,7 +8,13 @@ from fractions import Fraction
 import pytest
 
 import wittingqkd.protocol as protocol_mod
-from wittingqkd.measurement import intercept_resend_distribution, joint_distribution, outcome_counts
+from wittingqkd.measurement import (
+    compose_branches,
+    intercept_resend_distribution,
+    joint_distribution,
+    outcome_counts,
+    two_step_joint_branches,
+)
 from wittingqkd.protocol import (
     BLOCK_ROUNDS,
     DEFAULT_SEED,
@@ -267,6 +274,60 @@ def test_transcript_memory_is_flat_in_rounds(config, tmp_path):
     small = _peak_bytes(config, rounds, tmp_path / "small.csv")
     large = _peak_bytes(config, 10 * rounds, tmp_path / "large.csv")
     assert large <= 1.2 * small, (small, large)
+
+
+# -- exact count tables ------------------------------------------------------------
+
+
+def test_outcome_counts_equal_joint_distribution(config):
+    counts, den = outcome_counts(config)
+    assert den == 36
+    for a in range(40):
+        for b in range(40):
+            dist = joint_distribution(config, a, b)
+            assert [[Fraction(int(x), den) for x in row] for row in counts[a, b]] == [
+                list(row) for row in dist.p
+            ]
+
+
+@pytest.mark.parametrize("eve", [0, 10, 28])
+def test_outcome_counts_equal_intercept_resend_distribution(config, eve):
+    counts, den = outcome_counts(config, eve)
+    assert den == 324
+    for a in range(40):
+        for b in range(40):
+            dist = intercept_resend_distribution(config, a, b, eve)
+            assert [[Fraction(int(x), den) for x in row] for row in counts[a, b]] == [
+                list(row) for row in dist.p
+            ]
+
+
+def test_probe_branches_partition_the_shared_joint(config):
+    # A sifted round draws its outcome pair from the shared tetrad's block of
+    # the engine's table in one step: the pair fixes the branch, and each Z[w]
+    # branch weighs what the block puts on its label's outcomes.
+    counts, den = outcome_counts(config)
+    pairs = 0
+    for basis in config.bases:
+        block = counts[basis.id, basis.id].tolist()
+        for (i, pa), (j, pb) in itertools.product(enumerate(basis.members), repeat=2):
+            branches = two_step_joint_branches(config, pa, basis.id, pb, basis.id)
+            mass = {}
+            for x, y in itertools.product(range(4), repeat=2):
+                label = "yn"[x != i] + "yn"[y != j]
+                mass[label] = mass.get(label, 0) + Fraction(block[x][y], den)
+            assert compose_branches(branches).p == tuple(
+                tuple(Fraction(n, den) for n in row) for row in block
+            )
+            for branch in branches:
+                assert branch.probability == mass[branch.label], (basis.id, i, j)
+                if branch.conditional is None:
+                    continue
+                for x, y in itertools.product(range(4), repeat=2):
+                    if branch.conditional.p[x][y]:
+                        assert branch.label == "yn"[x != i] + "yn"[y != j]
+            pairs += 1
+    assert pairs == 640
 
 
 # -- tetrad ids ------------------------------------------------------------------
