@@ -436,16 +436,16 @@ class WittingConfiguration:
         shared = int(self.common_tetrad[self._by_card[a].index, self._by_card[b].index])
         return None if shared < 0 else shared
 
+    def vertex_array(self) -> np.ndarray:
+        """The 240 polytope vertices, (240, 4, 2): vertex 6 s + u is UNITS[u] times state s."""
+        vertices = ring_mul(UNIT_PAIRS[:, None], self.vector_array[:, None]).reshape(-1, 4, 2)
+        if len(vector_set(vertices)) != 240:
+            raise ConfigurationError("the unit multiples of the states are not 240 vertices")
+        return vertices
+
     def expand_vertices(self) -> list[Vector]:
-        """All unit multiples of the 40 states: the 240 polytope vertices."""
-        seen: dict[tuple[tuple[int, int], ...], Vector] = {}
-        for state in self.states:
-            for u in UNITS:
-                vec = tuple(u * x for x in state.vector)
-                seen[tuple(x.key() for x in vec)] = vec  # type: ignore[arg-type]
-        if len(seen) != 240:
-            raise ConfigurationError(f"vertex expansion produced {len(seen)}")
-        return list(seen.values())
+        """The rows of :meth:`vertex_array` as boxed vectors, in its order."""
+        return [tuple(Eisenstein(*x) for x in vec) for vec in self.vertex_array().tolist()]
 
     def mub_triads(self, zero_coordinate: int) -> tuple[tuple[Card, ...], ...]:
         """The 12 states with a zero at the given coordinate, as 4 orthogonal triads.

@@ -87,6 +87,7 @@ def basis_vectors(
     states Bob actually measures.  (Each conjugate is again a configuration
     state, with the same suit and the conjugation-partner rank.)
     """
+    _check_tetrad(config, basis)
     vecs = tuple(config.state_of(c).vector for c in config.bases[basis].members)
     if conjugated:
         vecs = tuple(tuple(x.conj() for x in v) for v in vecs)
@@ -235,6 +236,7 @@ def two_step_distribution(
     Because the query projector is one of the tetrad's own projectors, the
     composition reproduces the direct measurement distribution exactly.
     """
+    _check_tetrad(config, basis)
     b = config.bases[basis]
     if probe not in b.members:
         raise ValueError(f"{probe.label} is not a member of tetrad {b.id}")
@@ -346,6 +348,8 @@ def two_step_joint_branches(
     outcome pair fixes the branch, so the round engine sifts a two-step
     round with one draw from the one-step joint.
     """
+    _check_tetrad(config, alice_basis)
+    _check_tetrad(config, bob_basis)
     ab, bb = config.bases[alice_basis], config.bases[bob_basis]
     if alice_probe not in ab.members:
         raise ValueError(f"{alice_probe.label} not in tetrad {ab.id}")

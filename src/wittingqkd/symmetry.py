@@ -12,8 +12,9 @@ their arithmetic goes through the array kernel of :mod:`.configuration`
 itself is closed over permutations of the 240 Witting vertices: those
 vertices span C^4, so each element is exactly one permutation, and it is
 fixed by the images of the four axis vertices.  Closure composes whole
-frontiers of uint8 permutation arrays with numpy fancy indexing and takes
-well under a second.
+frontiers of uint8 permutation arrays with numpy fancy indexing in well
+under a second and stores only those images, one sorted uint32 key per
+element (about 200 KB); a matrix is rebuilt from its key on demand.
 """
 
 from __future__ import annotations
@@ -173,13 +174,12 @@ def generators(config: WittingConfiguration) -> tuple[SymmetryElement, ...]:
 class _Vertices:
     """The 240 polytope vertices as one integer array, with lookups.
 
-    ``m`` holds the sqrt(3)-scaled vertices, shape (240, 4, 2).  Vertex
-    6 s + u is UNITS[u] times state s, the order of
-    ``config.expand_vertices()``, so vertex v lies on state v // 6.
+    ``m`` is ``config.vertex_array()``, the sqrt(3)-scaled vertices, shape
+    (240, 4, 2): vertex 6 s + u is UNITS[u] times state s.
     """
 
     def __init__(self, config: WittingConfiguration):
-        self.m = ring_mul(UNIT_PAIRS[:, None], config.vector_array[:, None]).reshape(240, 4, 2)
+        self.m = config.vertex_array()
         self._index = {row.tobytes(): i for i, row in enumerate(self.m)}
         axes = np.eye(4, dtype=np.int64)[:, :, None] * np.array((1, 2))
         self.axes = np.array(self._lookup(axes), dtype=np.intp)  # (1 + 2w) e_j
@@ -206,31 +206,20 @@ class _Vertices:
             raise SymmetryError("vertex images do not form a permutation")
         return np.array(perm, dtype=np.uint8)
 
-    def keys(self, perms: np.ndarray) -> np.ndarray:
-        """One exact key per permutation: the images of the four axes.
-
-        A linear map is fixed by the images of a basis, so equal keys mean
-        equal group elements.
-        """
-        return _pack(perms[:, self.axes])
-
 
 def _pack(images: np.ndarray) -> np.ndarray:
-    """Pack (..., 4) uint8 vertex indices into (...) uint32 keys."""
+    """Pack (..., 4) uint8 axis images into (...) uint32 keys, one per element."""
     return np.ascontiguousarray(images).view(np.uint32)[..., 0]
 
 
-def _closure(
-    vertices: _Vertices, gens: list[np.ndarray], max_elements: int, keep: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _closure(vertices: _Vertices, gens: list[np.ndarray]) -> np.ndarray:
     """Breadth-first closure of vertex permutations, a whole frontier at a time.
 
-    Returns the sorted keys of all elements and, when ``keep`` is set, the
-    (n, 240) uint8 permutations in discovery order (identity first).
+    Returns the sorted keys of all elements and holds only them and the
+    current frontier.  More than ``_CLOSURE_BOUND`` elements raise.
     """
     frontier = np.arange(240, dtype=np.uint8)[None, :]
-    keys = vertices.keys(frontier)
-    levels = [frontier]
+    keys = _pack(frontier[:, vertices.axes])
     while len(frontier):
         # The key of f*g depends only on f at the images g[axes].
         cand = np.concatenate(
@@ -238,33 +227,31 @@ def _closure(
         )
         cand, first = np.unique(cand, return_index=True)
         fresh = ~np.isin(cand, keys, assume_unique=True)
-        if len(keys) + fresh.sum() > max_elements:
-            raise SymmetryError(f"closure exceeded {max_elements} elements")
+        if len(keys) + fresh.sum() > _CLOSURE_BOUND:
+            raise SymmetryError(f"closure exceeded {_CLOSURE_BOUND} elements")
         keys = np.insert(keys, np.searchsorted(keys, cand[fresh]), cand[fresh])
         gen_of, row = np.divmod(first[fresh], len(frontier))
         frontier = np.concatenate(
             [frontier[row[gen_of == k]][:, g] for k, g in enumerate(gens)]
         )
-        if keep:
-            levels.append(frontier)
-    return keys, (np.concatenate(levels) if keep else None)
+    return keys
 
 
 @dataclass
 class GroupTable:
-    """Closure of the generators, stored as permutations of the 240 vertices.
+    """Closure of the generators, stored as sorted axis-image keys.
 
-    The 240 vertices span C^4, so each element is exactly one permutation;
-    ``permutations`` is an (n, 240) uint8 array, about 12 MB.  Orders are
-    reported for three identifications: none, mod {+1,-1}, and mod all six
-    unit scalars.  The measured values are 51840, 25920 and 25920: scalars
-    present in the closure are exactly {+1,-1}, so both quotients coincide.
+    Each element is one vertex permutation, fixed by its four axis images;
+    ``_keys`` packs them into one sorted uint32 per element (about 200 KB),
+    and elements are numbered in that order.  Orders are reported for three
+    identifications: none, mod {+1,-1}, and mod all six unit scalars.  The
+    measured values are 51840, 25920 and 25920: scalars present in the
+    closure are exactly {+1,-1}, so both quotients coincide.
     """
 
     raw_order: int
     order_mod_pm1: int
     projective_order: int
-    permutations: np.ndarray = field(repr=False)  # (n, 240) uint8
     _keys: np.ndarray = field(repr=False)  # sorted uint32 axis-image keys
     _vertices: _Vertices = field(repr=False)
 
@@ -274,10 +261,12 @@ class GroupTable:
     def element(self, i: int) -> SymmetryElement:
         """The matrix of element i, rebuilt from its axis images.
 
-        Column j is the image of the axis vertex (1 + 2w) e_j divided by
-        (1 + 2w), that is multiplied by (-1 - 2w) / 3.
+        i indexes the sorted keys as numpy does: element 0 is not in general
+        the identity, -1 is the last, and out of range raises IndexError.
+        Column j is the image of the axis vertex (1 + 2w) e_j, byte j of the
+        key, divided by (1 + 2w), that is multiplied by (-1 - 2w) / 3.
         """
-        columns = self._vertices.m[self.permutations[i, self._vertices.axes]]
+        columns = self._vertices.m[self._keys[[i]].view(np.uint8)]
         minus_1_minus_2w = np.array((-1, -2))
         return SymmetryElement.from_parts(
             ring_mul(minus_1_minus_2w, columns.transpose(1, 0, 2)), 1
@@ -288,7 +277,7 @@ class GroupTable:
             perm = self._vertices.permutation(elem)
         except (SymmetryError, NotASymmetryError):
             return False
-        key = self._vertices.keys(perm[None, :])[0]
+        key = _pack(perm[self._vertices.axes])
         pos = np.searchsorted(self._keys, key)
         return pos < len(self._keys) and self._keys[pos] == key
 
@@ -303,27 +292,22 @@ def generate_group(config: WittingConfiguration) -> GroupTable:
     """Breadth-first closure of the four generators as vertex permutations."""
     vertices = _Vertices(config)
     gens = [vertices.permutation(g) for g in generators(config)]
-    keys, perms = _closure(vertices, gens, _CLOSURE_BOUND, keep=True)
-    keys4 = perms[:, vertices.axes]
+    keys = _closure(vertices, gens)
+    keys4 = keys.view(np.uint8).reshape(-1, 4)
     return GroupTable(
-        raw_order=len(perms),
+        raw_order=len(keys),
         order_mod_pm1=_quotient_order(vertices, keys4, range(2)),
         projective_order=_quotient_order(vertices, keys4, range(6)),
-        permutations=perms,
         _keys=keys,
         _vertices=vertices,
     )
 
 
 def reflection_group_order(config: WittingConfiguration) -> int:
-    """Order of the group the four raw triflections generate (no det scaling).
-
-    Only the frontier and the keys are held, never every element.
-    """
+    """Order of the group the four raw triflections generate (no det scaling)."""
     vertices = _Vertices(config)
     gens = [vertices.permutation(triflection(config.state_of(c))) for c in GENERATOR_CARDS]
-    keys, _ = _closure(vertices, gens, _CLOSURE_BOUND, keep=False)
-    return len(keys)
+    return len(_closure(vertices, gens))
 
 
 def configuration_permutation(

@@ -38,6 +38,12 @@ STDOUT_SHA256 = {
         "09d88708025f8fbb04eeb2381315a4c2264687d2227c964c84f4aa4e7dba7c36",
     "classical-scan":
         "e576b3d6d989705ac6a225807473c2e3f078660afe8e3d9e9ddb7b1b23211249",
+    "group":
+        "a0620c92a72bba9552f77a6385381d51f35173e2b444e1908bc6863a34b3d03b",
+    "states":
+        "3ce1a7f4c14a06f54c785bfc560e10825d1cdb01cbcfddbeb705717673672d8f",
+    "bases":
+        "979e75924e77f87176cdb993c131f1db89340d4c93af9d0a9715e266b2830fd0",
 }
 
 KEY_AGREEMENT_LINE = (

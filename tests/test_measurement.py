@@ -227,6 +227,35 @@ def test_two_step_requires_probe_in_basis(config):
         two_step_distribution(config, Card("S", 1), 1, state)
 
 
+# Each call gets a probe from the tetrad the bad id would alias to (-1 is
+# tetrad 39, True tetrad 1), so only the id check can reject it.
+_REFERENCE_CALLS = {
+    "basis_vectors": lambda config, t, probe, state: basis_vectors(config, t),
+    "one_step_distribution":
+        lambda config, t, probe, state: one_step_distribution(config, t, state),
+    "two_step_distribution":
+        lambda config, t, probe, state: two_step_distribution(config, probe, t, state),
+    # tetrad 0 holds S1
+    "two_step_joint_branches:alice":
+        lambda config, t, probe, state: two_step_joint_branches(
+            config, probe, t, Card("S", 1), 0
+        ),
+    "two_step_joint_branches:bob":
+        lambda config, t, probe, state: two_step_joint_branches(
+            config, Card("S", 1), 0, probe, t
+        ),
+}
+
+
+@pytest.mark.parametrize("tetrad", [-1, 40, True, 2.0])
+@pytest.mark.parametrize("call", sorted(_REFERENCE_CALLS))
+def test_reference_rejects_bad_tetrad_ids(config, call, tetrad):
+    probe = config.bases[int(tetrad) % 40].members[0]
+    state = QuquartState.from_state(config.states[0])
+    with pytest.raises(ValueError, match="tetrad id"):
+        _REFERENCE_CALLS[call](config, tetrad, probe, state)
+
+
 def test_two_step_recomposes_exactly_for_all_160_pairs(config):
     inputs = [
         QuquartState.from_state(config.states[i]) for i in (0, 13, 26, 39)

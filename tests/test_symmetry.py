@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -7,14 +8,14 @@ import pytest
 from test_configuration import _boxed_canonical
 from wittingqkd.configuration import Card, canonical_phase, canonical_rows, ring_conj, ring_mul
 from wittingqkd.eisenstein import Eisenstein, OMEGA, ZERO
+from wittingqkd import symmetry
 from wittingqkd.symmetry import (
     GENERATOR_CARDS,
     NotASymmetryError,
     SymmetryElement,
     SymmetryError,
-    _Vertices,
-    _closure,
     configuration_permutation,
+    generate_group,
     generators,
     orbit_of_first_basis_state,
     reflection_group_order,
@@ -167,17 +168,58 @@ def test_scalar_content_of_group(group):
     assert omega_id not in group
 
 
-def test_rebuilt_elements_match_stored_permutations(config, group):
+@pytest.fixture(scope="module")
+def boxed_vertices(config):
+    """The 240 vertices from ``expand_vertices()``, as an array and a lookup."""
+    array = np.array([[x.key() for x in v] for v in config.expand_vertices()])
+    return array, {row.tobytes(): k for k, row in enumerate(array)}
+
+
+def _vertex_permutation(boxed_vertices, g: SymmetryElement) -> np.ndarray:
+    """The permutation of the 240 vertices that g's matrix induces."""
+    array, index = boxed_vertices
+    perm = np.array([index[row.tobytes()] for row in g.apply(array)], dtype=np.uint8)
+    assert sorted(perm.tolist()) == list(range(240))
+    return perm
+
+
+def _key(boxed_vertices, perm: np.ndarray) -> int:
+    """The images of the four axis vertices (1 + 2w) e_j, packed as one uint32."""
+    _, index = boxed_vertices
+    axes = np.eye(4, dtype=np.int64)[:, :, None] * np.array((1, 2))
+    return int(perm[[index[a.tobytes()] for a in axes]].view(np.uint32)[0])
+
+
+def _checked_permutation(config, group, boxed_vertices, i: int) -> np.ndarray:
+    """Vertex permutation of element(i), checked against the stored keys.
+
+    Its axis images must be key i, and composing it with each generator
+    must land on a stored key (closure).
+    """
+    perm = _vertex_permutation(boxed_vertices, group.element(i))
+    assert _key(boxed_vertices, perm) == group._keys[i]
+    for gen in generators(config):
+        composed = _key(boxed_vertices, perm[_vertex_permutation(boxed_vertices, gen)])
+        assert np.isin(composed, group._keys)
+    return perm
+
+
+def test_rebuilt_elements_match_stored_permutations(config, group, boxed_vertices):
     # element(i) is rebuilt from four axis images only; the matrix path of
-    # configuration_permutation must reproduce the whole stored permutation.
+    # configuration_permutation must agree with its whole vertex permutation.
     rng = Random(31)
     for i in [0, len(group) - 1] + [rng.randrange(len(group)) for _ in range(23)]:
         g = group.element(i)
         assert g.is_unitary()
         assert g.determinant_unit() == Eisenstein(1)
-        assert configuration_permutation(config, g) == tuple(
-            int(v) // 6 for v in group.permutations[i, ::6]
-        )
+        perm = _checked_permutation(config, group, boxed_vertices, i)
+        assert configuration_permutation(config, g) == tuple((perm[::6] // 6).tolist())
+
+
+def test_element_indexing_follows_numpy(group):
+    assert group.element(-1) == group.element(len(group) - 1)
+    with pytest.raises(IndexError):
+        group.element(len(group))
 
 
 def test_non_symmetry_is_not_in_group(group):
@@ -189,24 +231,41 @@ def test_raw_triflections_generate_g32(config):
     assert reflection_group_order(config) == 155520
 
 
-def test_closure_over_its_bound_raises(config):
-    vertices = _Vertices(config)
-    gens = [vertices.permutation(triflection(config.state_of(c))) for c in GENERATOR_CARDS]
+def test_closure_over_its_bound_raises(config, monkeypatch):
+    monkeypatch.setattr(symmetry, "_CLOSURE_BOUND", 60_000)
     with pytest.raises(SymmetryError):
-        _closure(vertices, gens, 60_000, keep=False)
+        reflection_group_order(config)
+    monkeypatch.setattr(symmetry, "_CLOSURE_BOUND", 51_839)
+    with pytest.raises(SymmetryError):
+        generate_group(config)
 
 
-def test_rebuilt_elements_induce_stored_vertex_permutations(config, group):
+def test_group_memory_is_bounded(config, group):
+    # Mirrors test_scan_memory_is_bounded: the closure holds its sorted keys
+    # and one frontier, never a permutation of every element.
+    tracemalloc.start()
+    try:
+        generate_group(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+def test_rebuilt_elements_induce_stored_vertex_permutations(config, group, boxed_vertices):
     # Stronger than the state permutation: -g permutes the states as g does
-    # but moves every vertex to its negative.
-    assert group.element(0) == SymmetryElement.identity()
-    vertices = np.array([[x.key() for x in v] for v in config.expand_vertices()])
+    # but moves every vertex to its negative, so its key is another one.
     rng = Random(37)
     for i in [rng.randrange(len(group)) for _ in range(10)]:
-        assert (group.element(i).apply(vertices) == vertices[group.permutations[i]]).all()
+        perm = _checked_permutation(config, group, boxed_vertices, i)
+        minus_g = group.element(i).scaled_by_unit(1)
+        minus_perm = _vertex_permutation(boxed_vertices, minus_g)
+        assert (minus_perm // 6 == perm // 6).all() and (minus_perm != perm).all()
+        minus_key = _key(boxed_vertices, minus_perm)
+        assert minus_key != group._keys[i] and np.isin(minus_key, group._keys)
 
 
-def test_boxed_reference_matches_array_kernel(config, group):
+def test_boxed_reference_matches_array_kernel(config, group, boxed_vertices):
     # A reference that bypasses the array kernel: each entry(i, j) applied
     # with Eisenstein arithmetic, canonicalised by the boxed phase rule.
     index = {s.vector: s.index for s in config.states}
@@ -224,7 +283,8 @@ def test_boxed_reference_matches_array_kernel(config, group):
             image = tuple(Eisenstein(x.a // scale, x.b // scale) for x in image)
             perm.append(index[_boxed_canonical(image)])
         assert tuple(perm) == configuration_permutation(config, g)
-        assert tuple(perm) == tuple(int(v) // 6 for v in group.permutations[i, ::6])
+        vertex_perm = _checked_permutation(config, group, boxed_vertices, i)
+        assert tuple(perm) == tuple((vertex_perm[::6] // 6).tolist())
         assert g.determinant_unit() == Eisenstein(1)
     # Known determinants: a raw triflection has det w, as does w times the
     # identity (w^4 = w); the generators have det 1.
