@@ -34,8 +34,8 @@ gens = generators(config)
 print("  determinants:", [str(g.determinant_unit()) for g in gens])
 print()
 
-print("Each generator permutes the 240 polytope vertices exactly; breadth-first")
-print("closure composes those permutations:")
+print("Each generator permutes the 240 polytope vertices exactly; the closure")
+print("is the orbit of the four axis vertices' images under those permutations:")
 t0 = time.time()
 table = generate_group(config)
 print(f"  raw order:            {table.raw_order}   ({time.time() - t0:.1f}s)")

@@ -26,7 +26,8 @@ independent draw), and ``fixed`` (a forced choice, used for exhaustive
 per-tetrad checks).
 
 Seed derivation (stream version 2).  Every stream is a ``random.Random``
-seeded with ``4 * seed + stream``, which is injective for seeds >= 0:
+seeded with ``4 * seed + stream``, which is injective for int seeds >= 0
+(other seeds raise ``ValueError``):
 
 * stream 0, shared: from the policy seed alone, so parties with equal
   seeds stay in lockstep;
@@ -66,9 +67,10 @@ _WEIGHT = re.compile(r"\d+/\d+|\d*\.?\d+")
 _WEIGHT_MAX_CHARS = 40
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:  # Random(-s) would alias Random(s)
-        raise ValueError(f"seed must be >= 0, got {seed}")
+def _check_int(name: str, value: object, low: int) -> None:
+    # Random(-s) would alias Random(s), and Random(6.0) is Random(6).
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,9 @@ class PartyPolicy:
             raise ValueError(f"unknown policy mode {self.mode!r}")
         if self.mode == "fixed" and self.choice is None:
             raise ValueError("fixed policy needs a choice")
-        _check_seed(self.seed)
+        if self.choice is not None:
+            _check_int("fixed choice", self.choice, 0)
+        _check_int("seed", self.seed, 0)
         if not isinstance(self.weight, (int, Fraction)):
             raise ValueError(f"correlation weight must be an int or Fraction, got {self.weight!r}")
         if not 0 <= self.weight <= 1:
@@ -268,9 +272,8 @@ def _run(
     on_block: Callable[[RoundBlock], None] | None,
 ) -> SessionTranscript:
     """The round engine: every protocol, block by block."""
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    _check_seed(seed)
+    _check_int("rounds", rounds, 1)
+    _check_int("seed", seed, 0)
     counts, den = outcome_counts(config, eve_basis)
     cuts = counts.reshape(1600, 16).cumsum(axis=1)
     # Row r's cuts shifted by r·den: one sorted array for every row's lookup.

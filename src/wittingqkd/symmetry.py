@@ -11,10 +11,11 @@ their arithmetic goes through the array kernel of :mod:`.configuration`
 (:func:`ring_mul`, :func:`ring_matmul`, :func:`ring_conj`).  The group
 itself is closed over permutations of the 240 Witting vertices: those
 vertices span C^4, so each element is exactly one permutation, and it is
-fixed by the images of the four axis vertices.  Closure composes whole
-frontiers of uint8 permutation arrays with numpy fancy indexing in well
-under a second and stores only those images, one sorted uint32 key per
-element (about 200 KB); a matrix is rebuilt from its key on demand.
+fixed by the images of the four axis vertices, packed into one uint32 key.
+Closure is the orbit of the axis frame under left multiplication; frontiers
+are keys, and each step applies the generators' permutations to them with
+numpy fancy indexing.  The group is stored as its sorted keys (about 200 KB);
+a matrix is rebuilt from its key on demand.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ class _Vertices:
         self.m = config.vertex_array()
         self._index = {row.tobytes(): i for i, row in enumerate(self.m)}
         axes = np.eye(4, dtype=np.int64)[:, :, None] * np.array((1, 2))
-        self.axes = np.array(self._lookup(axes), dtype=np.intp)  # (1 + 2w) e_j
+        self.axes = np.array(self._lookup(axes), dtype=np.uint8)  # (1 + 2w) e_j
         identity = SymmetryElement.identity()
         self.scalars = np.stack(
             [self.permutation(identity.scaled_by_unit(u)) for u in range(6)]
@@ -212,28 +213,23 @@ def _pack(images: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(images).view(np.uint32)[..., 0]
 
 
-def _closure(vertices: _Vertices, gens: list[np.ndarray]) -> np.ndarray:
-    """Breadth-first closure of vertex permutations, a whole frontier at a time.
+def _closure(axes: np.ndarray, gens: list[np.ndarray]) -> np.ndarray:
+    """Orbit of the axis frame under left multiplication by the generators.
 
-    Returns the sorted keys of all elements and holds only them and the
-    current frontier.  More than ``_CLOSURE_BOUND`` elements raise.
+    Frontiers are keys: the key of g*h is g applied to the four axis images
+    of h, so each breadth-first level is the (n, 4) uint8 view of the fresh
+    keys.  Returns the sorted keys of all elements.  More than
+    ``_CLOSURE_BOUND`` elements raise.
     """
-    frontier = np.arange(240, dtype=np.uint8)[None, :]
-    keys = _pack(frontier[:, vertices.axes])
+    frontier = axes[None, :]
+    keys = _pack(frontier)
     while len(frontier):
-        # The key of f*g depends only on f at the images g[axes].
-        cand = np.concatenate(
-            [_pack(frontier[:, g[vertices.axes]]) for g in gens]
-        )
-        cand, first = np.unique(cand, return_index=True)
-        fresh = ~np.isin(cand, keys, assume_unique=True)
-        if len(keys) + fresh.sum() > _CLOSURE_BOUND:
+        cand = np.unique(np.concatenate([_pack(g[frontier]) for g in gens]))
+        fresh = cand[~np.isin(cand, keys, assume_unique=True)]
+        if len(keys) + len(fresh) > _CLOSURE_BOUND:
             raise SymmetryError(f"closure exceeded {_CLOSURE_BOUND} elements")
-        keys = np.insert(keys, np.searchsorted(keys, cand[fresh]), cand[fresh])
-        gen_of, row = np.divmod(first[fresh], len(frontier))
-        frontier = np.concatenate(
-            [frontier[row[gen_of == k]][:, g] for k, g in enumerate(gens)]
-        )
+        keys = np.insert(keys, np.searchsorted(keys, fresh), fresh)
+        frontier = fresh.view(np.uint8).reshape(-1, 4)
     return keys
 
 
@@ -289,10 +285,10 @@ def _quotient_order(vertices: _Vertices, keys4: np.ndarray, units: range) -> int
 
 
 def generate_group(config: WittingConfiguration) -> GroupTable:
-    """Breadth-first closure of the four generators as vertex permutations."""
+    """Closure of the four generators, as the orbit of the axis frame."""
     vertices = _Vertices(config)
     gens = [vertices.permutation(g) for g in generators(config)]
-    keys = _closure(vertices, gens)
+    keys = _closure(vertices.axes, gens)
     keys4 = keys.view(np.uint8).reshape(-1, 4)
     return GroupTable(
         raw_order=len(keys),
@@ -307,7 +303,7 @@ def reflection_group_order(config: WittingConfiguration) -> int:
     """Order of the group the four raw triflections generate (no det scaling)."""
     vertices = _Vertices(config)
     gens = [vertices.permutation(triflection(config.state_of(c))) for c in GENERATOR_CARDS]
-    return len(_closure(vertices, gens))
+    return len(_closure(vertices.axes, gens))
 
 
 def configuration_permutation(

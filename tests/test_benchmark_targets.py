@@ -24,6 +24,17 @@ def test_every_span_keeps_a_lookup_site():
     assert live == spans, sorted(spans - live)
 
 
+# Targets known not to resolve, left for the next change to the benchmark.
+KNOWN_STALE = {"wittingqkd.protocol.two_step_joint_branches"}
+
+
+def test_every_target_resolves_but_the_known_stale():
+    missing = {
+        f"{module}.{attr}" for module, attr, _ in tracing.TARGETS if not _resolves(module, attr)
+    }
+    assert missing <= KNOWN_STALE, sorted(missing - KNOWN_STALE)
+
+
 def test_every_counter_target_resolves():
     for module, cls, method, counter in tracing.COUNTERS:
         owner = getattr(importlib.import_module(module), cls)

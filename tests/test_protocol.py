@@ -437,3 +437,14 @@ def test_policy_rejects_negative_seed():
 def test_run_session_rejects_negative_seed(config):
     with pytest.raises(ValueError):
         run_session(config, "naive", 10, UA, UB, seed=-7)
+
+
+@pytest.mark.parametrize("value", [1.5, True])
+@pytest.mark.parametrize("name", ["seed", "policy_seed", "choice", "rounds"])
+def test_non_int_seeds_choices_and_rounds_raise_value_error(config, name, value):
+    # Policy seed 1.5 derives Random(4 * 1.5) == Random(6), policy seed 1's
+    # Bob stream, and choice 2.7 would run tetrad 2: only ints, not bools.
+    args = {"seed": 1, "policy_seed": 1, "choice": 2, "rounds": 10, name: value}
+    with pytest.raises(ValueError):
+        policy = PartyPolicy("fixed", args["policy_seed"], choice=args["choice"])
+        run_session(config, "naive", args["rounds"], policy, policy, seed=args["seed"])

@@ -241,15 +241,16 @@ def test_closure_over_its_bound_raises(config, monkeypatch):
 
 
 def test_group_memory_is_bounded(config, group):
-    # Mirrors test_scan_memory_is_bounded: the closure holds its sorted keys
-    # and one frontier, never a permutation of every element.
-    tracemalloc.start()
-    try:
-        generate_group(config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 12 * 2**20
+    # Mirrors test_scan_memory_is_bounded: both closures hold their sorted
+    # keys and one frontier of keys, never (n, 240) vertex permutations.
+    for closure in (generate_group, reflection_group_order):
+        tracemalloc.start()
+        try:
+            closure(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, closure.__name__
 
 
 def test_rebuilt_elements_induce_stored_vertex_permutations(config, group, boxed_vertices):
