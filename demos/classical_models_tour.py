@@ -28,7 +28,7 @@ print(f"  correct {score.correct}, empty {score.unmarked}, "
       f"fully marked {score.by_count[4]} (the three all-spade tetrads)")
 print()
 
-print("The best any marking can do is 34, e.g.")
+print("The best one-suit-per-rank marking gets 34, e.g.")
 print("  ", " ".join(c.label for c in MAX_SCORE_EXAMPLE.cards()))
 score = score_marking(config, MAX_SCORE_EXAMPLE)
 print(f"  correct {score.correct}, double-marked {score.double_marked}, "

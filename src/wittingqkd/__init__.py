@@ -1,15 +1,12 @@
 """Exact-arithmetic toolkit for quantum key distribution on the 40-state
 Witting configuration: state geometry, symmetry group, exact Born-rule
-measurement, protocol simulation, and classical-model refutation."""
+measurement, protocol simulation, and classical-model refutation.
+
+The configuration names load :mod:`.configuration`, and with it numpy, on
+first access (PEP 562), so ``from wittingqkd import Eisenstein`` stays
+free of numpy."""
 
 from .eisenstein import Eisenstein, UNITS
-from .configuration import (
-    Basis,
-    Card,
-    ConfigurationError,
-    ProjectiveState,
-    WittingConfiguration,
-)
 
 __all__ = [
     "Basis",
@@ -22,3 +19,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        from . import configuration
+
+        return getattr(configuration, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

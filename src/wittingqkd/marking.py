@@ -4,10 +4,10 @@ A non-contextual model pre-marks cards so that every one of the 40 tetrads
 contains exactly one marked card.  The ten rank tetrads partition the deck,
 forcing any candidate model to mark exactly one suit per rank: 4**10 =
 1048576 candidates, few enough to score them all.  None is correct on all
-40 tetrads; the best reach 34.  A per-tetrad (contextual) mark table, by
-contrast, trivially reproduces the quantum statistics, and any such
-complete table necessarily marks some card in one of its tetrads but not
-in another.
+40 tetrads; the best of these reach 34.  A per-tetrad (contextual) mark
+table, by contrast, trivially reproduces the quantum statistics, and any
+such complete table necessarily marks some card in one of its tetrads but
+not in another.
 """
 
 from __future__ import annotations

@@ -14,8 +14,11 @@ vertices span C^4, so each element is exactly one permutation, and it is
 fixed by the images of the four axis vertices, packed into one uint32 key.
 Closure is the orbit of the axis frame under left multiplication; frontiers
 are keys, and each step applies the generators' permutations to them with
-numpy fancy indexing.  The group is stored as its sorted keys (about 200 KB);
-a matrix is rebuilt from its key on demand.
+numpy fancy indexing.  Keys are deduplicated by sorting, never by
+``np.unique`` or ``np.isin``: from numpy 2.3 ``np.unique`` goes through a
+hash table, about 100 times slower than ``np.sort`` on these uint32 keys.
+The group is stored as its sorted keys (about 200 KB); a matrix is rebuilt
+from its key on demand.
 """
 
 from __future__ import annotations
@@ -213,22 +216,33 @@ def _pack(images: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(images).view(np.uint32)[..., 0]
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array, sorted: np.unique without its hash table."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
 def _closure(axes: np.ndarray, gens: list[np.ndarray]) -> np.ndarray:
     """Orbit of the axis frame under left multiplication by the generators.
 
     Frontiers are keys: the key of g*h is g applied to the four axis images
     of h, so each breadth-first level is the (n, 4) uint8 view of the fresh
-    keys.  Returns the sorted keys of all elements.  More than
-    ``_CLOSURE_BOUND`` elements raise.
+    keys.  Each level's candidates are deduplicated by sorting and tested
+    against the sorted keys with a binary search (``np.unique`` hashes
+    from numpy 2.3, about 100 times slower here).  Returns the sorted keys
+    of all elements.  More than ``_CLOSURE_BOUND`` elements raise.
     """
     frontier = axes[None, :]
     keys = _pack(frontier)
     while len(frontier):
-        cand = np.unique(np.concatenate([_pack(g[frontier]) for g in gens]))
-        fresh = cand[~np.isin(cand, keys, assume_unique=True)]
+        cand = _sorted_unique(np.concatenate([_pack(g[frontier]) for g in gens]))
+        # A candidate past the last key clips to it, which is smaller: fresh.
+        fresh = cand[keys.take(np.searchsorted(keys, cand), mode="clip") != cand]
         if len(keys) + len(fresh) > _CLOSURE_BOUND:
             raise SymmetryError(f"closure exceeded {_CLOSURE_BOUND} elements")
-        keys = np.insert(keys, np.searchsorted(keys, fresh), fresh)
+        keys = np.sort(np.concatenate((keys, fresh)))
         frontier = fresh.view(np.uint8).reshape(-1, 4)
     return keys
 
@@ -281,7 +295,7 @@ class GroupTable:
 def _quotient_order(vertices: _Vertices, keys4: np.ndarray, units: range) -> int:
     """Number of classes of elements that differ by the given unit scalars."""
     scaled = np.stack([vertices.scalars[u][keys4] for u in units])
-    return len(np.unique(_pack(scaled).min(axis=0)))
+    return len(_sorted_unique(_pack(scaled).min(axis=0)))
 
 
 def generate_group(config: WittingConfiguration) -> GroupTable:

@@ -1,4 +1,8 @@
 import cmath
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -136,3 +140,26 @@ def test_float_embedding_commutes(x, y):
     assert abs(embed(x.conj()) - embed(x).conjugate()) < 1e-9
     assert abs(x.norm_sq() - abs(embed(x)) ** 2) < 1e-9
 
+
+def test_eisenstein_imports_without_numpy():
+    # The configuration names of the package load numpy lazily (PEP 562).
+    script = """
+import sys
+from wittingqkd import Eisenstein, UNITS
+assert "numpy" not in sys.modules, "numpy loaded"
+import wittingqkd
+assert wittingqkd.WittingConfiguration.__module__ == "wittingqkd.configuration"
+for name in wittingqkd.__all__:
+    getattr(wittingqkd, name)
+from wittingqkd import *
+assert "numpy" in sys.modules
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

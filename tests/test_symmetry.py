@@ -1,4 +1,5 @@
 import itertools
+import sys
 import tracemalloc
 from random import Random
 
@@ -7,7 +8,7 @@ import pytest
 
 from test_configuration import _boxed_canonical
 from wittingqkd.configuration import Card, canonical_phase, canonical_rows, ring_conj, ring_mul
-from wittingqkd.eisenstein import Eisenstein, OMEGA, ZERO
+from wittingqkd.eisenstein import Eisenstein, OMEGA, UNITS, ZERO
 from wittingqkd import symmetry
 from wittingqkd.symmetry import (
     GENERATOR_CARDS,
@@ -229,6 +230,32 @@ def test_non_symmetry_is_not_in_group(group):
 def test_raw_triflections_generate_g32(config):
     # Shephard-Todd G32, the symmetry group of the Witting polytope.
     assert reflection_group_order(config) == 155520
+
+
+def test_closure_matches_python_set_breadth_first_search(config, group, boxed_vertices):
+    # An independent closure: a Python set, no numpy set operations.  An
+    # element is the 4 bytes of its axis images; left multiplication by g
+    # maps each image x to g[x], a bytes.translate with g as the table.
+    _, index = boxed_vertices
+    pad = bytes(16)  # translate tables have 256 entries; only 240 are read
+    gens = [bytes(_vertex_permutation(boxed_vertices, g)) + pad for g in generators(config)]
+    axes = np.eye(4, dtype=np.int64)[:, :, None] * np.array((1, 2))
+    frontier = seen = {bytes(index[a.tobytes()] for a in axes)}
+    while frontier:
+        frontier = {h.translate(g) for h in frontier for g in gens} - seen
+        seen = seen | frontier
+    ordered = sorted(seen, key=lambda h: int.from_bytes(h, sys.byteorder))
+    assert b"".join(ordered) == group._keys.tobytes()
+    # Quotient orders: classes of elements that differ by a unit scalar,
+    # each named by the least key over its unit multiples.
+    vertices = config.expand_vertices()
+    scalars = [
+        bytes(index[np.array([(u * x).key() for x in v]).tobytes()] for v in vertices) + pad
+        for u in UNITS
+    ]
+    for units, order in ((scalars[:2], group.order_mod_pm1), (scalars, group.projective_order)):
+        classes = {min(int.from_bytes(h.translate(s), sys.byteorder) for s in units) for h in seen}
+        assert len(classes) == order == 25920
 
 
 def test_closure_over_its_bound_raises(config, monkeypatch):
