@@ -46,7 +46,7 @@ print()
 
 print("The orbit of the first axis state under the generators is the whole")
 print("configuration:")
-orbit = orbit_of_first_basis_state(config)
+orbit = orbit_of_first_basis_state(config, table)
 print("  orbit size:", len(orbit))
 print()
 

@@ -26,14 +26,16 @@ The build runs on one integer array: the 40 canonical vectors as a
 (40, 4, 2) array of (a, b) pairs, with Z[w] products, conjugates and
 canonical phases computed elementwise (:func:`ring_mul`, :func:`ring_conj`,
 :func:`canonical_rows`) and the transition table as one integer Gram
-product (:func:`ring_matmul`).  The symmetry group computes with the
-same functions.  Boxed :class:`Eisenstein` vectors appear only at the API
-edge (``ProjectiveState.vector``).
+product (:func:`ring_matmul`).  Everything else is read off that table:
+the orthogonality graph, the 40 tetrads (each orthogonal pair and its two
+common orthogonal states), the session tables, and the MUB slices (the
+tetrads through an axis state).  The symmetry group computes with the same
+functions.  Boxed :class:`Eisenstein` vectors appear only at the API edge
+(``ProjectiveState.vector``).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -64,10 +66,10 @@ class Card(NamedTuple):
 
     @classmethod
     def parse(cls, text: str) -> "Card":
-        suit, rank = text[0].upper(), int(text[1:])
-        if suit not in SUITS or rank not in RANKS:
+        suit, rank = text[:1].upper(), text[1:]
+        if suit not in SUITS or rank not in [str(r) for r in RANKS]:
             raise ValueError(f"not a card label: {text!r}")
-        return cls(suit, rank)
+        return cls(suit, int(rank))
 
 
 # Vector tokens: w = omega, W = conj(omega) = omega^2, R = i*sqrt(3) = 1 + 2w.
@@ -227,10 +229,7 @@ class Basis:
     members: tuple[Card, Card, Card, Card]
 
 
-def _sorted_members(cards: Iterable[Card]) -> tuple[Card, ...]:
-    # (suit, rank) ordering covers both rules: one-card-per-suit tetrads sort
-    # by suit, mono-suit tetrads by rank.
-    return tuple(sorted(cards, key=lambda c: (SUITS.index(c.suit), c.rank)))
+_TAGS = ("rank-tetrad", "mixed-suit", "mono-suit")  # in tetrad id order
 
 
 def _tag_of(cards: tuple[Card, ...]) -> str:
@@ -294,28 +293,22 @@ class WittingConfiguration:
             frozenset(j for j, n in enumerate(r) if n == 0)
             for r in self.transition_array.tolist()
         )
-        self.bases: tuple[Basis, ...] = self._enumerate_bases()
+        self.bases: tuple[Basis, ...] = self._tetrads()
         # Member state indices of each tetrad, in announcement order.
         self.basis_states: _Table = tuple(
             tuple(self._by_card[c].index for c in b.members) for b in self.bases
         )
         members = np.array(self.basis_states)
-        if (np.bincount(members.ravel(), minlength=40) != 4).any():
-            raise ConfigurationError("some state is not in exactly 4 tetrads")
         owner = np.repeat(np.arange(40), 4)  # tetrad id of each entry of members
         by_state = members.ravel().argsort(kind="stable")
         self.tetrads_of_state = _frozen(owner[by_state].reshape(40, 4))
-        # Each tetrad's 12 ordered pairs of distinct members.  The 40 tetrads
-        # hold 480 such pairs, so fewer than 480 entries set means that some
-        # pair lies in two tetrads.
+        # Each tetrad's 12 ordered pairs of distinct members.
         s, t, tetrad = np.broadcast_arrays(
             members[:, :, None], members[:, None, :], np.arange(40)[:, None, None]
         )
         distinct = s != t
         common = np.full((40, 40), -1)
         common[s[distinct], t[distinct]] = tetrad[distinct]
-        if (common >= 0).sum() != 480:
-            raise ConfigurationError("some orthogonal pair lies in two tetrads")
         np.fill_diagonal(common, self.tetrads_of_state[:, 0])  # the lowest of four
         self.common_tetrad = _frozen(common)
         self._check_conjugation()
@@ -359,45 +352,45 @@ class WittingConfiguration:
             raise ConfigurationError(f"orthogonality graph not 12-regular: {degrees}")
         return table
 
-    def _enumerate_bases(self) -> tuple[Basis, ...]:
-        masks = [sum(1 << j for j in adj) for adj in self.adjacency]
-        quads: list[tuple[Card, ...]] = []
-        for a in range(40):
-            for b in _bits_above(masks[a], a):
-                mab = masks[a] & masks[b]
-                for c in _bits_above(mab, b):
-                    mabc = mab & masks[c]
-                    for d in _bits_above(mabc, c):
-                        if masks[a] & masks[b] & masks[c] & masks[d]:
-                            raise ConfigurationError("5-clique found; not maximal")
-                        quads.append(_sorted_members(self.states[i].card for i in (a, b, c, d)))
-        if len(quads) != 40:
-            raise ConfigurationError(f"expected 40 tetrads, found {len(quads)}")
+    def _tetrads(self) -> tuple[Basis, ...]:
+        """The 40 orthogonal tetrads, read off the transition table, in id order.
 
-        tagged = [(_tag_of(q), q) for q in quads]
-        rank_tetrads = sorted(
-            (m for t, m in tagged if t == "rank-tetrad"), key=lambda m: m[0].rank
-        )
-        mixed = sorted(
-            (m for t, m in tagged if t == "mixed-suit"),
-            key=lambda m: tuple(c.rank for c in m),
-        )
-        mono = sorted(
-            (m for t, m in tagged if t == "mono-suit"),
-            key=lambda m: (SUITS.index(m[0].suit), tuple(c.rank for c in m)),
-        )
-        if (len(rank_tetrads), len(mixed), len(mono)) != (10, 18, 12):
+        Every orthogonal pair s < t must have exactly two common orthogonal
+        states u < v, and they must be orthogonal to each other.  Then
+        {s, t, u, v} is the only tetrad through the pair, and no five states
+        are mutually orthogonal, as a fifth would be a third common state.
+        With the 12-regularity that :meth:`_build_table` checks, this one
+        condition gives 240 / 6 = 40 tetrads, 12 / 3 = 4 tetrads per state
+        and each of the 480 ordered orthogonal pairs in exactly one tetrad,
+        so none of those is counted again.  Each tetrad is kept once, from
+        its two lowest members (t < u).  Ascending state indices are the
+        (suit, rank) order of ``Basis.members``; ids run by tag, then by the
+        suit of the first member, then by ranks.
+        """
+        zero = self.transition_array == 0
+        s, t = np.nonzero(np.triu(zero, 1))
+        pair, common = np.nonzero(zero[s] & zero[t])
+        # bincount, not a sum over axis 1: that sum casts through a 64 KB buffer.
+        ok = np.bincount(pair, minlength=len(s)) == 2
+        if ok.all():
+            u, v = common.reshape(-1, 2).T
+            ok = zero[u, v]
+        if not ok.all():
+            i = ok.argmin()
+            a, b = self.states[s[i]].card.label, self.states[t[i]].card.label
             raise ConfigurationError(
-                f"tetrad tags off: {len(rank_tetrads)}/{len(mixed)}/{len(mono)}"
+                f"orthogonal pair {a}, {b}: common orthogonal states are not one orthogonal pair"
             )
-        bases = []
-        for members in rank_tetrads:
-            bases.append(Basis(len(bases), "rank-tetrad", members))
-        for members in mixed:
-            bases.append(Basis(len(bases), "mixed-suit", members))
-        for members in mono:
-            bases.append(Basis(len(bases), "mono-suit", members))
-        return tuple(bases)
+        quads = np.stack((s, t, u, v), axis=1)[t < u].tolist()
+        tetrads = sorted(
+            (tuple(self.states[i].card for i in q) for q in quads),
+            key=lambda m: (_TAGS.index(_tag_of(m)), SUITS.index(m[0].suit), [c.rank for c in m]),
+        )
+        tags = [_tag_of(m) for m in tetrads]
+        counts = [tags.count(tag) for tag in _TAGS]
+        if counts != [10, 18, 12]:
+            raise ConfigurationError(f"tetrad tags off: {counts[0]}/{counts[1]}/{counts[2]}")
+        return tuple(Basis(i, tag, m) for i, (tag, m) in enumerate(zip(tags, tetrads)))
 
     def _check_conjugation(self) -> None:
         v = self.vector_array
@@ -453,53 +446,23 @@ class WittingConfiguration:
         Restricted to such a slice the configuration is a set of four
         mutually unbiased bases of the 3-dimensional subspace: triads are
         internally orthogonal and cross-triad transition probabilities all
-        equal 1/3.
+        equal 1/3.  As <e_k|s> = s_k, the slice is the set of states
+        orthogonal to the axis state of coordinate k (card ``SUITS[k]`` 1),
+        and the triads are that state's four tetrads without it, ordered by
+        the state index of their first card.
         """
-        slice_states = [
-            s for s in self.states if s.vector[zero_coordinate].is_zero()
-        ]
-        if len(slice_states) != 12:
-            raise ConfigurationError(
-                f"coordinate {zero_coordinate} slice has {len(slice_states)} states"
-            )
-        cards = [s.card for s in slice_states]
-        index = {c: i for i, c in enumerate(cards)}
-        neighbours: dict[Card, set[Card]] = {c: set() for c in cards}
-        for s, t in itertools.combinations(slice_states, 2):
-            if scaled_inner(s.vector, t.vector).is_zero():
-                neighbours[s.card].add(t.card)
-                neighbours[t.card].add(s.card)
-        triads: list[tuple[Card, ...]] = []
-        unused = set(cards)
-        while unused:
-            seed = min(unused, key=lambda c: index[c])
-            group = {seed} | neighbours[seed]
-            if len(group) != 3 or not group <= unused:
-                raise ConfigurationError("slice does not split into triads")
-            for x, y in itertools.combinations(group, 2):
-                if y not in neighbours[x]:
-                    raise ConfigurationError("triad is not mutually orthogonal")
-            triads.append(_sorted_members(group))
-            unused -= group
-        triads.sort(key=lambda t: index[t[0]])
-        return tuple(triads)
+        if not 0 <= zero_coordinate < 4:
+            raise ValueError(f"coordinate outside 0..3: {zero_coordinate!r}")
+        axis = Card(SUITS[zero_coordinate], 1)
+        triads = (
+            tuple(c for c in self.bases[b].members if c != axis) for b in self.bases_of(axis)
+        )
+        return tuple(sorted(triads, key=lambda t: self._by_card[t[0]].index))
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
-
-
-def _bits_above(mask: int, threshold: int) -> list[int]:
-    out = []
-    mask >>= threshold + 1
-    i = threshold + 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
 
 
 # -- serialisation -------------------------------------------------------------

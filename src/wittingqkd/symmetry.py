@@ -18,7 +18,10 @@ numpy fancy indexing.  Keys are deduplicated by sorting, never by
 ``np.unique`` or ``np.isin``: from numpy 2.3 ``np.unique`` goes through a
 hash table, about 100 times slower than ``np.sort`` on these uint32 keys.
 The group is stored as its sorted keys (about 200 KB); a matrix is rebuilt
-from its key on demand.
+from its key on demand.  The action on the 40 states is read off the same
+permutations, as vertex 6 s + u is UNITS[u] times state s: state s goes to
+entry 6 s of an element's vertex permutation divided by 6, and the orbit of
+state 0 is byte 0 of every key divided by 6.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -35,7 +39,6 @@ from .configuration import (
     Card,
     ProjectiveState,
     WittingConfiguration,
-    canonical_rows,
     ring_conj,
     ring_matmul,
     ring_mul,
@@ -187,23 +190,19 @@ class _Vertices:
         self._index = {row.tobytes(): i for i, row in enumerate(self.m)}
         axes = np.eye(4, dtype=np.int64)[:, :, None] * np.array((1, 2))
         self.axes = np.array(self._lookup(axes), dtype=np.uint8)  # (1 + 2w) e_j
-        identity = SymmetryElement.identity()
-        self.scalars = np.stack(
-            [self.permutation(identity.scaled_by_unit(u)) for u in range(6)]
-        )
 
     def _lookup(self, images: np.ndarray) -> list[int]:
         """Vertex indices of the rows of a (k, 4, 2) array."""
         found = [self._index.get(row.tobytes()) for row in images]
         if None in found:
-            raise SymmetryError("a vertex image is not a polytope vertex")
+            raise NotASymmetryError("a vertex image is not a polytope vertex")
         return found  # type: ignore[return-value]
 
     def permutation(self, g: SymmetryElement) -> np.ndarray:
         """The vertex permutation g induces, as a (240,) uint8 array.
 
-        Raises :class:`NotASymmetryError` if an image leaves Z[w]^4 and
-        :class:`SymmetryError` if g moves a vertex off the polytope.
+        Raises :class:`NotASymmetryError` if an image leaves Z[w]^4 or the
+        polytope, and :class:`SymmetryError` if two vertices share an image.
         """
         perm = self._lookup(g.apply(self.m))
         if len(set(perm)) != len(perm):
@@ -224,17 +223,22 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-def _closure(axes: np.ndarray, gens: list[np.ndarray]) -> np.ndarray:
-    """Orbit of the axis frame under left multiplication by the generators.
+def _closure(
+    config: WittingConfiguration, elements: Iterable[SymmetryElement]
+) -> tuple[_Vertices, np.ndarray]:
+    """Orbit of the axis frame under left multiplication by the given elements.
 
-    Frontiers are keys: the key of g*h is g applied to the four axis images
-    of h, so each breadth-first level is the (n, 4) uint8 view of the fresh
-    keys.  Each level's candidates are deduplicated by sorting and tested
-    against the sorted keys with a binary search (``np.unique`` hashes
-    from numpy 2.3, about 100 times slower here).  Returns the sorted keys
-    of all elements.  More than ``_CLOSURE_BOUND`` elements raise.
+    Builds the vertices and the elements' vertex permutations, then walks
+    breadth first over keys: the key of g*h is g applied to the four axis
+    images of h, so each level is the (n, 4) uint8 view of the fresh keys.
+    Each level's candidates are deduplicated by sorting and tested against
+    the sorted keys with a binary search (``np.unique`` hashes from numpy
+    2.3, about 100 times slower here).  Returns the vertices and the sorted
+    keys of all elements.  More than ``_CLOSURE_BOUND`` elements raise.
     """
-    frontier = axes[None, :]
+    vertices = _Vertices(config)
+    gens = [vertices.permutation(g) for g in elements]
+    frontier = vertices.axes[None, :]
     keys = _pack(frontier)
     while len(frontier):
         cand = _sorted_unique(np.concatenate([_pack(g[frontier]) for g in gens]))
@@ -244,7 +248,7 @@ def _closure(axes: np.ndarray, gens: list[np.ndarray]) -> np.ndarray:
             raise SymmetryError(f"closure exceeded {_CLOSURE_BOUND} elements")
         keys = np.sort(np.concatenate((keys, fresh)))
         frontier = fresh.view(np.uint8).reshape(-1, 4)
-    return keys
+    return vertices, keys
 
 
 @dataclass
@@ -285,29 +289,28 @@ class GroupTable:
     def __contains__(self, elem: SymmetryElement) -> bool:
         try:
             perm = self._vertices.permutation(elem)
-        except (SymmetryError, NotASymmetryError):
+        except NotASymmetryError:
             return False
         key = _pack(perm[self._vertices.axes])
         pos = np.searchsorted(self._keys, key)
         return pos < len(self._keys) and self._keys[pos] == key
 
 
-def _quotient_order(vertices: _Vertices, keys4: np.ndarray, units: range) -> int:
-    """Number of classes of elements that differ by the given unit scalars."""
-    scaled = np.stack([vertices.scalars[u][keys4] for u in units])
-    return len(_sorted_unique(_pack(scaled).min(axis=0)))
+def _quotient_order(scalars: np.ndarray, keys4: np.ndarray) -> int:
+    """Number of classes of elements that differ by the given scalars' vertex permutations."""
+    return len(_sorted_unique(_pack(scalars[:, keys4]).min(axis=0)))
 
 
 def generate_group(config: WittingConfiguration) -> GroupTable:
     """Closure of the four generators, as the orbit of the axis frame."""
-    vertices = _Vertices(config)
-    gens = [vertices.permutation(g) for g in generators(config)]
-    keys = _closure(vertices.axes, gens)
+    vertices, keys = _closure(config, generators(config))
     keys4 = keys.view(np.uint8).reshape(-1, 4)
+    identity = SymmetryElement.identity()
+    scalars = np.stack([vertices.permutation(identity.scaled_by_unit(u)) for u in range(6)])
     return GroupTable(
         raw_order=len(keys),
-        order_mod_pm1=_quotient_order(vertices, keys4, range(2)),
-        projective_order=_quotient_order(vertices, keys4, range(6)),
+        order_mod_pm1=_quotient_order(scalars[:2], keys4),
+        projective_order=_quotient_order(scalars, keys4),
         _keys=keys,
         _vertices=vertices,
     )
@@ -315,9 +318,8 @@ def generate_group(config: WittingConfiguration) -> GroupTable:
 
 def reflection_group_order(config: WittingConfiguration) -> int:
     """Order of the group the four raw triflections generate (no det scaling)."""
-    vertices = _Vertices(config)
-    gens = [vertices.permutation(triflection(config.state_of(c))) for c in GENERATOR_CARDS]
-    return len(_closure(vertices.axes, gens))
+    _, keys = _closure(config, (triflection(config.state_of(c)) for c in GENERATOR_CARDS))
+    return len(keys)
 
 
 def configuration_permutation(
@@ -325,45 +327,30 @@ def configuration_permutation(
 ) -> tuple[int, ...]:
     """The permutation of the 40 states induced by g.
 
-    Raises :class:`NotASymmetryError` if g moves any state off the
-    configuration, and :class:`SymmetryError` if the images fail to form a
-    permutation (which a unitary cannot cause; it would be an internal bug).
+    Read off g's vertex permutation: vertex 6 s + u is UNITS[u] times state
+    s, so state s goes to the state of the image of vertex 6 s.  Raises
+    :class:`NotASymmetryError` if g moves any state off the configuration.
     """
-    states = config.vector_array
-    images = g.apply(states)
-    found = np.zeros((40, 40), dtype=bool)
-    nonzero = images.any(axis=(1, 2))
-    found[nonzero] = (canonical_rows(images[nonzero])[:, None] == states).all(axis=(2, 3))
-    lost = ~found.any(axis=1)
-    if lost.any():
-        raise NotASymmetryError(
-            f"state {config.states[lost.argmax()].card.label} is mapped outside the configuration"
-        )
-    perm = found.argmax(axis=1).tolist()
-    if len(set(perm)) != 40:
-        raise SymmetryError("state images do not form a permutation")
-    return tuple(perm)
+    return tuple((_Vertices(config).permutation(g)[::6] // 6).tolist())
 
 
-def orbit_of_first_basis_state(config: WittingConfiguration) -> frozenset[Card]:
+def orbit_of_first_basis_state(
+    config: WittingConfiguration, table: GroupTable
+) -> frozenset[Card]:
     """Orbit of the first axis state (card S1) under the generated group.
 
-    A breadth-first walk over the four generators' state permutations: the
-    generators already suffice, the orbit must be the whole 40-state set,
-    and anything else raises.
+    Byte 0 of every key is the image of the axis vertex (1 + 2w) e_0, a unit
+    times state 0, so its vertex index over 6 is the image of S1.  The orbit
+    must be the whole 40-state set; anything else raises.
     """
-    perms = [configuration_permutation(config, g) for g in generators(config)]
-    frontier = seen = {config.state_of(Card("S", 1)).index}
-    while frontier:
-        frontier = {p[s] for s in frontier for p in perms} - seen
-        seen = seen | frontier
+    seen = set((table._keys.view(np.uint8)[::4] // 6).tolist())
     if len(seen) != 40:
         raise SymmetryError(f"orbit has {len(seen)} states, expected 40")
     return frozenset(config.states[i].card for i in seen)
 
 
 def group_payload(config: WittingConfiguration, table: GroupTable) -> dict:
-    orbit = orbit_of_first_basis_state(config)
+    orbit = orbit_of_first_basis_state(config, table)
     return {
         "rawOrder": table.raw_order,
         "orderModPm1": table.order_mod_pm1,

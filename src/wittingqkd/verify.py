@@ -221,7 +221,7 @@ def _check_group(config: WittingConfiguration) -> str:
     assert table.raw_order == 51840, table.raw_order
     assert table.order_mod_pm1 == 25920
     assert table.projective_order == 25920
-    orbit = orbit_of_first_basis_state(config)
+    orbit = orbit_of_first_basis_state(config, table)
     assert len(orbit) == 40
     return "closure 51840; mod {+-1} and mod units both 25920; orbit 40"
 

@@ -108,7 +108,7 @@ def test_criterion_05_symmetry_group(config, group):
         assert fresh.raw_order == 51840
         assert 25920 in orders
         assert fresh.order_mod_pm1 == 25920 and fresh.projective_order == 25920
-        assert len(orbit_of_first_basis_state(config)) == 40
+        assert len(orbit_of_first_basis_state(config, fresh)) == 40
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
 

@@ -49,6 +49,18 @@ def test_block_card_bijection(config):
         assert s.block[0] == SUITS.index(s.card.suit)
 
 
+def test_card_parse_reads_every_label(config):
+    for s in config.states:
+        assert Card.parse(s.card.label) == s.card
+    assert Card.parse("h10") == Card("H", 10)
+
+
+@pytest.mark.parametrize("text", ["", "S", "Sx", "S11", "X1", " S1"])
+def test_card_parse_rejects_malformed_labels(text):
+    with pytest.raises(ValueError, match=f"^not a card label: {text!r}$"):
+        Card.parse(text)
+
+
 def test_table_anchor_rows(config):
     # S1 is projectively (sqrt(3),0,0,0): the unit orbit of (1+2w) e0.
     s1 = config.state_of(Card("S", 1))
@@ -257,8 +269,7 @@ def test_mub_triads(config, k):
     assert len(triads) == 4
     cards = [c for t in triads for c in t]
     assert len(cards) == 12
-    for card in cards:
-        assert config.state_of(card).vector[k].is_zero()
+    assert set(cards) == {s.card for s in config.states if s.vector[k].is_zero()}
     third = Fraction(1, 3)
     for t1, t2 in itertools.combinations(triads, 2):
         for a in t1:
@@ -267,6 +278,16 @@ def test_mub_triads(config, k):
     for t in triads:
         for a, b in itertools.combinations(t, 2):
             assert config.transition_prob(a, b) == 0
+    # Order: cards ascend by state index in a triad, triads by their first card.
+    indices = [[config.state_of(c).index for c in t] for t in triads]
+    assert all(row == sorted(row) for row in indices)
+    assert [row[0] for row in indices] == sorted(row[0] for row in indices)
+
+
+@pytest.mark.parametrize("k", [-1, 4])
+def test_mub_triads_rejects_coordinates_outside_0_to_3(config, k):
+    with pytest.raises(ValueError, match="coordinate outside 0..3"):
+        config.mub_triads(k)
 
 
 def test_mub_triads_last_slice_blocks(config):
@@ -427,6 +448,35 @@ def test_build_rejects_overlap_outside_spectrum(monkeypatch):
 def test_build_rejects_family_mismatch(monkeypatch):
     _set_vector(monkeypatch, 0, 2, "0 1 -1 -1")  # norm 3, but -1 is no power of w
     with pytest.raises(ConfigurationError, match="block column 0 mismatches its family"):
+        WittingConfiguration()
+
+
+def test_build_rejects_table_without_tetrad_structure(config, monkeypatch):
+    # An edge switch keeps the graph 12-regular: S1-S2 and H2-H5 stop being
+    # orthogonal, S1-H2 and S2-H5 become so.  The first pair to fail, in
+    # row order, is (S1, S3): S4 is now their only common orthogonal state.
+    table = config.transition_array.copy()
+    for i, j, before, after in ((0, 1, 0, 3), (11, 14, 0, 3), (0, 11, 3, 0), (1, 14, 3, 0)):
+        assert table[i, j] == before
+        table[i, j] = table[j, i] = after
+    assert set((table == 0).sum(axis=1).tolist()) == {12}
+    monkeypatch.setattr(WittingConfiguration, "_build_table", lambda self: table)
+    with pytest.raises(ConfigurationError, match=r"pair S1, S3: common orthogonal states are not"):
+        WittingConfiguration()
+
+
+def test_build_rejects_table_with_non_orthogonal_common_states(monkeypatch):
+    # A circulant graph: i and j are orthogonal when i - j = +-5, 7, 15, 16,
+    # 18 or 19 mod 40.  It is 12-regular and every orthogonal pair has exactly
+    # two common orthogonal states, but some such two are not orthogonal.
+    gap = (np.arange(40)[:, None] - np.arange(40)) % 40
+    table = np.where(np.isin(gap, [5, 7, 15, 16, 18, 19, 21, 22, 24, 25, 33, 35]), 0, 3)
+    np.fill_diagonal(table, 9)
+    zero = (table == 0).astype(int)
+    assert set(zero.sum(axis=1).tolist()) == {12}
+    assert set((zero @ zero)[zero == 1].tolist()) == {2}
+    monkeypatch.setattr(WittingConfiguration, "_build_table", lambda self: table)
+    with pytest.raises(ConfigurationError, match="common orthogonal states are not one orthogonal"):
         WittingConfiguration()
 
 

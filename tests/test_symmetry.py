@@ -101,8 +101,8 @@ def test_group_elements_unitary_and_unit_determinant(group):
         assert g.determinant_unit() == Eisenstein(1)
 
 
-def test_orbit_is_all_forty_states(config):
-    orbit = orbit_of_first_basis_state(config)
+def test_orbit_is_all_forty_states(config, group):
+    orbit = orbit_of_first_basis_state(config, group)
     assert len(orbit) == 40
     assert Card("C", 2) in orbit
 
