@@ -451,9 +451,10 @@ class WittingConfiguration:
         and the triads are that state's four tetrads without it, ordered by
         the state index of their first card.
         """
-        if not 0 <= zero_coordinate < 4:
-            raise ValueError(f"coordinate outside 0..3: {zero_coordinate!r}")
-        axis = Card(SUITS[zero_coordinate], 1)
+        k = zero_coordinate
+        if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k < 4:
+            raise ValueError(f"coordinate outside 0..3 or not an int: {k!r}")
+        axis = Card(SUITS[k], 1)
         triads = (
             tuple(c for c in self.bases[b].members if c != axis) for b in self.bases_of(axis)
         )

@@ -9,9 +9,11 @@ certainty.  All probabilities here are exact ``Fraction`` values.
 transition table, and the round engine samples its counts;
 :func:`joint_distribution` and :func:`intercept_resend_distribution` are
 views of one block of it.  The rest (delayed queries, two-step measurement,
-``JointState``) is the Z[w] vector reference that ``verify`` and the tests
-check the table against.  Its vectors are kept unnormalised with an
-explicit power-of-sqrt(3) scale so no irrational number ever appears.
+``JointState``) is the boxed Z[w] vector reference that ``verify`` and the
+tests check the table against: one query projector and one Born rule over a
+tetrad, shared by the single ququart and the pair.  Its vectors are kept
+unnormalised with an explicit power-of-sqrt(3) scale so no irrational
+number ever appears.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .eisenstein import Eisenstein, ZERO
+from .eisenstein import ONE, ZERO
 from .configuration import (
     Card,
     ProjectiveState,
@@ -40,7 +42,7 @@ class QuquartState:
 
     @property
     def norm_sq(self) -> Fraction:
-        return Fraction(sum(x.norm_sq() for x in self.amps), 3**self.scale)
+        return Fraction(_sq(self.amps), 3**self.scale)
 
     @classmethod
     def from_state(cls, state: ProjectiveState) -> "QuquartState":
@@ -157,7 +159,41 @@ def intercept_resend_distribution(
     return _block(config, alice_basis, bob_basis, eve_basis)
 
 
-# -- delayed queries and two-step measurement ----------------------------------
+# -- the Z[w] reference: one projector, one Born rule ---------------------------
+
+
+def _split(v: Vector, amps: Vector) -> tuple[Vector, Vector]:
+    """Both branches of the query projector P = v v^dag / 3, times 3.
+
+    One inner product gives (3P amps, 3(1 - P) amps); each branch carries
+    two more factors of sqrt(3) in its scale than ``amps``.
+    """
+    c = scaled_inner(v, amps)
+    yes = tuple(c * x for x in v)
+    return yes, tuple(x * 3 - y for x, y in zip(amps, yes))
+
+
+def _born(vectors: tuple[Vector, ...], amps: Vector, den: int) -> tuple[Fraction, ...]:
+    """Born probabilities |<v|amps>|^2 / den, one per measured vector.
+
+    Each vector has squared norm 3, so ``den`` is the squared norm of the
+    measured amplitudes times 3 per side measured; only the zero state has
+    ``den`` 0.
+    """
+    if den == 0:
+        raise ValueError("cannot measure the zero state")
+    return tuple(Fraction(scaled_inner(v, amps).norm_sq(), den) for v in vectors)
+
+
+def _sq(amps: Vector) -> int:
+    return sum(x.norm_sq() for x in amps)
+
+
+def _probe_state(config: WittingConfiguration, probe: Card, basis: int) -> ProjectiveState:
+    _check_tetrad(config, basis)
+    if probe not in config.bases[basis].members:
+        raise ValueError(f"{probe.label} is not a member of tetrad {basis}")
+    return config.state_of(probe)
 
 
 @dataclass(frozen=True)
@@ -176,52 +212,33 @@ class DelayedQueryResult:
 
 def delayed_query(state: QuquartState, probe: ProjectiveState) -> DelayedQueryResult:
     """Apply the query projector for a configuration state to ``state``."""
-    v = probe.vector
-    c = scaled_inner(v, state.amps)  # sqrt(3)^(scale+1) times <probe|state>
-    norm = state.norm_sq
-    if norm == 0:
-        raise ValueError("cannot query the zero state")
-    p_yes = Fraction(c.norm_sq(), 3 ** (state.scale + 1)) / norm
-    post_yes = post_no = None
-    if p_yes != 0:
-        post_yes = QuquartState(tuple(c * x for x in v), state.scale + 2)
-    if p_yes != 1:
-        post_no = QuquartState(
-            tuple(x * 3 - c * y for x, y in zip(state.amps, v)),
-            state.scale + 2,
-        )
-    return DelayedQueryResult(p_yes, post_yes, post_no)
+    (p_yes,) = _born((probe.vector,), state.amps, 3 * _sq(state.amps))
+    yes, no = (QuquartState(a, state.scale + 2) for a in _split(probe.vector, state.amps))
+    return DelayedQueryResult(
+        p_yes, yes if p_yes != 0 else None, no if p_yes != 1 else None
+    )
 
 
 def one_step_distribution(
     config: WittingConfiguration, basis: int, state: QuquartState
 ) -> tuple[Fraction, ...]:
     """Born distribution of a direct tetrad measurement on ``state``."""
-    norm = state.norm_sq
-    out = []
-    for v in basis_vectors(config, basis):
-        c = scaled_inner(v, state.amps)
-        out.append(Fraction(c.norm_sq(), 3 ** (state.scale + 1)) / norm)
-    return tuple(out)
+    return _born(basis_vectors(config, basis), state.amps, 3 * _sq(state.amps))
 
 
 @dataclass(frozen=True)
 class TwoStepBreakdown:
     """Branch probabilities of query-then-measure, and their recomposition."""
 
-    probe_position: int
     p_yes: Fraction
     dist_yes: tuple[Fraction, ...] | None
     dist_no: tuple[Fraction, ...] | None
 
     def composed(self) -> tuple[Fraction, ...]:
         total = [Fraction(0)] * 4
-        if self.dist_yes is not None:
-            for k in range(4):
-                total[k] += self.p_yes * self.dist_yes[k]
-        if self.dist_no is not None:
-            for k in range(4):
-                total[k] += (1 - self.p_yes) * self.dist_no[k]
+        for p, dist in ((self.p_yes, self.dist_yes), (1 - self.p_yes, self.dist_no)):
+            if dist is not None:
+                total = [t + p * x for t, x in zip(total, dist)]
         return tuple(total)
 
 
@@ -233,26 +250,17 @@ def two_step_distribution(
 ) -> TwoStepBreakdown:
     """Query a state first, then finish the measurement in a tetrad holding it.
 
-    Because the query projector is one of the tetrad's own projectors, the
-    composition reproduces the direct measurement distribution exactly.
+    Both branches are measured in the tetrad.  Because the query projector
+    is one of the tetrad's own projectors, the yes branch lands on the probe
+    with certainty and the composition reproduces the direct measurement
+    distribution exactly.
     """
-    _check_tetrad(config, basis)
-    b = config.bases[basis]
-    if probe not in b.members:
-        raise ValueError(f"{probe.label} is not a member of tetrad {b.id}")
-    position = b.members.index(probe)
-    q = delayed_query(state, config.state_of(probe))
-    dist_yes = None
-    if q.post_yes is not None:
-        dist_yes = tuple(
-            Fraction(1) if k == position else Fraction(0) for k in range(4)
-        )
-    dist_no = (
-        one_step_distribution(config, basis, q.post_no)
-        if q.post_no is not None
-        else None
+    q = delayed_query(state, _probe_state(config, probe, basis))
+    dist_yes, dist_no = (
+        None if post is None else one_step_distribution(config, basis, post)
+        for post in (q.post_yes, q.post_no)
     )
-    return TwoStepBreakdown(position, q.p_yes, dist_yes, dist_no)
+    return TwoStepBreakdown(q.p_yes, dist_yes, dist_no)
 
 
 # -- the entangled pair under two-step measurement -----------------------------
@@ -267,62 +275,34 @@ class JointState:
 
     @classmethod
     def entangled_pair(cls) -> "JointState":
-        one = Eisenstein(1, 0)
-        rows = tuple(
-            tuple(one if j == k else ZERO for k in range(4)) for j in range(4)
-        )
-        return cls(rows, 0)
+        return cls(tuple(tuple(ONE if j == k else ZERO for k in range(4)) for j in range(4)))
 
     @property
     def norm_sq(self) -> Fraction:
-        return Fraction(
-            sum(x.norm_sq() for row in self.amps for x in row), 3**self.scale
-        )
+        return Fraction(sum(_sq(row) for row in self.amps), 3**self.scale)
 
-    def _project(self, v: Vector, side: str, complement: bool) -> "JointState":
-        # Projector v v^dag / 3 applied to one side; complement is 1 - that.
-        new = [[ZERO] * 4 for _ in range(4)]
+    def _split(self, v: Vector, side: str) -> tuple["JointState", "JointState"]:
+        # Query one side: Bob's projector acts on each row, Alice's on each column.
+        rows = tuple(zip(*self.amps)) if side == "alice" else self.amps
+        yes, no = zip(*(_split(v, row) for row in rows))
         if side == "alice":
-            coef = [scaled_inner(v, col) for col in zip(*self.amps)]
-            for j in range(4):
-                for k in range(4):
-                    new[j][k] = v[j] * coef[k]
-        else:
-            coef = [scaled_inner(v, row) for row in self.amps]
-            for j in range(4):
-                for k in range(4):
-                    new[j][k] = coef[j] * v[k]
-        if complement:
-            for j in range(4):
-                for k in range(4):
-                    new[j][k] = self.amps[j][k] * 3 - new[j][k]
-        return JointState(tuple(tuple(row) for row in new), self.scale + 2)
+            yes, no = tuple(zip(*yes)), tuple(zip(*no))
+        return JointState(yes, self.scale + 2), JointState(no, self.scale + 2)
 
     def measurement_distribution(
         self, alice_vectors: tuple[Vector, ...], bob_vectors: tuple[Vector, ...]
     ) -> JointDistribution:
-        """Exact conditional joint distribution in the given product tetrads."""
-        norm = self.norm_sq
-        if norm == 0:
-            raise ValueError("cannot measure a zero branch")
-        rows = []
-        for va in alice_vectors:
-            row = []
-            for vb in bob_vectors:
-                amp = ZERO
-                for j in range(4):
-                    cj = va[j].conj()
-                    if cj.is_zero():
-                        continue
-                    for k in range(4):
-                        x = self.amps[j][k]
-                        if not x.is_zero():
-                            amp = amp + cj * vb[k].conj() * x
-                row.append(
-                    Fraction(amp.norm_sq(), 3 ** (self.scale + 2)) / norm
-                )
-            rows.append(tuple(row))
-        return JointDistribution(tuple(rows))
+        """Exact conditional joint distribution in the given product tetrads.
+
+        Contracting one of Bob's vectors into the pair leaves Alice's
+        unnormalised conditional state, which she measures by the Born rule.
+        """
+        den = 9 * sum(_sq(row) for row in self.amps)
+        columns = [
+            _born(alice_vectors, tuple(scaled_inner(vb, row) for row in self.amps), den)
+            for vb in bob_vectors
+        ]
+        return JointDistribution(tuple(zip(*columns)))
 
 
 @dataclass(frozen=True)
@@ -348,29 +328,17 @@ def two_step_joint_branches(
     outcome pair fixes the branch, so the round engine sifts a two-step
     round with one draw from the one-step joint.
     """
-    _check_tetrad(config, alice_basis)
-    _check_tetrad(config, bob_basis)
-    ab, bb = config.bases[alice_basis], config.bases[bob_basis]
-    if alice_probe not in ab.members:
-        raise ValueError(f"{alice_probe.label} not in tetrad {ab.id}")
-    if bob_probe not in bb.members:
-        raise ValueError(f"{bob_probe.label} not in tetrad {bb.id}")
+    pa = _probe_state(config, alice_probe, alice_basis).vector
+    pb = tuple(x.conj() for x in _probe_state(config, bob_probe, bob_basis).vector)
     av = basis_vectors(config, alice_basis)
     bv = basis_vectors(config, bob_basis, conjugated=True)
-    pa = config.state_of(alice_probe).vector
-    pb = tuple(x.conj() for x in config.state_of(bob_probe).vector)
 
     start = JointState.entangled_pair()
-    total = start.norm_sq
     branches = []
-    for alice_branch, alice_no in (("y", False), ("n", True)):
-        a_state = start._project(pa, "alice", alice_no)
-        for bob_branch, bob_no in (("y", False), ("n", True)):
-            state = a_state._project(pb, "bob", bob_no)
-            prob = state.norm_sq / total
-            cond = (
-                state.measurement_distribution(av, bv) if prob != 0 else None
-            )
+    for alice_branch, a_state in zip("yn", start._split(pa, "alice")):
+        for bob_branch, state in zip("yn", a_state._split(pb, "bob")):
+            prob = state.norm_sq / start.norm_sq
+            cond = state.measurement_distribution(av, bv) if prob != 0 else None
             branches.append(TwoStepBranch(alice_branch + bob_branch, prob, cond))
     if sum(b.probability for b in branches) != 1:
         raise AssertionError("branch probabilities do not sum to 1")

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,8 +243,10 @@ def test_unwritable_output_fails_before_the_run(capsys, tmp_path, argv):
 
 
 def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "wittingqkd", "bases"],
+        env=env,
         capture_output=True,
         text=True,
         timeout=120,

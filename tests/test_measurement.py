@@ -8,6 +8,7 @@ from wittingqkd.configuration import Card, scaled_inner
 from wittingqkd.eisenstein import ZERO
 from wittingqkd.measurement import (
     JointDistribution,
+    JointState,
     QuquartState,
     basis_vectors,
     compose_branches,
@@ -256,6 +257,25 @@ def test_reference_rejects_bad_tetrad_ids(config, call, tetrad):
         _REFERENCE_CALLS[call](config, tetrad, probe, state)
 
 
+_ZERO_STATE_CALLS = {
+    "one_step_distribution": lambda config, zero: one_step_distribution(config, 0, zero),
+    "delayed_query": lambda config, zero: delayed_query(zero, config.states[0]),
+    "two_step_distribution":
+        lambda config, zero: two_step_distribution(config, Card("S", 1), 0, zero),
+    "JointState.measurement_distribution":
+        lambda config, zero: JointState((zero.amps,) * 4).measurement_distribution(
+            basis_vectors(config, 0), basis_vectors(config, 0, conjugated=True)
+        ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_ZERO_STATE_CALLS))
+def test_reference_rejects_the_zero_state(config, call):
+    zero = QuquartState((ZERO,) * 4)
+    with pytest.raises(ValueError, match="cannot measure the zero state"):
+        _ZERO_STATE_CALLS[call](config, zero)
+
+
 def test_two_step_recomposes_exactly_for_all_160_pairs(config):
     inputs = [
         QuquartState.from_state(config.states[i]) for i in (0, 13, 26, 39)
@@ -268,6 +288,12 @@ def test_two_step_recomposes_exactly_for_all_160_pairs(config):
                 assert breakdown.composed() == one_step_distribution(
                     config, basis_id, phi
                 )
+                # the yes branch, measured in the tetrad, lands on the probe
+                position = config.bases[basis_id].members.index(state.card)
+                if breakdown.p_yes == 0:
+                    assert breakdown.dist_yes is None
+                else:
+                    assert breakdown.dist_yes == tuple(int(k == position) for k in range(4))
             pairs += 1
     assert pairs == 160
 

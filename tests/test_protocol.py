@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 import wittingqkd.protocol as protocol_mod
+from wittingqkd import WittingConfiguration
+from wittingqkd.eisenstein import Eisenstein
 from wittingqkd.measurement import (
     compose_branches,
     intercept_resend_distribution,
@@ -326,6 +328,22 @@ def test_probe_branches_partition_the_shared_joint(config):
                 for x, y in itertools.product(range(4), repeat=2):
                     if branch.conditional.p[x][y]:
                         assert branch.label == "yn"[x != i] + "yn"[y != j]
+                # weighted by its probability, a branch is the block masked
+                # to its label's outcome pairs
+                masked = tuple(
+                    tuple(
+                        Fraction(block[x][y], den)
+                        if "yn"[x != i] + "yn"[y != j] == branch.label
+                        else 0
+                        for y in range(4)
+                    )
+                    for x in range(4)
+                )
+                weighted = tuple(
+                    tuple(branch.probability * p for p in row)
+                    for row in branch.conditional.p
+                )
+                assert weighted == masked, (basis.id, i, j, branch.label)
             pairs += 1
     assert pairs == 640
 
@@ -448,3 +466,33 @@ def test_non_int_seeds_choices_and_rounds_raise_value_error(config, name, value)
     with pytest.raises(ValueError):
         policy = PartyPolicy("fixed", args["policy_seed"], choice=args["choice"])
         run_session(config, "naive", args["rounds"], policy, policy, seed=args["seed"])
+
+
+# -- the round engine stays on integer arrays ------------------------------------
+
+
+def test_round_engine_builds_no_eisenstein_objects(monkeypatch):
+    # Boxed Z[w] arithmetic belongs to the configuration build and the
+    # references; once the configuration exists, the outcome law and every
+    # protocol's round loop, transcript included, run on integer arrays.
+    config = WittingConfiguration()
+    built = []
+    original = Eisenstein.__post_init__
+
+    def counted(self):
+        built.append(1)
+        original(self)
+
+    monkeypatch.setattr(Eisenstein, "__post_init__", counted)
+    outcome_counts(config)
+    outcome_counts(config, 0)
+    out = io.StringIO()
+    for protocol in ("naive", "two-step", "key-agreement"):
+        run_session(
+            config, protocol, BLOCK_ROUNDS + 1, UA, UB, seed=41,
+            on_block=lambda block: out.write(transcript_csv_rows(block)),
+        )
+    assert out.tell() > 0
+    assert len(built) == 0
+    Eisenstein(1, 2)  # the counter sees a boxed value
+    assert len(built) == 1
