@@ -42,7 +42,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .eisenstein import Eisenstein, UNITS, ZERO
+from .eisenstein import MAGNITUDE_BOUND, Eisenstein, UNITS
 
 SUITS = ("S", "H", "D", "C")  # spades, hearts, diamonds, clubs: ascending order
 RANKS = tuple(range(1, 11))
@@ -194,11 +194,30 @@ def canonical_phase(vector: Iterable[Eisenstein]) -> Vector:
 
 
 def scaled_inner(s: Iterable[Eisenstein], t: Iterable[Eisenstein]) -> Eisenstein:
-    """Hermitian inner product sum(conj(s_i) * t_i) of sqrt(3)-scaled vectors."""
-    acc = ZERO
+    """Hermitian inner product sum(conj(s_i) * t_i) of sqrt(3)-scaled vectors.
+
+    The sum runs on plain ints and boxes only its result, so it is the
+    pure-Python Z[w] kernel, independent of the array one (:func:`ring_matmul`).
+    It raises ``OverflowError`` on exactly the inputs where the boxed fold
+    ``acc = acc + x.conj() * y`` would: every conjugate, product and running
+    sum is held to :data:`MAGNITUDE_BOUND`, as an ``Eisenstein`` would be.
+    """
+    # conj(a + bw) = (a - b) - bw, and Eisenstein.__mul__ takes (x + yw)(c + dw)
+    # to xc - yd + (xd + yc - yd)w; with x = a - b, y = -b the product is
+    # (a - b)c + bd + (ad - bc)w.  Of the conjugate only a - b can leave the
+    # bound, as -b is bounded with b.
+    re = im = peak = 0
     for x, y in zip(s, t):
-        acc = acc + x.conj() * y
-    return acc
+        a, b, c, d = x.a, x.b, y.a, y.b
+        p = a - b
+        pr = p * c + b * d
+        pw = a * d - b * c
+        re += pr
+        im += pw
+        peak = max(peak, abs(p), abs(pr), abs(pw), abs(re), abs(im))
+    if peak > MAGNITUDE_BOUND:
+        raise OverflowError(f"scaled_inner exceeds 2**20: {peak}")
+    return Eisenstein(re, im)
 
 
 @dataclass(frozen=True)

@@ -454,5 +454,7 @@ def transcript_csv_rows(block: RoundBlock) -> str:
     cells = np.empty((n, len(columns)), dtype=object)
     for j, (table, index) in enumerate(columns):
         cells[:, j] = np.array(table, dtype=object)[index]
-    text = "".join(cells.ravel().tolist())
+    parts = cells.ravel().tolist()
+    del cells
+    text = "".join(parts)
     return TRANSCRIPT_HEADER + text if block.start == 0 else text

@@ -10,10 +10,11 @@ The configuration builds its transition table on an integer array
 group's matrices run on the same array kernel.  The checks
 ``transition-spectrum``, ``mub-embedding`` and ``pair-bases`` deliberately
 recompute every overlap they use from the boxed vectors with
-:func:`scaled_inner`, so they stay independent of that array kernel and
-can catch a fault in it.  ``column-shifts``, ``symmetry-group`` and
-``reflection-group`` run on the array; the group orders they assert are
-known values, so a fault in the kernel still shows.
+:func:`scaled_inner`, the pure-int Z[w] inner product, which uses no
+numpy.  So they stay independent of that array kernel and can catch a fault
+in it.  ``column-shifts``, ``symmetry-group`` and ``reflection-group`` run
+on the array; the group orders they assert are known values, so a fault in
+the kernel still shows.
 """
 
 from __future__ import annotations
@@ -181,16 +182,16 @@ def _check_pair_bases(config: WittingConfiguration) -> str:
 
 
 def _check_deferred_measurement(config: WittingConfiguration) -> str:
+    inputs = (QuquartState.from_state(config.states[0]),
+              QuquartState.from_state(config.states[17]))
     checked = 0
-    for state in config.states:
-        for basis_id in config.bases_of(state.card):
-            for probe_input in (QuquartState.from_state(config.states[0]),
-                                QuquartState.from_state(config.states[17])):
-                breakdown = two_step_distribution(
-                    config, state.card, basis_id, probe_input
-                )
-                direct = one_step_distribution(config, basis_id, probe_input)
-                assert breakdown.composed() == direct
+    for basis in config.bases:
+        # The direct measurement depends only on the tetrad and the input.
+        direct = [one_step_distribution(config, basis.id, x) for x in inputs]
+        for card in basis.members:
+            for probe_input, expected in zip(inputs, direct):
+                breakdown = two_step_distribution(config, card, basis.id, probe_input)
+                assert breakdown.composed() == expected
             checked += 1
     assert checked == 160
     return "two-step branches recompose to one-step exactly for all 160 pairs"

@@ -6,6 +6,7 @@ from random import Random
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from wittingqkd import WittingConfiguration, configuration
 from wittingqkd.configuration import (
@@ -18,7 +19,7 @@ from wittingqkd.configuration import (
     ring_mul,
     scaled_inner,
 )
-from wittingqkd.eisenstein import Eisenstein, I_SQRT3, ONE, UNITS, ZERO
+from wittingqkd.eisenstein import Eisenstein, I_SQRT3, MAGNITUDE_BOUND, ONE, UNITS, ZERO
 
 W = cmath.exp(2j * cmath.pi / 3)
 
@@ -131,6 +132,75 @@ def test_scaled_inner_examples(config):
     s2 = config.state_of(Card("S", 2))
     c2 = config.state_of(Card("C", 2))
     assert scaled_inner(s2.vector, c2.vector).norm_sq() == 0
+
+
+def boxed_fold(s, t):
+    """The inner product as a fold of boxed values: each conjugate, product
+    and running sum is an Eisenstein, so each is held to the magnitude bound."""
+    acc = ZERO
+    for x, y in zip(s, t):
+        acc = acc + x.conj() * y
+    return acc
+
+
+def test_scaled_inner_matches_the_boxed_fold(config):
+    """All 1600 ordered state pairs and every (vertex, state) pair, both ways."""
+    states = [s.vector for s in config.states]
+    for u in states:
+        for v in states:
+            assert scaled_inner(u, v) == boxed_fold(u, v)
+    for w in config.expand_vertices():
+        for v in states:
+            assert scaled_inner(w, v) == boxed_fold(w, v)
+            assert scaled_inner(v, w) == boxed_fold(v, w)
+
+
+B = MAGNITUDE_BOUND
+# Components small, near sqrt(B) (products near B) or near +-B, and whole
+# terms often zero, so that both outcomes of the bound check are common
+# (about a quarter of the draws stay inside it).
+_component = st.one_of(
+    st.integers(-2, 2),
+    st.integers(-1100, 1100),
+    st.integers(B - 2, B),
+    st.integers(-B, -B + 2),
+)
+_term = st.one_of(st.just(ZERO), st.builds(Eisenstein, _component, _component))
+_vector = st.tuples(*[_term] * 4)
+
+
+def _pad(*pairs):
+    return tuple(Eisenstein(*p) for p in pairs) + (ZERO,) * (4 - len(pairs))
+
+
+@given(_vector, _vector)
+@example(_pad((B, -1)), _pad((0, 0)))  # conjugate B + 1 - w
+@example(_pad((B, 0)), _pad((1, 0)))  # product exactly B: no error
+@example(_pad((B, 0), (B, 0)), _pad((-1, 0), (2, 0)))  # product 2B, running sum B
+@example(_pad((1, 0), (1, 0)), _pad((0, B), (0, B)))  # running sum 2Bw
+@example(_pad((B, 0), (B, 0), (-B, 0)), _pad((1, 0), (1, 0), (1, 0)))  # sum 2B, then back to B
+def test_scaled_inner_overflows_exactly_where_the_boxed_fold_does(s, t):
+    try:
+        expected = boxed_fold(s, t)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            scaled_inner(s, t)
+    else:
+        assert scaled_inner(s, t) == expected
+
+
+def test_scaled_inner_boxes_one_value(config, monkeypatch):
+    built = []
+    original = Eisenstein.__post_init__
+
+    def counted(self):
+        built.append(1)
+        original(self)
+
+    monkeypatch.setattr(Eisenstein, "__post_init__", counted)
+    for s in config.states:
+        scaled_inner(s.vector, config.states[0].vector)
+    assert len(built) == 40
 
 
 def test_transition_spectrum_exact_and_vs_float(config):

@@ -3,6 +3,7 @@ import pytest
 
 from wittingqkd import verify
 from wittingqkd.configuration import ring_mul
+from wittingqkd.eisenstein import Eisenstein
 
 OMEGA = np.array((0, 1))
 
@@ -23,3 +24,21 @@ def test_column_check_fails_when_one_coordinate_is_turned_by_w(config):
                 broken[col, row, coord] = ring_mul(broken[col, row, coord], OMEGA)
                 with pytest.raises(AssertionError, match="no monomial shift maps column"):
                     verify._check_columns(broken)
+
+
+def test_suite_builds_few_boxed_values(monkeypatch):
+    """Boxed Z[w] values stay at the API edge: the inner products of the
+    checks run on plain ints, and each direct distribution is computed once
+    per tetrad and input.  The full suite built 97,348 of them when each
+    inner product boxed its every term; it now builds about 14,100."""
+    built = []
+    original = Eisenstein.__post_init__
+
+    def counted(self):
+        built.append(1)
+        original(self)
+
+    monkeypatch.setattr(Eisenstein, "__post_init__", counted)
+    results = verify.run_checks()
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+    assert 0 < len(built) < 20_000, len(built)
