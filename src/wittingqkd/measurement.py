@@ -114,13 +114,14 @@ def outcome_counts(
     on tetrad e it is sum_k T(a_i, e_k) T(e_k, b_j) / 324.
     """
     t = config.transition_array
-    members = np.array(config.basis_states)  # (40, 4) state indices
+    members = np.array(config.basis_states)  # (tetrads, d) state indices
     if eve_basis is None:
         return t[members[:, None, :, None], members[None, :, None, :]], 36
     _check_tetrad(config, eve_basis)
+    tetrads, d = members.shape
     flat, eve = members.reshape(-1), members[eve_basis]
-    counts = t[flat][:, eve] @ t[eve][:, flat]  # (160, 160) over 9·9·4
-    return counts.reshape(40, 4, 40, 4).transpose(0, 2, 1, 3), 324
+    counts = t[flat][:, eve] @ t[eve][:, flat]  # (tetrads·d, tetrads·d) over 9·9·4
+    return counts.reshape(tetrads, d, tetrads, d).transpose(0, 2, 1, 3), 324
 
 
 def _block(

@@ -12,10 +12,12 @@ protocol is data (:class:`_Protocol`): its choice draws, its announcement
 kind, which fixes the sift rule, and the integer count tables it reads,
 built once per session by :func:`~wittingqkd.measurement.outcome_counts`.
 Every outcome law is a row of integer counts over a denominator: 9·|<s|t>|²
-products over 36, or over 324 with an intercept-resend attacker.  One draw
-below the denominator, located in the row's cumulative counts, samples it
-exactly.  A sifted two-step or key-agreement round needs only one draw from
-the shared tetrad's joint: the two-step branches
+products over 36, or over 324 with an intercept-resend attacker.  The
+session spells each row out as a table of ``den`` outcome pairs, each pair
+listed as many times as its count, so one uniform draw below the
+denominator, read in that table, samples it exactly.  A sifted two-step or
+key-agreement round needs only one draw from the shared tetrad's joint: the
+two-step branches
 (:func:`~wittingqkd.measurement.two_step_joint_branches`) partition that
 joint by outcome pair, so the branch is a function of the pair.
 
@@ -275,9 +277,15 @@ def _run(
     _check_int("rounds", rounds, 1)
     _check_int("seed", seed, 0)
     counts, den = outcome_counts(config, eve_basis)
-    cuts = counts.reshape(1600, 16).cumsum(axis=1)
-    # Row r's cuts shifted by r·den: one sorted array for every row's lookup.
-    offset_cuts = (cuts + den * np.arange(1600)[:, None]).ravel()
+    tetrads, _, d, _ = counts.shape
+    # Block (a, b) lists outcome pair k = d·i + j counts[a, b, i, j] times, in
+    # order of k: entry u is the first k whose cumulative count exceeds u.
+    outcome_of = np.repeat(
+        np.tile(np.arange(d * d, dtype=np.uint8), tetrads * tetrads), counts.ravel()
+    ).reshape(tetrads, tetrads, den)
+    outcome_of.flags.writeable = False
+    del counts
+    states, per_state = config.tetrads_of_state.shape
 
     parties = [_Party(policy, index) for index, policy in enumerate(policies)]
     outcome_rng = _stream(seed, _OUTCOMES)
@@ -287,27 +295,26 @@ def _run(
         n = min(BLOCK_ROUNDS, rounds - start)
         choices = []
         for party in parties:
-            state = party.draw(40, n) if protocol.picks_state else None
+            state = party.draw(states, n) if protocol.picks_state else None
             if protocol.announces == "state":
                 choices.append((state,))
             elif state is None:
-                choices.append((party.draw(40, n),))
+                choices.append((party.draw(tetrads, n),))
             else:
-                choices.append((state, config.tetrads_of_state[state, party.draw(4, n)]))
+                choices.append((state, config.tetrads_of_state[state, party.draw(per_state, n)]))
         alice, bob = choices
         if protocol.announces == "state":
             shared = config.common_tetrad[alice[0], bob[0]]
             sifted = shared >= 0
             measured = sifted
-            rows = shared[sifted] * 41  # the shared tetrad's own joint
+            a_tetrad = b_tetrad = shared[sifted]  # the shared tetrad's own joint
         else:
             sifted = alice[-1] == bob[-1]
             measured = slice(None)
-            rows = alice[-1] * 40 + bob[-1]
-        draws = rows * den + _uniform(outcome_rng, den, len(rows))
-        flat = np.searchsorted(offset_cuts, draws, side="right") - 16 * rows
+            a_tetrad, b_tetrad = alice[-1], bob[-1]
+        flat = outcome_of[a_tetrad, b_tetrad, _uniform(outcome_rng, den, len(a_tetrad))]
         a_out, b_out = np.full(n, -1), np.full(n, -1)
-        a_out[measured], b_out[measured] = np.divmod(flat, 4)
+        a_out[measured], b_out[measured] = np.divmod(flat, d)
         matched = sifted & (a_out == b_out)
         n_sifted += int(sifted.sum())
         n_matched += int(matched.sum())
@@ -436,9 +443,12 @@ def transcript_csv_rows(block: RoundBlock) -> str:
 
     def choice(columns: tuple[np.ndarray, ...]) -> tuple[list[str], np.ndarray]:
         index = np.zeros(n, np.intp)
+        ranges = []
         for column in columns:
-            index = index * 40 + column
-        combos = itertools.product(range(40), repeat=len(columns))
+            size = int(column.max()) + 1
+            index = index * size + column
+            ranges.append(range(size))
+        combos = itertools.product(*ranges)
         return ["," + ";".join(map(str, combo)) for combo in combos], index
 
     outcomes = ["", "0", "1", "2", "3"]  # indexed by outcome + 1

@@ -1,14 +1,17 @@
 import csv
+import hashlib
 import io
 import itertools
 import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import wittingqkd.protocol as protocol_mod
 from wittingqkd import WittingConfiguration
+from wittingqkd.cli import main
 from wittingqkd.eisenstein import Eisenstein
 from wittingqkd.measurement import (
     compose_branches,
@@ -278,6 +281,25 @@ def test_transcript_memory_is_flat_in_rounds(config, tmp_path):
     assert large <= 1.2 * small, (small, large)
 
 
+# Transcript digests of fixed command lines, beside the key-agreement one
+# in test_golden.py: two-step writes its (state;tetrad) choice cells, and
+# a naive run under Eve writes mismatched rounds.
+TRANSCRIPT_CSV_SHA256 = {
+    "simulate --protocol two-step --rounds 20000 --seed 7 --transcript":
+        "0602040296166d3838da1e72b3d68d2753f33d8bf79d320653d77acecee26a1b",
+    "simulate --protocol naive --rounds 20000 --seed 7 --eve 15 --transcript":
+        "917c6e4c5d4d45ea3843b2433672bfc8870a44bcbcdfb2e62a36d60b2d6f4dcd",
+}
+
+
+@pytest.mark.parametrize("line", sorted(TRANSCRIPT_CSV_SHA256))
+def test_transcript_csv_digest(capsys, tmp_path, line):
+    path = tmp_path / "rounds.csv"
+    assert main(line.split() + [str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRANSCRIPT_CSV_SHA256[line]
+
+
 # -- exact count tables ------------------------------------------------------------
 
 
@@ -346,6 +368,56 @@ def test_probe_branches_partition_the_shared_joint(config):
                 assert weighted == masked, (basis.id, i, j, branch.label)
             pairs += 1
     assert pairs == 640
+
+
+# -- the outcome sampler ------------------------------------------------------------
+
+
+def _sampler_cases(config):
+    """All 40 diagonal pairs, one pair sharing one state and one sharing none,
+    each without Eve and under one Eve tetrad of each class."""
+    members = [set(m) for m in config.basis_states]
+    pairs = [(t, t) for t in range(40)]
+    for shared in (1, 0):
+        pairs.append(next(
+            (a, b) for a in range(40) for b in range(40) if len(members[a] & members[b]) == shared
+        ))
+    eves = [None] + [
+        next(b.id for b in config.bases if b.tag == tag)
+        for tag in ("rank-tetrad", "mixed-suit", "mono-suit")
+    ]
+    return [(a, b, eve) for a, b in pairs for eve in eves]
+
+
+@pytest.fixture
+def counting_draws(monkeypatch):
+    """Outcome draws 0, 1, ..., so a session of ``den`` rounds draws each value once."""
+    monkeypatch.setattr(protocol_mod, "_uniform", lambda rng, bound, n: np.arange(n) % bound)
+
+
+def _forced_histogram(run, config, rounds, a, b, **kwargs):
+    blocks = []
+    pa, pb = PartyPolicy("fixed", choice=a), PartyPolicy("fixed", choice=b)
+    run(config, rounds, pa, pb, on_block=blocks.append, **kwargs)
+    (block,) = blocks
+    measured = block.alice_outcome >= 0
+    histogram = np.zeros((4, 4), np.int64)
+    np.add.at(histogram, (block.alice_outcome[measured], block.bob_outcome[measured]), 1)
+    return histogram
+
+
+def test_every_draw_value_reads_its_outcome_count(config, counting_draws):
+    for a, b, eve in _sampler_cases(config):
+        counts, den = outcome_counts(config, eve)
+        histogram = _forced_histogram(run_naive_session, config, den, a, b, eve_basis=eve)
+        assert (histogram == counts[a, b]).all(), (a, b, eve)
+
+
+def test_key_agreement_draws_read_the_shared_tetrads_own_block(config, counting_draws):
+    counts, den = outcome_counts(config)
+    for t, members in enumerate(config.basis_states):
+        histogram = _forced_histogram(run_key_agreement, config, den, *members[:2])
+        assert (histogram == counts[t, t]).all(), t
 
 
 # -- tetrad ids ------------------------------------------------------------------
