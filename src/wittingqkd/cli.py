@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -104,7 +105,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if fh is not None:  # rows are written block by block as the session runs
 
             def on_block(block) -> None:
-                fh.write(transcript_csv_rows(block))
+                fh.writelines(transcript_csv_rows(block))
 
         transcript = run_session(
             config,
@@ -209,7 +210,15 @@ def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        try:
+            return _HANDLERS[args.command](args)
+        finally:
+            sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so that the flush at
+        # exit cannot raise again, and fail without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

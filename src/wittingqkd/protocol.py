@@ -27,7 +27,7 @@ one shared pseudo-random stream, so equal seeds mean identical choices),
 independent draw), and ``fixed`` (a forced choice, used for exhaustive
 per-tetrad checks).
 
-Seed derivation (stream version 2).  Every stream is a ``random.Random``
+Seed derivation (stream version 3).  Every stream is a ``random.Random``
 seeded with ``4 * seed + stream``, which is injective for int seeds >= 0
 (other seeds raise ``ValueError``):
 
@@ -37,9 +37,15 @@ seeded with ``4 * seed + stream``, which is injective for int seeds >= 0
   party index, for own choices and the correlated coin;
 * stream 3, outcomes: from the session seed.
 
-Draws are read in bulk, 64 bits a value (``getrandbits``), and a value below
-``bound`` is the word modulo ``bound`` after exact rejection of words at or
-above the largest multiple of ``bound``.
+Draws are read in bulk as 64-bit words (``getrandbits``).  Each accepted
+word gives k values below ``bound``: its base-``bound`` digits, least
+significant first.  A word is rejected when it is at or above
+⌊2^64/bound^k⌋·bound^k, so every digit is exactly uniform; a
+call draws whole words and drops the digits past the count it needs.  k
+depends on ``bound`` alone: among the k <= 63 with ``bound**k < 2**64`` it
+maximises the expected digits per word, k·⌊2^64/bound^k⌋·bound^k/2^64,
+ties going to the smaller k (31, 12, 11, 7 for the bounds 4, 40, 36, 324;
+63 for bound 1; 1 from 2^32 up, which draws as version 2 did).
 """
 
 from __future__ import annotations
@@ -119,17 +125,53 @@ def _stream(seed: int, stream: int) -> Random:
     return Random(4 * seed + stream)
 
 
+def _digits_per_word(bound: int) -> int:
+    """How many base-``bound`` digits each accepted 64-bit word gives.
+
+    The k <= 63 with ``bound**k < 2**64`` that maximises the expected digits
+    per word, ``k * (2**64 // bound**k * bound**k) / 2**64``, computed
+    exactly; ties go to the smaller k.  The cap 63 is what ends the search
+    for bound 1, whose words are all accepted.
+    """
+    best = best_k = 0
+    power = bound
+    for k in range(1, 64):
+        if power >> 64:
+            break
+        kept = k * ((1 << 64) // power * power)
+        if kept > best:
+            best, best_k = kept, k
+        power *= bound
+    return best_k
+
+
 def _uniform(rng: Random, bound: int, n: int) -> np.ndarray:
-    """``n`` exact uniform draws below ``bound`` (at most 2^63) from ``rng``."""
-    excess = (1 << 64) % bound  # the top ``excess`` words are rejected
+    """``n`` exact uniform draws below ``bound`` (at most 2^63) from ``rng``.
+
+    Each accepted word gives ``k = _digits_per_word(bound)`` digits, least
+    significant first; a word at or above ``2**64 // bound**k * bound**k``
+    is rejected, and digits past ``n`` are dropped.
+    """
+    k = _digits_per_word(bound)
+    span = bound**k
+    limit = (1 << 64) // span * span  # words at or above ``limit`` are rejected
+    need = -(-n // k)
     words = np.empty(0, np.uint64)
-    while len(words) < n:
-        more = n - len(words)
+    while len(words) < need:
+        more = need - len(words)
         fresh = np.frombuffer(rng.getrandbits(64 * more).to_bytes(8 * more, "little"), "<u8")
-        if excess:
-            fresh = fresh[fresh < (1 << 64) - excess]
+        if limit < 1 << 64:
+            fresh = fresh[fresh < np.uint64(limit)]
         words = np.concatenate((words, fresh))
-    return (words % np.uint64(bound)).astype(np.intp)
+    digits = np.empty((need, k), np.uint64)
+    base = np.uint64(bound)
+    for j in range(k):
+        # Floor division by a numpy scalar runs as a multiply (libdivide);
+        # ``%`` and ``np.divmod`` divide every element, about 6x slower.
+        quotient = words // base
+        digits[:, j] = words - quotient * base
+        words = quotient
+    return digits.ravel()[:n].astype(np.intp)
 
 
 class _Party:
@@ -424,16 +466,20 @@ def announcement_leakage_free(config: WittingConfiguration) -> bool:
 
 
 TRANSCRIPT_HEADER = "round,alice_choice,bob_choice,alice_outcome,bob_outcome,sifted,matched\r\n"
+TRANSCRIPT_SLICE_ROWS = 4096
 
 
-def transcript_csv_rows(block: RoundBlock) -> str:
-    """The CSV rows of one block of rounds as text, after the header in the first block.
+def transcript_csv_rows(block: RoundBlock) -> list[str]:
+    """The CSV rows of one block of rounds, as slices of text.
 
-    A choice of several values is joined with ";"; an outcome nobody
-    measured is empty; lines end in CRLF, as ``csv.writer`` writes them.
-    Every row is joined from five cells read from small tables of strings,
-    so no string is made per round: the round number's thousands, its last
-    three digits, the two choices, and the outcomes with the sift flags.
+    The header comes first in the first block; every other slice holds at
+    most ``TRANSCRIPT_SLICE_ROWS`` rows, so only one slice's cells are alive
+    at a time.  A choice of several values is joined with ";"; an outcome
+    nobody measured is empty; lines end in CRLF, as ``csv.writer`` writes
+    them.  Every row is joined from five cells read from small tables of
+    strings, so no string is made per round: the round number's thousands,
+    its last three digits, the two choices, and the outcomes with the sift
+    flags.
     """
     n = len(block.sifted)
     thousands, units = np.divmod(np.arange(block.start, block.start + n), 1000)
@@ -461,10 +507,12 @@ def transcript_csv_rows(block: RoundBlock) -> str:
         choice(block.bob_choice),
         (tails, tail),
     ]
-    cells = np.empty((n, len(columns)), dtype=object)
-    for j, (table, index) in enumerate(columns):
-        cells[:, j] = np.array(table, dtype=object)[index]
-    parts = cells.ravel().tolist()
-    del cells
-    text = "".join(parts)
-    return TRANSCRIPT_HEADER + text if block.start == 0 else text
+    columns = [(np.array(table, dtype=object), index) for table, index in columns]
+    cells = np.empty((min(n, TRANSCRIPT_SLICE_ROWS), len(columns)), dtype=object)
+    slices = [TRANSCRIPT_HEADER] if block.start == 0 else []
+    for lo in range(0, n, TRANSCRIPT_SLICE_ROWS):
+        rows = cells[: min(n - lo, TRANSCRIPT_SLICE_ROWS)]
+        for j, (table, index) in enumerate(columns):
+            rows[:, j] = table[index[lo : lo + len(rows)]]
+        slices.append("".join(rows.ravel().tolist()))
+    return slices

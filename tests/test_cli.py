@@ -242,14 +242,60 @@ def test_unwritable_output_fails_before_the_run(capsys, tmp_path, argv):
     assert not path.exists()
 
 
+def _src_env():
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
 def test_module_entry_point():
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "wittingqkd", "bases"],
-        env=env,
+        env=_src_env(),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[0]["id"] == 0
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wittingqkd", "states"],
+            env=_src_env(),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
+def test_sessions_never_import_numpy_random(tmp_path):
+    # numpy.random adds several MB of resident memory; the samplers read
+    # random.Random streams only.
+    script = f"""
+import contextlib, io, sys
+from wittingqkd.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    for extra in (["naive", "--eve", "4"], ["two-step"],
+                  ["key-agreement", "--transcript", {str(tmp_path / "rounds.csv")!r}]):
+        argv = ["simulate", "--rounds", "3000", "--policy", "correlated:9/10", "--protocol"]
+        assert main(argv + extra) == 0
+print("numpy" in sys.modules, "numpy.random" in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]

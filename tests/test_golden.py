@@ -5,7 +5,10 @@ stdout for the command line (and, for the key-agreement run and the
 ``classical-scan --dump-max`` run, of the file it writes).  A change to the exact kernel, the samplers or the
 random streams that alters any probability, draw or formatting shows here.
 The digests change only with a deliberate stream-version bump recorded in
-CHANGES.md.
+CHANGES.md.  The simulate digests pin stream version 3: each accepted 64-bit
+word gives k base-b digits, least significant first, where k maximises the
+expected digits per word over the k <= 63 with b^k < 2^64 (smaller k on a
+tie), and a word at or above ⌊2^64/b^k⌋·b^k is rejected.
 """
 
 import hashlib
@@ -16,18 +19,18 @@ from wittingqkd.cli import main
 
 STDOUT_SHA256 = {
     "simulate --protocol naive --rounds 20000 --seed 7":
-        "b7212fc7f400ade5406e292340fbe8e8a3a35c5f1ec8dad60dc032af0f8761df",
+        "8b18a270f382f38aa15435a28d2f5501aa3756afda315698e7ec45b55ac60737",
     # one Eve tetrad of each class: rank, mixed-suit, mono-suit
     "simulate --protocol naive --rounds 20000 --seed 7 --eve 3":
-        "4d376cf66d0186a75abe4e219aee4d122ca1b531453c2967015a565d3c5fad4b",
+        "a170210d566bd492696b3d2bc055a68cf88b1c58a5cc0b853298d4148dbe65f9",
     "simulate --protocol naive --rounds 20000 --seed 7 --eve 15":
-        "d19f8fc4a2200d6367b8b3167c6c264de8195b4541cacb64923c5a0b3c453822",
+        "f28e1db873aff124388aec428c4ee995792794a34dda3d7eb45e4a768f845a5b",
     "simulate --protocol naive --rounds 20000 --seed 7 --eve 33":
-        "825164d4a4d78d06aa83660d123f8e5ce12bcfa2a895f232cbc8627b8811c331",
+        "aca7045903cdb4b1c6732825744f7d4887f981c87179008ed0b01417ea6d873a",
     "simulate --protocol two-step --rounds 20000 --seed 7":
-        "87b1ed3519b00059c7d92d238c679e964b0a410e81b170b2be9f50246701a28a",
+        "f179b36bd61f6efb639b09d65cb0095503d33eb55afacec807050c3e7f85de21",
     "simulate --protocol two-step --rounds 20000 --seed 7 --policy agreed":
-        "81909ea5b49df6ec9b7f55ec74811d70a4810989382e0b147acdec1456d7828b",
+        "7252f3ec6085a501df40802fa79db9b6aad577219ae950567ca08e29d1e5bd3a",
     "joint --alice 5 --bob 12":
         "cc84ae4c6d9638490aca9b42043ddb9595e79a79aeeb03ff5dc96a7228b2ee0c",
     "joint --alice 2 --bob 30 --eve 17":
@@ -51,10 +54,10 @@ KEY_AGREEMENT_LINE = (
     " --policy correlated:9/10 --transcript"
 )
 KEY_AGREEMENT_STDOUT_SHA256 = (
-    "0682e14e3573f75d2ce01d959061ed403fe402c3f6e34df20302812c4ca65c08"
+    "1340c7227c0a3d9170a02971c1888dd7937db8481d8a7a36429be137acb1d947"
 )
 KEY_AGREEMENT_CSV_SHA256 = (
-    "1e624d43e7c9117930ada32462f15c393957d51f98488de9ea7d377b88e4ba3b"
+    "f24aab27517c8338bde160eb97dca56871595e6c9cb6e1f8a44c0da0eb71decc"
 )
 
 # the JSON list of all 720 maximizing markings, in marking-index order

@@ -5,6 +5,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from wittingqkd.measurement import (
 from wittingqkd.protocol import (
     BLOCK_ROUNDS,
     DEFAULT_SEED,
+    TRANSCRIPT_HEADER,
+    TRANSCRIPT_SLICE_ROWS,
     PartyPolicy,
     announcement_leakage_free,
     run_key_agreement,
@@ -79,6 +82,35 @@ def test_correlated_policy_boosts_sifting(config):
     expected = float(w * w + (1 - w * w) / 40)
     assert abs(float(tr.sift_rate) - expected) <= three_sigma(expected, n)
     assert tr.n_matched == tr.n_sifted
+
+
+def _choices(run, config, rounds, policy, seed):
+    blocks = []
+    tr = run(config, rounds, policy, policy, seed=seed, on_block=blocks.append)
+    return tr, [np.concatenate([b.alice_choice[0] for b in blocks]),
+                np.concatenate([b.bob_choice[0] for b in blocks])]
+
+
+def test_weight_one_replays_agreed_choices_across_blocks(config):
+    # Weight 1 tosses a coin of bound 1, which always takes the shared stream.
+    rounds = BLOCK_ROUNDS + 100
+    tr, choices = _choices(run_key_agreement, config, rounds, PartyPolicy.parse("correlated:1", 23), 5)
+    _, agreed = _choices(run_key_agreement, config, rounds, PartyPolicy("agreed", 23), 5)
+    for own, shared in zip(choices, agreed):
+        assert (own == shared).all()
+    assert tr.n_sifted == tr.n_matched == rounds
+
+
+def test_weight_zero_never_takes_the_shared_stream(config):
+    rounds = BLOCK_ROUNDS + 100
+    tr, choices = _choices(run_naive_session, config, rounds, PartyPolicy.parse("correlated:0", 23), 5)
+    _, uniform = _choices(run_naive_session, config, BLOCK_ROUNDS, PartyPolicy("uniform", 23), 5)
+    _, agreed = _choices(run_naive_session, config, rounds, PartyPolicy("agreed", 23), 5)
+    for own, first, shared in zip(choices, uniform, agreed):
+        # each block draws the own choices first, then the shared ones and the coins
+        assert (own[:BLOCK_ROUNDS] == first).all()
+        assert (own != shared).mean() > 0.9
+    assert tr.n_matched == tr.n_sifted < rounds / 20
 
 
 def test_fixed_policy_forces_basis(config):
@@ -149,7 +181,7 @@ def test_key_agreement_rates(config):
 def run_with_csv(run, *args, **kwargs):
     """Run a session writing its CSV transcript block by block, as the CLI does."""
     out = io.StringIO()
-    tr = run(*args, on_block=lambda block: out.write(transcript_csv_rows(block)), **kwargs)
+    tr = run(*args, on_block=lambda block: out.writelines(transcript_csv_rows(block)), **kwargs)
     return tr, out.getvalue()
 
 
@@ -201,12 +233,16 @@ def test_key_bits_come_from_sifted_rounds(config):
 
 def test_csv_rows(config):
     blocks = []
-    run_naive_session(config, 50, UA, UB, seed=15, on_block=blocks.append)
+    rounds = 2 * TRANSCRIPT_SLICE_ROWS + 50
+    run_naive_session(config, rounds, UA, UB, seed=15, on_block=blocks.append)
     assert len(blocks) == 1
-    text = transcript_csv_rows(blocks[0])
+    slices = transcript_csv_rows(blocks[0])
+    assert slices[0] == TRANSCRIPT_HEADER
+    assert [s.count("\n") for s in slices[1:]] == [TRANSCRIPT_SLICE_ROWS] * 2 + [50]
+    text = "".join(slices)
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0][0] == "round"
-    assert len(rows) == 51
+    assert len(rows) == rounds + 1
     # The text is what csv.writer writes for the same rows.
     out = io.StringIO()
     csv.writer(out).writerows(rows)
@@ -267,7 +303,7 @@ def _peak_bytes(config, rounds: int, path) -> int:
         with open(path, "w", newline="") as fh:
             run_key_agreement(
                 config, rounds, UA, UB, seed=19,
-                on_block=lambda block: fh.write(transcript_csv_rows(block)),
+                on_block=lambda block: fh.writelines(transcript_csv_rows(block)),
             )
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -286,9 +322,9 @@ def test_transcript_memory_is_flat_in_rounds(config, tmp_path):
 # a naive run under Eve writes mismatched rounds.
 TRANSCRIPT_CSV_SHA256 = {
     "simulate --protocol two-step --rounds 20000 --seed 7 --transcript":
-        "0602040296166d3838da1e72b3d68d2753f33d8bf79d320653d77acecee26a1b",
+        "b494610060cf581639382cd792559e2072e124d98a12ef3b859ca082d3799649",
     "simulate --protocol naive --rounds 20000 --seed 7 --eve 15 --transcript":
-        "917c6e4c5d4d45ea3843b2433672bfc8870a44bcbcdfb2e62a36d60b2d6f4dcd",
+        "3434cfd880788f681d58c4f3c543b34a4962495fc6932c382b03b02d81899072",
 }
 
 
@@ -418,6 +454,101 @@ def test_key_agreement_draws_read_the_shared_tetrads_own_block(config, counting_
     for t, members in enumerate(config.basis_states):
         histogram = _forced_histogram(run_key_agreement, config, den, *members[:2])
         assert (histogram == counts[t, t]).all(), t
+
+
+# -- the batched uniform draw ------------------------------------------------------
+
+
+class ChosenWords:
+    """A stand-in for ``random.Random`` whose ``getrandbits`` hands out chosen
+    64-bit words, in order, as ``_uniform`` reads them (first word lowest)."""
+
+    def __init__(self, words):
+        self.words = list(words)
+        self.used = 0
+
+    def getrandbits(self, bits):
+        assert bits % 64 == 0
+        count = bits // 64
+        chunk = self.words[self.used : self.used + count]
+        assert len(chunk) == count, "ran out of chosen words"
+        self.used += count
+        return sum(word << (64 * i) for i, word in enumerate(chunk))
+
+
+def _digits(word, bound, k):
+    return [word // bound**j % bound for j in range(k)]
+
+
+DIGITS_PER_WORD = {1: 63, 2: 63, 4: 31, 10: 18, 36: 11, 40: 12, 324: 7,
+                   2**32 - 1: 2, 2**32: 1, 2**63 - 1: 1}
+
+
+@pytest.mark.parametrize("bound", sorted(DIGITS_PER_WORD))
+def test_digits_per_word_table(bound):
+    assert protocol_mod._digits_per_word(bound) == DIGITS_PER_WORD[bound]
+
+
+def test_digits_per_word_maximises_expected_digits():
+    # k * accepted / 2^64 over the k with bound^k < 2^64, ties to the smaller k
+    for bound in range(2, 2000):
+        ks = [k for k in range(1, 64) if bound**k < 2**64]
+        kept = [k * (2**64 // bound**k * bound**k) for k in ks]
+        assert protocol_mod._digits_per_word(bound) == ks[kept.index(max(kept))], bound
+
+
+@pytest.mark.parametrize("bound", [3, 10, 36, 40, 324, 2**32 - 1, 2**32 + 1, 2**63 - 1])
+def test_rejection_threshold_and_digit_order(bound):
+    k = protocol_mod._digits_per_word(bound)
+    limit = 2**64 // bound**k * bound**k
+    assert limit < 2**64
+    # the word at the threshold is rejected, the one below it is accepted
+    rng = ChosenWords([limit, limit - 1, limit + 1, 2**64 - 1, 5])
+    draws = protocol_mod._uniform(rng, bound, k).tolist()
+    assert draws == _digits(limit - 1, bound, k)
+    assert rng.used == 2
+    # digits come out least significant first
+    word = sum((j * 7 + 1) % bound * bound**j for j in range(k))
+    rng = ChosenWords([word])
+    assert protocol_mod._uniform(rng, bound, k).tolist() == [(j * 7 + 1) % bound for j in range(k)]
+
+
+def test_draws_fill_whole_words_and_drop_the_rest():
+    k = DIGITS_PER_WORD[40]
+    words = [sum((w + j) % 40 * 40**j for j in range(k)) for w in range(3)]
+    rng = ChosenWords(words)
+    draws = protocol_mod._uniform(rng, 40, k + 1).tolist()
+    assert draws == _digits(words[0], 40, k) + _digits(words[1], 40, 1)
+    assert rng.used == 2
+    # the next call starts on a fresh word
+    assert protocol_mod._uniform(rng, 40, 1).tolist() == _digits(words[2], 40, 1)
+
+
+@pytest.mark.parametrize("bound", [2**32 + 1, 2**40 + 3, 2**63 - 1])
+def test_one_digit_words_draw_as_stream_version_2(bound):
+    # Version 2: one value per word, the word modulo bound, after rejecting
+    # the top 2^64 mod bound words.
+    words = [Random(bound).getrandbits(64) for _ in range(200)]
+    words[5] = 2**64 - 2**64 % bound  # rejected
+    words[6] = words[5] - 1  # accepted
+    accepted = [w for w in words if w < 2**64 - 2**64 % bound]
+    rng = ChosenWords(words)
+    assert protocol_mod._uniform(rng, bound, len(accepted)).tolist() == [w % bound for w in accepted]
+    assert rng.used == len(words)
+
+
+@pytest.mark.parametrize("bound", [2, 4, 2**32])
+def test_power_of_two_bounds_reject_no_word(bound):
+    k = protocol_mod._digits_per_word(bound)
+    rng = ChosenWords([2**64 - 1])
+    assert protocol_mod._uniform(rng, bound, k).tolist() == [bound - 1] * k
+
+
+def test_bound_one_draws_words_and_ends():
+    rng = ChosenWords([2**64 - 1, 0, 12345])
+    draws = protocol_mod._uniform(rng, 1, 64)
+    assert draws.tolist() == [0] * 64
+    assert rng.used == 2
 
 
 # -- tetrad ids ------------------------------------------------------------------
@@ -562,7 +693,7 @@ def test_round_engine_builds_no_eisenstein_objects(monkeypatch):
     for protocol in ("naive", "two-step", "key-agreement"):
         run_session(
             config, protocol, BLOCK_ROUNDS + 1, UA, UB, seed=41,
-            on_block=lambda block: out.write(transcript_csv_rows(block)),
+            on_block=lambda block: out.writelines(transcript_csv_rows(block)),
         )
     assert out.tell() > 0
     assert len(built) == 0
