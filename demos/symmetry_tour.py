@@ -9,7 +9,6 @@ from wittingqkd import WittingConfiguration
 from wittingqkd.symmetry import (
     GENERATOR_CARDS,
     SymmetryElement,
-    configuration_permutation,
     generate_group,
     generators,
     orbit_of_first_basis_state,
@@ -52,6 +51,6 @@ print()
 
 print("Each group element permutes the 40 states; the induced action also")
 print("permutes the 40 tetrads.  The permutation of the first generator:")
-perm = configuration_permutation(config, gens[0])
+perm = table.state_permutation(gens[0])
 moved = sum(1 for i, j in enumerate(perm) if i != j)
 print(f"  moves {moved} of 40 states")

@@ -53,12 +53,18 @@ def _policy(text: str) -> PartyPolicy:
         raise argparse.ArgumentTypeError(f"invalid policy {text!r} ({exc})") from None
 
 
+@contextlib.contextmanager
 def _open_output(path: str | None, newline: str | None = None):
-    """Open an output file before the run, so an unwritable path fails first."""
+    """Open an output file before the run, so an unwritable path fails first.
+
+    A failed open, write or close raises RuntimeError naming the path.
+    """
     if path is None:
-        return contextlib.nullcontext()
+        yield None
+        return
     try:
-        return open(path, "w", newline=newline)
+        with open(path, "w", newline=newline) as fh:
+            yield fh
     except OSError as exc:
         raise RuntimeError(f"cannot write {path}: {exc.strerror}") from None
 

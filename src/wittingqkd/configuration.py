@@ -321,13 +321,9 @@ class WittingConfiguration:
         owner = np.repeat(np.arange(40), 4)  # tetrad id of each entry of members
         by_state = members.ravel().argsort(kind="stable")
         self.tetrads_of_state = _frozen(owner[by_state].reshape(40, 4))
-        # Each tetrad's 12 ordered pairs of distinct members.
-        s, t, tetrad = np.broadcast_arrays(
-            members[:, :, None], members[:, None, :], np.arange(40)[:, None, None]
-        )
-        distinct = s != t
+        # Each tetrad's 16 ordered pairs of members; the diagonal is refilled.
         common = np.full((40, 40), -1)
-        common[s[distinct], t[distinct]] = tetrad[distinct]
+        common[members[:, :, None], members[:, None, :]] = np.arange(40)[:, None, None]
         np.fill_diagonal(common, self.tetrads_of_state[:, 0])  # the lowest of four
         self.common_tetrad = _frozen(common)
         self._check_conjugation()

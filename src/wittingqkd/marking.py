@@ -32,8 +32,8 @@ class Marking:
     choice: tuple[int, ...]  # suit index for ranks 1..10
 
     def __post_init__(self) -> None:
-        if len(self.choice) != 10 or not all(0 <= s < 4 for s in self.choice):
-            raise ValueError("marking needs ten suit indices in 0..3")
+        if len(self.choice) != 10 or not all(type(s) is int and 0 <= s < 4 for s in self.choice):
+            raise ValueError("marking needs ten int suit indices in 0..3")
 
     def cards(self) -> tuple[Card, ...]:
         return tuple(Card(SUITS[s], r + 1) for r, s in enumerate(self.choice))
@@ -43,6 +43,8 @@ class Marking:
 
     @classmethod
     def from_index(cls, index: int) -> "Marking":
+        if not 0 <= index < N_MARKINGS:
+            raise ValueError(f"marking index must be in 0..{N_MARKINGS - 1}, got {index}")
         return cls(tuple((index >> (2 * r)) & 3 for r in range(10)))
 
     @property
@@ -129,15 +131,16 @@ def _correct_counts(config: WittingConfiguration) -> np.ndarray:
     """
     half = ((np.arange(_HALF)[:, None] >> (2 * np.arange(5))) & 3).astype(np.int8)
     grid = np.zeros((_HALF, _HALF), dtype=np.int8)
+    # Grid-sized buffers, reused: a fresh 1 MB temporary per tetrad is a new
+    # mapping whose pages fault in each time, which doubles the scan's time.
+    marked = np.empty_like(grid)
+    correct = np.empty(grid.shape, dtype=bool)
     for members in _member_keys(config):
-        low = np.zeros(_HALF, dtype=np.int8)
-        high = np.zeros(_HALF, dtype=np.int8)
+        parts = np.zeros((2, _HALF), dtype=np.int8)  # the low and the high part
         for r, s in members:
-            if r < 5:
-                low += half[:, r] == s
-            else:
-                high += half[:, r - 5] == s
-        grid += (high[:, None] + low[None, :]) == 1
+            parts[r // 5] += half[:, r % 5] == s
+        np.add(parts[1][:, None], parts[0][None, :], out=marked)
+        grid += np.equal(marked, 1, out=correct)
     return grid.ravel()
 
 

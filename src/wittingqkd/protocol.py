@@ -452,17 +452,13 @@ def announcement_leakage_free(config: WittingConfiguration) -> bool:
     Conditioned on any sifted announcement transcript, each party's outcome
     is uniform on 0..3: true for every tetrad (naive and two-step announce
     tetrads) and for every sifted state pair (key agreement announces
-    states).  Both parties measure a sifted round in one tetrad, so each row
-    and column of its own block of :func:`outcome_counts` sums to ``den/4``.
+    states).  Both parties measure a sifted round in one tetrad, the common
+    tetrad of a sifted state pair included, so each row and column of every
+    tetrad's own block of :func:`outcome_counts` sums to ``den/4``.
     """
     counts, den = outcome_counts(config)
-    tetrads = set(range(len(config.bases)))
-    tetrads |= {t for t in config.common_tetrad.ravel().tolist() if t >= 0}
-    for t in tetrads:
-        own = counts[t, t]
-        if (own.sum(axis=0) != den // 4).any() or (own.sum(axis=1) != den // 4).any():
-            return False
-    return True
+    own = counts[np.diag_indices(len(config.bases))]  # (tetrads, 4, 4)
+    return bool((np.stack((own.sum(axis=1), own.sum(axis=2))) == den // 4).all())
 
 
 TRANSCRIPT_HEADER = "round,alice_choice,bob_choice,alice_outcome,bob_outcome,sifted,matched\r\n"

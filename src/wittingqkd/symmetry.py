@@ -14,21 +14,22 @@ vertices span C^4, so each element is exactly one permutation, and it is
 fixed by the images of the four axis vertices, packed into one uint32 key.
 Closure is the orbit of the axis frame under left multiplication; frontiers
 are keys, and each step applies the generators' permutations to them with
-numpy fancy indexing.  Keys are deduplicated by sorting, never by
-``np.unique`` or ``np.isin``: from numpy 2.3 ``np.unique`` goes through a
-hash table, about 100 times slower than ``np.sort`` on these uint32 keys.
-The group is stored as its sorted keys (about 200 KB); a matrix is rebuilt
-from its key on demand.  The action on the 40 states is read off the same
-permutations, as vertex 6 s + u is UNITS[u] times state s: state s goes to
-entry 6 s of an element's vertex permutation divided by 6, and the orbit of
-state 0 is byte 0 of every key divided by 6.
+numpy fancy indexing.  Keys are deduplicated by sorting and tested for
+membership by binary search, never by ``np.unique`` or ``np.isin``: from
+numpy 2.3 ``np.unique`` goes through a hash table, about 100 times slower
+than ``np.sort`` on these uint32 keys.  The closure is a
+:class:`GroupTable`: the sorted keys (about 200 KB) and the vertex index
+they refer to.  Matrices, orders and the action on the 40 states are read
+off those two.  Vertex 6 s + u is UNITS[u] times state s, so state s goes
+to entry 6 s of an element's vertex permutation divided by 6, and the
+orbit of state 0 is byte 0 of every key divided by 6.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -223,18 +224,25 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
+def _member(keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Whether each candidate is one of the sorted keys, by binary search.
+
+    A candidate past the last key clips to it, which is smaller: absent.
+    """
+    return keys.take(np.searchsorted(keys, cand), mode="clip") == cand
+
+
 def _closure(
     config: WittingConfiguration, elements: Iterable[SymmetryElement]
-) -> tuple[_Vertices, np.ndarray]:
+) -> GroupTable:
     """Orbit of the axis frame under left multiplication by the given elements.
 
     Builds the vertices and the elements' vertex permutations, then walks
     breadth first over keys: the key of g*h is g applied to the four axis
     images of h, so each level is the (n, 4) uint8 view of the fresh keys.
     Each level's candidates are deduplicated by sorting and tested against
-    the sorted keys with a binary search (``np.unique`` hashes from numpy
-    2.3, about 100 times slower here).  Returns the vertices and the sorted
-    keys of all elements.  More than ``_CLOSURE_BOUND`` elements raise.
+    the sorted keys with :func:`_member`.  More than ``_CLOSURE_BOUND``
+    elements raise.
     """
     vertices = _Vertices(config)
     gens = [vertices.permutation(g) for g in elements]
@@ -242,35 +250,47 @@ def _closure(
     keys = _pack(frontier)
     while len(frontier):
         cand = _sorted_unique(np.concatenate([_pack(g[frontier]) for g in gens]))
-        # A candidate past the last key clips to it, which is smaller: fresh.
-        fresh = cand[keys.take(np.searchsorted(keys, cand), mode="clip") != cand]
+        fresh = cand[~_member(keys, cand)]
         if len(keys) + len(fresh) > _CLOSURE_BOUND:
             raise SymmetryError(f"closure exceeded {_CLOSURE_BOUND} elements")
         keys = np.sort(np.concatenate((keys, fresh)))
         frontier = fresh.view(np.uint8).reshape(-1, 4)
-    return vertices, keys
+    return GroupTable(keys, vertices)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class GroupTable:
-    """Closure of the generators, stored as sorted axis-image keys.
+    """A closed group of vertex permutations, as sorted axis-image keys.
 
-    Each element is one vertex permutation, fixed by its four axis images;
-    ``_keys`` packs them into one sorted uint32 per element (about 200 KB),
-    and elements are numbered in that order.  Orders are reported for three
-    identifications: none, mod {+1,-1}, and mod all six unit scalars.  The
-    measured values are 51840, 25920 and 25920: scalars present in the
-    closure are exactly {+1,-1}, so both quotients coincide.
+    ``_keys`` packs each element's four axis images into one sorted uint32
+    (about 200 KB); elements are numbered in that order, and ``_vertices``
+    is the vertex index the keys refer to.  Orders are reported for three
+    identifications: none, mod {+1,-1}, and mod all six unit scalars.
+    Scalars are central, so each class of elements that differ by a unit
+    scalar has as many members as the table holds scalars.  The generators
+    give 51840, 25920 and 25920: the only scalars they reach are +1 and -1.
     """
 
-    raw_order: int
-    order_mod_pm1: int
-    projective_order: int
-    _keys: np.ndarray = field(repr=False)  # sorted uint32 axis-image keys
-    _vertices: _Vertices = field(repr=False)
+    _keys: np.ndarray  # sorted uint32 axis-image keys
+    _vertices: _Vertices
 
     def __len__(self) -> int:
-        return self.raw_order
+        return len(self._keys)
+
+    raw_order = property(__len__)
+
+    @property
+    def order_mod_pm1(self) -> int:
+        return self.raw_order // self._scalars_held(2)
+
+    @property
+    def projective_order(self) -> int:
+        return self.raw_order // self._scalars_held(6)
+
+    def _scalars_held(self, n: int) -> int:
+        """How many of the scalars UNITS[u] times I, u < n, the table holds."""
+        identity = SymmetryElement.identity()
+        return sum(identity.scaled_by_unit(u) in self for u in range(n))
 
     def element(self, i: int) -> SymmetryElement:
         """The matrix of element i, rebuilt from its axis images.
@@ -291,47 +311,25 @@ class GroupTable:
             perm = self._vertices.permutation(elem)
         except NotASymmetryError:
             return False
-        key = _pack(perm[self._vertices.axes])
-        pos = np.searchsorted(self._keys, key)
-        return pos < len(self._keys) and self._keys[pos] == key
+        return bool(_member(self._keys, _pack(perm[self._vertices.axes])))
 
+    def state_permutation(self, g: SymmetryElement) -> tuple[int, ...]:
+        """The permutation of the 40 states induced by g, in or out of the table.
 
-def _quotient_order(scalars: np.ndarray, keys4: np.ndarray) -> int:
-    """Number of classes of elements that differ by the given scalars' vertex permutations."""
-    return len(_sorted_unique(_pack(scalars[:, keys4]).min(axis=0)))
+        State s goes to the state of the image of vertex 6 s.  Raises
+        :class:`NotASymmetryError` if g moves any state off the configuration.
+        """
+        return tuple((self._vertices.permutation(g)[::6] // 6).tolist())
 
 
 def generate_group(config: WittingConfiguration) -> GroupTable:
     """Closure of the four generators, as the orbit of the axis frame."""
-    vertices, keys = _closure(config, generators(config))
-    keys4 = keys.view(np.uint8).reshape(-1, 4)
-    identity = SymmetryElement.identity()
-    scalars = np.stack([vertices.permutation(identity.scaled_by_unit(u)) for u in range(6)])
-    return GroupTable(
-        raw_order=len(keys),
-        order_mod_pm1=_quotient_order(scalars[:2], keys4),
-        projective_order=_quotient_order(scalars, keys4),
-        _keys=keys,
-        _vertices=vertices,
-    )
+    return _closure(config, generators(config))
 
 
 def reflection_group_order(config: WittingConfiguration) -> int:
     """Order of the group the four raw triflections generate (no det scaling)."""
-    _, keys = _closure(config, (triflection(config.state_of(c)) for c in GENERATOR_CARDS))
-    return len(keys)
-
-
-def configuration_permutation(
-    config: WittingConfiguration, g: SymmetryElement
-) -> tuple[int, ...]:
-    """The permutation of the 40 states induced by g.
-
-    Read off g's vertex permutation: vertex 6 s + u is UNITS[u] times state
-    s, so state s goes to the state of the image of vertex 6 s.  Raises
-    :class:`NotASymmetryError` if g moves any state off the configuration.
-    """
-    return tuple((_Vertices(config).permutation(g)[::6] // 6).tolist())
+    return len(_closure(config, (triflection(config.state_of(c)) for c in GENERATOR_CARDS)))
 
 
 def orbit_of_first_basis_state(

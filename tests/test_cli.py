@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -240,6 +241,22 @@ def test_unwritable_output_fails_before_the_run(capsys, tmp_path, argv):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {path}")
     assert not path.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--protocol", "naive", "--rounds", "10", "--transcript", "/dev/full"],
+        ["classical-scan", "--dump-max", "/dev/full"],
+    ],
+)
+def test_failed_output_write_exits_1_without_traceback(capsys, argv):
+    # /dev/full opens, then every write fails with ENOSPC.
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
 
 
 def _src_env():

@@ -34,6 +34,19 @@ def test_marking_round_trip():
         Marking((0,) * 9 + (4,))
 
 
+@pytest.mark.parametrize("choice", [(0.5,) * 10, (True,) * 10, (0,) * 9 + (1.0,), ("0",) * 10])
+def test_marking_rejects_non_int_suit_indices(choice):
+    with pytest.raises(ValueError):
+        Marking(choice)
+
+
+@pytest.mark.parametrize("index", [-1, N_MARKINGS, 2**64])
+def test_marking_index_out_of_range_raises(index):
+    with pytest.raises(ValueError):
+        Marking.from_index(index)
+    assert Marking.from_index(N_MARKINGS - 1).choice == (3,) * 10
+
+
 def test_rank_tetrads_always_correct(config):
     # every marking marks exactly one card in each rank tetrad
     for marking in (ALL_SPADES, MAX_SCORE_EXAMPLE, Marking.from_index(987_654)):

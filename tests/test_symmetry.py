@@ -15,7 +15,6 @@ from wittingqkd.symmetry import (
     NotASymmetryError,
     SymmetryElement,
     SymmetryError,
-    configuration_permutation,
     generate_group,
     generators,
     orbit_of_first_basis_state,
@@ -76,7 +75,8 @@ def test_generators_unit_determinant_and_order_three(config):
         assert g @ g != SymmetryElement.identity()
 
 
-def test_group_orders(group):
+def test_group_orders(config, group):
+    assert len(generate_group(config)) == 51840
     assert group.raw_order == 51840
     assert group.order_mod_pm1 == 25920
     assert group.projective_order == 25920
@@ -107,17 +107,15 @@ def test_orbit_is_all_forty_states(config, group):
     assert Card("C", 2) in orbit
 
 
-def test_orbit_closed_under_generators(config):
+def test_orbit_closed_under_generators(config, group):
     gens = generators(config)
     for g in gens:
-        perm = configuration_permutation(config, g)
+        perm = group.state_permutation(g)
         assert sorted(perm) == list(range(40))
 
 
-def test_identity_permutation(config):
-    assert configuration_permutation(
-        config, SymmetryElement.identity()
-    ) == tuple(range(40))
+def test_identity_permutation(group):
+    assert group.state_permutation(SymmetryElement.identity()) == tuple(range(40))
 
 
 def test_group_elements_permute_states_and_bases(config, group):
@@ -128,7 +126,7 @@ def test_group_elements_permute_states_and_bases(config, group):
     rng = Random(23)
     for _ in range(25):
         g = group.element(rng.randrange(len(group)))
-        perm = configuration_permutation(config, g)
+        perm = group.state_permutation(g)
         mapped = {frozenset(perm[i] for i in bs) for bs in basis_sets}
         assert mapped == basis_sets
 
@@ -145,11 +143,11 @@ def test_non_symmetry_is_rejected(config, group):
     swap = _coordinate_swap()
     assert swap.is_unitary()
     with pytest.raises(NotASymmetryError):
-        configuration_permutation(config, swap)
+        group.state_permutation(swap)
     # identity / 3 maps every state out of Z[w]^4
     third = SymmetryElement.from_parts(SymmetryElement.identity().m, 1)
     with pytest.raises(NotASymmetryError):
-        configuration_permutation(config, third)
+        group.state_permutation(third)
     assert third not in group
 
 
@@ -207,14 +205,14 @@ def _checked_permutation(config, group, boxed_vertices, i: int) -> np.ndarray:
 
 def test_rebuilt_elements_match_stored_permutations(config, group, boxed_vertices):
     # element(i) is rebuilt from four axis images only; the matrix path of
-    # configuration_permutation must agree with its whole vertex permutation.
+    # state_permutation must agree with its whole vertex permutation.
     rng = Random(31)
     for i in [0, len(group) - 1] + [rng.randrange(len(group)) for _ in range(23)]:
         g = group.element(i)
         assert g.is_unitary()
         assert g.determinant_unit() == Eisenstein(1)
         perm = _checked_permutation(config, group, boxed_vertices, i)
-        assert configuration_permutation(config, g) == tuple((perm[::6] // 6).tolist())
+        assert group.state_permutation(g) == tuple((perm[::6] // 6).tolist())
 
 
 def test_element_indexing_follows_numpy(group):
@@ -230,6 +228,27 @@ def test_non_symmetry_is_not_in_group(group):
 def test_raw_triflections_generate_g32(config):
     # Shephard-Todd G32, the symmetry group of the Witting polytope.
     assert reflection_group_order(config) == 155520
+
+
+def test_raw_triflection_closure_holds_all_six_scalars(config):
+    # The centre of G32 is the six unit scalars, so both quotients divide.
+    table = symmetry._closure(config, (triflection(config.state_of(c)) for c in GENERATOR_CARDS))
+    identity = SymmetryElement.identity()
+    assert all(identity.scaled_by_unit(u) in table for u in range(6))
+    assert (table.raw_order, table.order_mod_pm1, table.projective_order) == (155520, 77760, 25920)
+
+
+def test_state_permutation_reads_the_tables_vertex_index(config, group, monkeypatch):
+    gens = generators(config)
+    calls = []
+    vertex_array = type(config).vertex_array
+    monkeypatch.setattr(
+        type(config), "vertex_array", lambda self: calls.append(1) or vertex_array(self)
+    )
+    perms = [group.state_permutation(g) for g in gens]
+    assert calls == [] and all(sorted(p) == list(range(40)) for p in perms)
+    symmetry._Vertices(config)  # the counter sees a fresh vertex index
+    assert calls == [1]
 
 
 def test_closure_matches_python_set_breadth_first_search(config, group, boxed_vertices):
@@ -310,7 +329,7 @@ def test_boxed_reference_matches_array_kernel(config, group, boxed_vertices):
             assert all(x.a % scale == 0 and x.b % scale == 0 for x in image)
             image = tuple(Eisenstein(x.a // scale, x.b // scale) for x in image)
             perm.append(index[_boxed_canonical(image)])
-        assert tuple(perm) == configuration_permutation(config, g)
+        assert tuple(perm) == group.state_permutation(g)
         vertex_perm = _checked_permutation(config, group, boxed_vertices, i)
         assert tuple(perm) == tuple((vertex_perm[::6] // 6).tolist())
         assert g.determinant_unit() == Eisenstein(1)
