@@ -158,17 +158,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("states", help="dump the 40 states with both numberings")
-    sub.add_parser("bases", help="dump the 40 measurement tetrads")
+    sub.add_parser("states", help="dump the 40 states with both numberings").set_defaults(
+        run=_cmd_states
+    )
+    sub.add_parser("bases", help="dump the 40 measurement tetrads").set_defaults(run=_cmd_bases)
 
-    sub.add_parser("group", help="generate the symmetry group")
+    sub.add_parser("group", help="generate the symmetry group").set_defaults(run=_cmd_group)
 
     p_joint = sub.add_parser("joint", help="exact joint outcome distribution")
+    p_joint.set_defaults(run=_cmd_joint)
     p_joint.add_argument("--alice", type=_TETRAD_ID, required=True, metavar="BASIS")
     p_joint.add_argument("--bob", type=_TETRAD_ID, required=True, metavar="BASIS")
     p_joint.add_argument("--eve", type=_TETRAD_ID, default=None, metavar="BASIS")
 
     p_sim = sub.add_parser("simulate", help="run a two-party session")
+    p_sim.set_defaults(run=_cmd_simulate)
     p_sim.add_argument(
         "--protocol",
         choices=("naive", "two-step", "key-agreement"),
@@ -183,24 +187,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--transcript", default=None, metavar="FILE")
 
     p_scan = sub.add_parser("classical-scan", help="scan all 4^10 markings")
+    p_scan.set_defaults(run=_cmd_classical_scan)
     p_scan.add_argument("--dump-max", default=None, metavar="FILE")
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
+    p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument(
         "--quick", action="store_true", help="skip the group closures and the scan"
     )
     return parser
-
-
-_HANDLERS = {
-    "states": _cmd_states,
-    "bases": _cmd_bases,
-    "group": _cmd_group,
-    "joint": _cmd_joint,
-    "simulate": _cmd_simulate,
-    "classical-scan": _cmd_classical_scan,
-    "verify": _cmd_verify,
-}
 
 
 def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -217,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
     try:
         try:
-            return _HANDLERS[args.command](args)
+            return args.run(args)
         finally:
             sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
     except BrokenPipeError:

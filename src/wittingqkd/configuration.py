@@ -115,6 +115,20 @@ Vector = tuple[Eisenstein, Eisenstein, Eisenstein, Eisenstein]
 _Table = tuple[tuple[int, ...], ...]
 
 
+def check_int(name: str, value: object, low: int, high: int | None = None) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int, not a bool, in low..high.
+
+    ``high`` None means no upper bound.  Floats and bools are refused even
+    where they would index the same entry: 2.0 is not a tetrad id.
+    """
+    if (
+        not isinstance(value, int) or isinstance(value, bool)
+        or value < low or (high is not None and value > high)
+    ):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be an int {bound}, got {value!r}")
+
+
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
     return [_TOKENS[t] for t in text.split()]
 
@@ -466,10 +480,8 @@ class WittingConfiguration:
         and the triads are that state's four tetrads without it, ordered by
         the state index of their first card.
         """
-        k = zero_coordinate
-        if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k < 4:
-            raise ValueError(f"coordinate outside 0..3 or not an int: {k!r}")
-        axis = Card(SUITS[k], 1)
+        check_int("coordinate", zero_coordinate, 0, 3)
+        axis = Card(SUITS[zero_coordinate], 1)
         triads = (
             tuple(c for c in self.bases[b].members if c != axis) for b in self.bases_of(axis)
         )

@@ -19,7 +19,7 @@ from random import Random
 
 import numpy as np
 
-from .configuration import Card, SUITS, WittingConfiguration
+from .configuration import Card, SUITS, WittingConfiguration, check_int
 
 N_MARKINGS = 4**10
 _HALF = 4**5  # markings of five ranks: one half of a marking index
@@ -32,8 +32,10 @@ class Marking:
     choice: tuple[int, ...]  # suit index for ranks 1..10
 
     def __post_init__(self) -> None:
-        if len(self.choice) != 10 or not all(type(s) is int and 0 <= s < 4 for s in self.choice):
-            raise ValueError("marking needs ten int suit indices in 0..3")
+        if len(self.choice) != 10:
+            raise ValueError(f"marking needs ten suit indices, got {len(self.choice)}")
+        for s in self.choice:
+            check_int("suit index", s, 0, 3)
 
     def cards(self) -> tuple[Card, ...]:
         return tuple(Card(SUITS[s], r + 1) for r, s in enumerate(self.choice))
@@ -43,8 +45,7 @@ class Marking:
 
     @classmethod
     def from_index(cls, index: int) -> "Marking":
-        if not 0 <= index < N_MARKINGS:
-            raise ValueError(f"marking index must be in 0..{N_MARKINGS - 1}, got {index}")
+        check_int("marking index", index, 0, N_MARKINGS - 1)
         return cls(tuple((index >> (2 * r)) & 3 for r in range(10)))
 
     @property

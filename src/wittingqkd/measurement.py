@@ -29,6 +29,7 @@ from .configuration import (
     ProjectiveState,
     Vector,
     WittingConfiguration,
+    check_int,
     scaled_inner,
 )
 
@@ -97,9 +98,7 @@ def basis_vectors(
 
 
 def _check_tetrad(config: WittingConfiguration, tetrad: object) -> None:
-    last = len(config.bases) - 1
-    if not isinstance(tetrad, int) or isinstance(tetrad, bool) or not 0 <= tetrad <= last:
-        raise ValueError(f"tetrad id must be an int in 0..{last}, got {tetrad!r}")
+    check_int("tetrad id", tetrad, 0, len(config.bases) - 1)
 
 
 def outcome_counts(
@@ -363,34 +362,22 @@ def compose_branches(branches: tuple[TwoStepBranch, ...]) -> JointDistribution:
 def toffoli_report() -> dict:
     """Check the query gate at probe |3>: on two qubits plus ancilla it is Toffoli.
 
-    The gate flips the ancilla exactly on the probe's component; for probe
-    |3> = |11> that is the permutation swapping |110> and |111>, i.e. the
-    Toffoli gate.  Returns a small report of exact matrix identities.
+    The gate flips the ancilla exactly on the probe's component.  On the
+    basis |ququart j, ancilla a>, indexed 2j + a, it is the permutation
+    (j, a) -> 2j + (a xor [j = probe]); for probe |3> = |11> that swaps
+    |110> and |111>, i.e. the Toffoli gate.  Returns a small report of exact
+    permutation identities.
     """
 
-    def query_gate(probe_index: int) -> list[list[int]]:
-        # basis order |ququart j, ancilla a> -> index 2j + a
-        gate = [[0] * 8 for _ in range(8)]
-        for j in range(4):
-            for anc in (0, 1):
-                source = 2 * j + anc
-                target = 2 * j + (anc ^ 1 if j == probe_index else anc)
-                gate[target][source] = 1
-        return gate
+    def query_gate(probe: int) -> list[int]:  # entry i is the image of index i
+        return [2 * j + (a ^ (j == probe)) for j in range(4) for a in (0, 1)]
 
     t3 = query_gate(3)
     # Toffoli on qubits (q1, q0, ancilla) with j = 2*q1 + q0: flips the
     # ancilla exactly when q1 = q0 = 1, i.e. swaps indices 6 and 7.
-    toffoli = [[1 if i == j else 0 for j in range(8)] for i in range(8)]
-    toffoli[6][6] = toffoli[7][7] = 0
-    toffoli[6][7] = toffoli[7][6] = 1
-    square = [
-        [sum(t3[i][k] * t3[k][j] for k in range(8)) for j in range(8)]
-        for i in range(8)
-    ]
-    identity = [[1 if i == j else 0 for j in range(8)] for i in range(8)]
+    toffoli = [0, 1, 2, 3, 4, 5, 7, 6]
     return {
         "is_toffoli": t3 == toffoli,
-        "involutive": square == identity,
+        "involutive": [t3[i] for i in t3] == list(range(8)),
         "probe0_differs": query_gate(0) != toffoli,
     }

@@ -25,7 +25,7 @@ Choice policies: ``uniform`` (independent), ``agreed`` (both parties replay
 one shared pseudo-random stream, so equal seeds mean identical choices),
 ``correlated`` (take the shared stream with probability ``weight``, else an
 independent draw), and ``fixed`` (a forced choice, used for exhaustive
-per-tetrad checks).
+per-tetrad checks; the two-step protocol, which draws twice, refuses it).
 
 Seed derivation (stream version 3).  Every stream is a ``random.Random``
 seeded with ``4 * seed + stream``, which is injective for int seeds >= 0
@@ -59,7 +59,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .configuration import WittingConfiguration
+from .configuration import WittingConfiguration, check_int
 
 # The benchmark's tracer looks the per-pair laws up here.
 from .measurement import intercept_resend_distribution, joint_distribution  # noqa: F401
@@ -75,12 +75,6 @@ _WEIGHT = re.compile(r"\d+/\d+|\d*\.?\d+")
 _WEIGHT_MAX_CHARS = 40
 
 
-def _check_int(name: str, value: object, low: int) -> None:
-    # Random(-s) would alias Random(s), and Random(6.0) is Random(6).
-    if not isinstance(value, int) or isinstance(value, bool) or value < low:
-        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PartyPolicy:
     mode: str = "uniform"  # uniform | agreed | correlated | fixed
@@ -91,13 +85,16 @@ class PartyPolicy:
     def __post_init__(self) -> None:
         if self.mode not in ("uniform", "agreed", "correlated", "fixed"):
             raise ValueError(f"unknown policy mode {self.mode!r}")
-        if self.mode == "fixed" and self.choice is None:
-            raise ValueError("fixed policy needs a choice")
-        if self.choice is not None:
-            _check_int("fixed choice", self.choice, 0)
-        _check_int("seed", self.seed, 0)
-        if not isinstance(self.weight, (int, Fraction)):
+        if self.mode == "fixed":
+            check_int("fixed choice", self.choice, 0)
+        elif self.choice is not None:
+            raise ValueError(f"a {self.mode} policy takes no choice")
+        # Random(-s) would alias Random(s), and Random(6.0) is Random(6).
+        check_int("seed", self.seed, 0)
+        if not isinstance(self.weight, (int, Fraction)) or isinstance(self.weight, bool):
             raise ValueError(f"correlation weight must be an int or Fraction, got {self.weight!r}")
+        if self.weight != 0 and self.mode != "correlated":
+            raise ValueError(f"a {self.mode} policy takes no weight")
         if not 0 <= self.weight <= 1:
             raise ValueError("correlation weight must lie in [0, 1]")
         if self.weight.denominator >= MAX_WEIGHT_DENOMINATOR:
@@ -185,8 +182,7 @@ class _Party:
     def draw(self, bound: int, n: int) -> np.ndarray:
         policy = self.policy
         if policy.mode == "fixed":
-            if not 0 <= policy.choice < bound:
-                raise ValueError(f"fixed choice {policy.choice} not in 0..{bound - 1}")
+            check_int("fixed choice", policy.choice, 0, bound - 1)
             return np.full(n, policy.choice, np.intp)
         if policy.mode == "agreed":
             return _uniform(self.shared, bound, n)
@@ -316,8 +312,8 @@ def _run(
     on_block: Callable[[RoundBlock], None] | None,
 ) -> SessionTranscript:
     """The round engine: every protocol, block by block."""
-    _check_int("rounds", rounds, 1)
-    _check_int("seed", seed, 0)
+    check_int("rounds", rounds, 1)
+    check_int("seed", seed, 0)
     counts, den = outcome_counts(config, eve_basis)
     tetrads, _, d, _ = counts.shape
     # Block (a, b) lists outcome pair k = d·i + j counts[a, b, i, j] times, in
@@ -405,8 +401,11 @@ def run_two_step_session(
     Sifting is on tetrad equality only: even when the step-1 states differ,
     a shared tetrad still yields identical outcomes.  The queries commute
     with the final tetrad projectors, so every round's outcome law is the
-    one-step joint of the two tetrads.
+    one-step joint of the two tetrads.  A fixed policy is refused: its one
+    choice cannot serve as both the state and the tetrad among its four.
     """
+    if "fixed" in (policy_a.mode, policy_b.mode):
+        raise ValueError("the two-step protocol takes no fixed policy")
     return _run(config, _TWO_STEP, rounds, (policy_a, policy_b), seed, None, on_block)
 
 

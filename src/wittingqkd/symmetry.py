@@ -34,18 +34,18 @@ from typing import Iterable
 
 import numpy as np
 
-from .eisenstein import Eisenstein, UNITS
+from .eisenstein import MAGNITUDE_BOUND, Eisenstein, UNITS
 from .configuration import (
     UNIT_PAIRS,
     Card,
     ProjectiveState,
     WittingConfiguration,
+    check_int,
     ring_conj,
     ring_matmul,
     ring_mul,
 )
 
-_ENTRY_BOUND = 1 << 20  # matches the Eisenstein component bound
 _CLOSURE_BOUND = 200_000  # above |G32| = 155520, the largest closure here
 _IDENTITY = np.eye(4, dtype=np.int64)[:, :, None] * UNIT_PAIRS[0]  # (4, 4, 2)
 _PERMS = np.array(list(itertools.permutations(range(4))))  # (24, 4)
@@ -66,7 +66,7 @@ def _reduce(m: np.ndarray, d: int) -> tuple[np.ndarray, int]:
     while d > 0 and not (m % 3).any():
         m = m // 3
         d -= 1
-    if np.abs(m).max() > _ENTRY_BOUND:
+    if np.abs(m).max() > MAGNITUDE_BOUND:
         raise SymmetryError("matrix entries exceed the magnitude bound")
     return m, d
 
@@ -111,8 +111,7 @@ class SymmetryElement:
 
     def scaled_by_unit(self, unit_index: int) -> "SymmetryElement":
         """Multiply by UNITS[unit_index]."""
-        if not 0 <= unit_index < len(UNITS):
-            raise IndexError(unit_index)
+        check_int("unit index", unit_index, 0, len(UNITS) - 1)
         return SymmetryElement.from_parts(
             ring_mul(UNIT_PAIRS[unit_index], self.m), self.denom_exp
         )

@@ -7,14 +7,14 @@ checks (the two group closures and the exhaustive marking scan).
 
 The configuration builds its transition table on an integer array
 (``config.vector_array``, one Gram product over Z[w]), and the symmetry
-group's matrices run on the same array kernel.  The checks
-``transition-spectrum``, ``mub-embedding`` and ``pair-bases`` deliberately
-recompute every overlap they use from the boxed vectors with
-:func:`scaled_inner`, the pure-int Z[w] inner product, which uses no
-numpy.  So they stay independent of that array kernel and can catch a fault
-in it.  ``column-shifts``, ``symmetry-group`` and ``reflection-group`` run
-on the array; the group orders they assert are known values, so a fault in
-the kernel still shows.
+group's matrices run on the same array kernel.  ``transition-spectrum``,
+``mub-embedding`` and ``pair-bases`` assert only on :func:`_overlaps`, the
+table of 9 |<s|t>|^2 recomputed with :func:`scaled_inner`, the pure-int
+Z[w] inner product, which uses no numpy; the first compares it with
+``config.transition_array`` entry by entry, so a fault in the array kernel
+shows there.  ``column-shifts``, ``symmetry-group`` and ``reflection-group``
+run on the array; the group orders they assert are known values, so a
+fault in the kernel still shows.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Callable
 import numpy as np
 
 from .configuration import (
-    ProjectiveState,
     WittingConfiguration,
     canonical_rows,
     ring_conj,
@@ -69,7 +68,7 @@ class CheckResult:
 
 def _check_counts(config: WittingConfiguration) -> str:
     assert len(config.states) == 40
-    assert len(config.expand_vertices()) == 240
+    assert len(config.vertex_array()) == 240
     degrees = {len(a) for a in config.adjacency}
     assert degrees == {12}, degrees
     edges = sum(len(a) for a in config.adjacency) // 2
@@ -80,19 +79,25 @@ def _check_counts(config: WittingConfiguration) -> str:
     return "40 states, 240 vertices, 12-regular graph, 40 tetrads, 4 per state"
 
 
-def _born(s: ProjectiveState, t: ProjectiveState) -> Fraction:
-    """|<s|t>|^2 recomputed from the sqrt(3)-scaled vectors, not the table."""
-    return Fraction(scaled_inner(s.vector, t.vector).norm_sq(), 9)
+def _overlaps(config: WittingConfiguration) -> list[list[int]]:
+    """The 40x40 table of 9 |<s|t>|^2, recomputed from the boxed vectors.
+
+    One :func:`scaled_inner` per pair s <= t, mirrored, as |<t|s>| = |<s|t>|:
+    no numpy, and nothing read from ``config.transition_array``.
+    """
+    vectors = [s.vector for s in config.states]
+    table = [[0] * len(vectors) for _ in vectors]
+    for i, v in enumerate(vectors):
+        for j in range(i, len(vectors)):
+            table[i][j] = table[j][i] = scaled_inner(v, vectors[j]).norm_sq()
+    return table
 
 
 def _check_spectrum(config: WittingConfiguration) -> str:
-    third = Fraction(1, 3)
-    for s, t in itertools.combinations(config.states, 2):
-        p = _born(s, t)
-        assert p in (0, third)
-        assert config.transition_prob(s, t) == p
-    for s in config.states:
-        assert _born(s, s) == config.transition_prob(s, s) == 1
+    table = _overlaps(config)
+    assert table == config.transition_array.tolist()
+    for i, row in enumerate(table):
+        assert row[i] == 9 and set(row[:i] + row[i + 1 :]) <= {0, 3}, row
     return "all 780 off-diagonal pairs in {0, 1/3}; diagonal exactly 1"
 
 
@@ -106,15 +111,12 @@ def _check_basis_structure(config: WittingConfiguration) -> str:
 
 
 def _check_mub_slices(config: WittingConfiguration) -> str:
-    third = Fraction(1, 3)
+    table = _overlaps(config)
     for k in range(4):
-        triads = config.mub_triads(k)
+        triads = [[config.state_of(c).index for c in t] for t in config.mub_triads(k)]
         assert len(triads) == 4
         for t1, t2 in itertools.combinations(triads, 2):
-            for a in t1:
-                for b in t2:
-                    sa, sb = config.state_of(a), config.state_of(b)
-                    assert _born(sa, sb) == config.transition_prob(a, b) == third
+            assert all(table[a][b] == 3 for a in t1 for b in t2)
     return "each coordinate slice splits into 4 triads, cross-probability 1/3"
 
 
@@ -165,18 +167,11 @@ def _check_columns(columns: np.ndarray) -> str:
 
 
 def _check_pair_bases(config: WittingConfiguration) -> str:
-    count = 0
-    for s, t in itertools.combinations(config.states, 2):
-        if scaled_inner(s.vector, t.vector).is_zero():
-            assert config.common_basis(s.card, t.card) is not None
-            count += 1
-    assert count == 240
-    agree = sum(
-        1
-        for s in config.states
-        for t in config.states
-        if config.common_basis(s.card, t.card) is not None
-    )
+    common = config.common_tetrad.tolist()
+    zero = [(i, j) for i, row in enumerate(_overlaps(config)) for j in range(i) if row[j] == 0]
+    assert len(zero) == 240
+    assert all(common[i][j] >= 0 for i, j in zero)
+    agree = sum(n >= 0 for row in common for n in row)
     assert Fraction(agree, 1600) == Fraction(13, 40), agree
     return "each orthogonal pair in exactly 1 tetrad; common-tetrad rate 13/40"
 

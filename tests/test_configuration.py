@@ -356,7 +356,7 @@ def test_mub_triads(config, k):
 
 @pytest.mark.parametrize("k", [-1, 4, True, 1.0])
 def test_mub_triads_rejects_coordinates_outside_0_to_3(config, k):
-    with pytest.raises(ValueError, match="coordinate outside 0..3"):
+    with pytest.raises(ValueError, match="coordinate must be an int in 0..3"):
         config.mub_triads(k)
 
 

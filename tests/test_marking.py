@@ -40,7 +40,7 @@ def test_marking_rejects_non_int_suit_indices(choice):
         Marking(choice)
 
 
-@pytest.mark.parametrize("index", [-1, N_MARKINGS, 2**64])
+@pytest.mark.parametrize("index", [-1, N_MARKINGS, 2**64, True, 2.0])
 def test_marking_index_out_of_range_raises(index):
     with pytest.raises(ValueError):
         Marking.from_index(index)

@@ -650,6 +650,34 @@ def test_policy_weight_bounds():
     assert PartyPolicy("correlated", weight=1).weight == 1
 
 
+@pytest.mark.parametrize(
+    "mode, fields",
+    [("uniform", {"choice": 7}), ("agreed", {"choice": 0}),
+     ("correlated", {"weight": Fraction(1, 2), "choice": 3}),
+     ("agreed", {"weight": Fraction(1, 2)}), ("uniform", {"weight": 1}),
+     ("fixed", {"choice": 2, "weight": Fraction(1, 4)}),
+     ("correlated", {"weight": True}), ("correlated", {"weight": False})],
+)
+def test_policy_rejects_fields_its_mode_ignores(mode, fields):
+    with pytest.raises(ValueError):
+        PartyPolicy(mode, **fields)
+
+
+@pytest.mark.parametrize("run", [run_two_step_session, run_session])
+@pytest.mark.parametrize("fixed_party", [0, 1])
+def test_two_step_refuses_a_fixed_policy_before_any_draw(config, monkeypatch, run, fixed_party):
+    # Its one choice would have to serve as both the state and the tetrad
+    # among the state's four.
+    draws = []
+    monkeypatch.setattr(protocol_mod._Party, "draw", lambda *args: draws.append(args))
+    policies = [UA, UB]
+    policies[fixed_party] = PartyPolicy("fixed", choice=2)
+    args = (config, "two-step") if run is run_session else (config,)
+    with pytest.raises(ValueError, match="fixed policy"):
+        run(*args, 100, *policies, seed=3)
+    assert draws == []
+
+
 def test_policy_rejects_negative_seed():
     with pytest.raises(ValueError):
         PartyPolicy("uniform", -7)

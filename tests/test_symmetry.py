@@ -167,6 +167,12 @@ def test_scalar_content_of_group(group):
     assert omega_id not in group
 
 
+@pytest.mark.parametrize("unit", [-1, 6, True, 1.0])
+def test_scaled_by_unit_takes_only_an_int_unit_index(unit):
+    with pytest.raises(ValueError, match="unit index must be an int in 0..5"):
+        SymmetryElement.identity().scaled_by_unit(unit)
+
+
 @pytest.fixture(scope="module")
 def boxed_vertices(config):
     """The 240 vertices from ``expand_vertices()``, as an array and a lookup."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wittingqkd import verify
+from wittingqkd import WittingConfiguration, verify
 from wittingqkd.configuration import ring_mul
 from wittingqkd.eisenstein import Eisenstein
 
@@ -26,11 +26,24 @@ def test_column_check_fails_when_one_coordinate_is_turned_by_w(config):
                     verify._check_columns(broken)
 
 
+@pytest.mark.parametrize("pair", [(0, 1), (3, 7), (7, 3)])
+def test_spectrum_check_catches_a_faulty_transition_array(pair):
+    """One off-diagonal entry of the array, above or below the diagonal,
+    flipped between 0 and 3: the boxed overlaps still read the vectors, so
+    the spectrum check fails."""
+    config = WittingConfiguration()
+    faulty = config.transition_array.copy()
+    faulty[pair] = 3 - faulty[pair]
+    config.transition_array = faulty
+    with pytest.raises(AssertionError):
+        verify._check_spectrum(config)
+
+
 def test_suite_builds_few_boxed_values(monkeypatch):
     """Boxed Z[w] values stay at the API edge: the inner products of the
     checks run on plain ints, and each direct distribution is computed once
     per tetrad and input.  The full suite built 97,348 of them when each
-    inner product boxed its every term; it now builds about 14,100."""
+    inner product boxed its every term; it now builds about 13,800."""
     built = []
     original = Eisenstein.__post_init__
 
@@ -41,4 +54,4 @@ def test_suite_builds_few_boxed_values(monkeypatch):
     monkeypatch.setattr(Eisenstein, "__post_init__", counted)
     results = verify.run_checks()
     assert all(r.passed for r in results), [r for r in results if not r.passed]
-    assert 0 < len(built) < 20_000, len(built)
+    assert 0 < len(built) < 15_000, len(built)
