@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .configuration import WittingConfiguration, bases_payload, states_payload
+from .configuration import WittingConfiguration, bases_payload, check_int, states_payload
 from .marking import exhaustive_scan, Marking
 from .measurement import intercept_resend_distribution, joint_distribution
 from .protocol import DEFAULT_SEED, PartyPolicy, run_session, transcript_csv_rows
@@ -34,9 +34,10 @@ def _int_in(low: int, high: int | None = None):
 
     def integer(text: str) -> int:  # argparse reports "invalid integer value"
         value = int(text)
-        if value < low or (high is not None and value > high):
-            bound = f">= {low}" if high is None else f"in {low}..{high}"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        try:
+            check_int("value", value, low, high)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
 
     return integer

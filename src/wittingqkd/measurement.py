@@ -5,13 +5,14 @@ Rewriting it over any orthonormal basis {x_k} pairs each |x_k> on one side
 with the componentwise-conjugated |x_k*> on the other, so when Bob measures
 the conjugated copy of Alice's tetrad the outcome indices agree with
 certainty.  All probabilities here are exact ``Fraction`` values.
-:func:`outcome_counts` is the one reader of the configuration's integer
-transition table, and the round engine samples its counts;
-:func:`joint_distribution` and :func:`intercept_resend_distribution` are
-views of one block of it.  The rest (delayed queries, two-step measurement,
-``JointState``) is the boxed Z[w] vector reference that ``verify`` and the
-tests check the table against: one query projector and one Born rule over a
-tetrad, shared by the single ququart and the pair.  Its vectors are kept
+One private formula reads the configuration's integer transition table:
+:func:`outcome_counts` applies it to every tetrad pair, and the round
+engine samples those counts; :func:`joint_distribution` and
+:func:`intercept_resend_distribution` apply it to one pair alone.  The
+rest (delayed queries, two-step measurement, ``JointState``) is the boxed
+Z[w] vector reference that ``verify`` and the tests check the table
+against: one query projector and one Born rule over a tetrad, shared by
+the single ququart and the pair.  Its vectors are kept
 unnormalised with an explicit power-of-sqrt(3) scale so no irrational
 number ever appears.
 """
@@ -101,6 +102,26 @@ def _check_tetrad(config: WittingConfiguration, tetrad: object) -> None:
     check_int("tetrad id", tetrad, 0, len(config.bases) - 1)
 
 
+def _counts(
+    config: WittingConfiguration,
+    alice: np.ndarray | tuple[int, ...],
+    bob: np.ndarray | tuple[int, ...],
+    eve_basis: int | None,
+) -> tuple[np.ndarray, int]:
+    """Counts of Alice's states (rows) against Bob's (columns), over ``den``.
+
+    T(s, t) over 36 without an attacker, with T = 9·|<s|t>|²; with an
+    intercept-resend attacker on tetrad e, sum_k T(s, e_k) T(e_k, t) over
+    324 (9·9·4).
+    """
+    t = config.transition_array
+    if eve_basis is None:
+        return t[np.ix_(alice, bob)], 36
+    _check_tetrad(config, eve_basis)
+    eve = config.basis_states[eve_basis]
+    return t[np.ix_(alice, eve)] @ t[np.ix_(eve, bob)], 324
+
+
 def outcome_counts(
     config: WittingConfiguration, eve_basis: int | None = None
 ) -> tuple[np.ndarray, int]:
@@ -112,24 +133,22 @@ def outcome_counts(
     T(a_i, b_j) / 36 with T = 9·|<s|t>|²; with an intercept-resend attacker
     on tetrad e it is sum_k T(a_i, e_k) T(e_k, b_j) / 324.
     """
-    t = config.transition_array
     members = np.array(config.basis_states)  # (tetrads, d) state indices
-    if eve_basis is None:
-        return t[members[:, None, :, None], members[None, :, None, :]], 36
-    _check_tetrad(config, eve_basis)
     tetrads, d = members.shape
-    flat, eve = members.reshape(-1), members[eve_basis]
-    counts = t[flat][:, eve] @ t[eve][:, flat]  # (tetrads·d, tetrads·d) over 9·9·4
-    return counts.reshape(tetrads, d, tetrads, d).transpose(0, 2, 1, 3), 324
+    flat = members.reshape(-1)
+    counts, den = _counts(config, flat, flat, eve_basis)
+    return counts.reshape(tetrads, d, tetrads, d).transpose(0, 2, 1, 3), den
 
 
 def _block(
     config: WittingConfiguration, alice_basis: int, bob_basis: int, eve_basis: int | None
 ) -> JointDistribution:
+    """Block ``[alice_basis, bob_basis]`` of :func:`outcome_counts`, computed alone."""
     _check_tetrad(config, alice_basis)
     _check_tetrad(config, bob_basis)
-    counts, den = outcome_counts(config, eve_basis)
-    rows = counts[alice_basis, bob_basis].tolist()
+    members = config.basis_states
+    counts, den = _counts(config, members[alice_basis], members[bob_basis], eve_basis)
+    rows = counts.tolist()
     return JointDistribution(tuple(tuple(Fraction(n, den) for n in row) for row in rows))
 
 

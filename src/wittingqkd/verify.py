@@ -2,8 +2,10 @@
 
 Each check recomputes one family of structural claims from scratch and
 returns a short human-readable detail string; any exception or failed
-predicate marks the check failed.  ``quick=True`` skips the three expensive
-checks (the two group closures and the exhaustive marking scan).
+predicate marks the check failed.  ``quick=True`` skips the three checks
+flagged in ``CHECKS``: the two group closures and the exhaustive marking
+scan, the checks that enumerate a whole group or search space rather than
+the 40 states and their tetrads.
 
 The configuration builds its transition table on an integer array
 (``config.vector_array``, one Gram product over Z[w]), and the symmetry

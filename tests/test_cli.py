@@ -80,10 +80,18 @@ def test_joint_with_eve(capsys):
 
 
 def test_joint_rejects_out_of_range(capsys):
-    with pytest.raises(SystemExit):
-        main(["joint", "--alice", "40", "--bob", "0"])
-    with pytest.raises(SystemExit):
-        main(["simulate", "--protocol", "naive", "--rounds", "10", "--eve", "41"])
+    # The range rule and its message are configuration.check_int's.
+    for argv, bound in (
+        ("joint --alice 40 --bob 0", "in 0..39, got 40"),
+        ("simulate --protocol naive --rounds 10 --eve 41", "in 0..39, got 41"),
+        ("simulate --protocol naive --rounds 0", ">= 1, got 0"),
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv.split())
+        captured = capsys.readouterr()
+        assert err.value.code == 2, argv
+        assert captured.out == "", argv
+        assert f"must be an int {bound}" in captured.err, argv
 
 
 def test_simulate_summary_fields(capsys):

@@ -340,6 +340,8 @@ def test_transcript_csv_digest(capsys, tmp_path, line):
 
 
 def test_outcome_counts_equal_joint_distribution(config):
+    # joint_distribution and intercept_resend_distribution compute their
+    # block alone; each of the 1600 must equal that block of the whole table.
     counts, den = outcome_counts(config)
     assert den == 36
     for a in range(40):
@@ -350,7 +352,7 @@ def test_outcome_counts_equal_joint_distribution(config):
             ]
 
 
-@pytest.mark.parametrize("eve", [0, 10, 28])
+@pytest.mark.parametrize("eve", [0, 10, 28, 3, 15, 33])  # twice rank, mixed-suit, mono-suit
 def test_outcome_counts_equal_intercept_resend_distribution(config, eve):
     counts, den = outcome_counts(config, eve)
     assert den == 324

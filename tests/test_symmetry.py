@@ -257,22 +257,39 @@ def test_state_permutation_reads_the_tables_vertex_index(config, group, monkeypa
     assert calls == [1]
 
 
-def test_closure_matches_python_set_breadth_first_search(config, group, boxed_vertices):
-    # An independent closure: a Python set, no numpy set operations.  An
-    # element is the 4 bytes of its axis images; left multiplication by g
-    # maps each image x to g[x], a bytes.translate with g as the table.
+def _set_closure(boxed_vertices, elements) -> set[bytes]:
+    """An independent closure: a Python set, no numpy set operations.
+
+    An element is the 4 bytes of its axis images; left multiplication by g
+    maps each image x to g[x], a bytes.translate with g as the table.
+    """
     _, index = boxed_vertices
     pad = bytes(16)  # translate tables have 256 entries; only 240 are read
-    gens = [bytes(_vertex_permutation(boxed_vertices, g)) + pad for g in generators(config)]
+    gens = [bytes(_vertex_permutation(boxed_vertices, g)) + pad for g in elements]
     axes = np.eye(4, dtype=np.int64)[:, :, None] * np.array((1, 2))
     frontier = seen = {bytes(index[a.tobytes()] for a in axes)}
     while frontier:
         frontier = {h.translate(g) for h in frontier for g in gens} - seen
         seen = seen | frontier
-    ordered = sorted(seen, key=lambda h: int.from_bytes(h, sys.byteorder))
-    assert b"".join(ordered) == group._keys.tobytes()
+    return seen
+
+
+def _sorted_keys(seen: set[bytes]) -> bytes:
+    """The elements joined in the order of their uint32 keys, as ``_keys`` holds them."""
+    return b"".join(sorted(seen, key=lambda h: int.from_bytes(h, sys.byteorder)))
+
+
+def _raw_triflections(config) -> tuple[SymmetryElement, ...]:
+    return tuple(triflection(config.state_of(c)) for c in GENERATOR_CARDS)
+
+
+def test_closure_matches_python_set_breadth_first_search(config, group, boxed_vertices):
+    _, index = boxed_vertices
+    seen = _set_closure(boxed_vertices, generators(config))
+    assert _sorted_keys(seen) == group._keys.tobytes()
     # Quotient orders: classes of elements that differ by a unit scalar,
     # each named by the least key over its unit multiples.
+    pad = bytes(16)
     vertices = config.expand_vertices()
     scalars = [
         bytes(index[np.array([(u * x).key() for x in v]).tobytes()] for v in vertices) + pad
@@ -281,6 +298,29 @@ def test_closure_matches_python_set_breadth_first_search(config, group, boxed_ve
     for units, order in ((scalars[:2], group.order_mod_pm1), (scalars, group.projective_order)):
         classes = {min(int.from_bytes(h.translate(s), sys.byteorder) for s in units) for h in seen}
         assert len(classes) == order == 25920
+
+
+def test_raw_closure_matches_python_set_breadth_first_search(config, boxed_vertices):
+    raw = _raw_triflections(config)
+    table = symmetry._closure(config, raw)
+    assert _sorted_keys(_set_closure(boxed_vertices, raw)) == table._keys.tobytes()
+
+
+@pytest.mark.parametrize("family", [generators, _raw_triflections], ids=["det-1", "raw"])
+def test_closure_of_each_generator_subset_matches_python_set_search(
+    config, boxed_vertices, family
+):
+    # The proper subsets; the two tests above take the whole sets, so the
+    # 30 nonempty subsets are covered.  Their groups have orbits of the
+    # first axis vertex smaller than 240, and some a trivial stabiliser.
+    gens = family(config)
+    orders = []
+    for r in range(1, len(gens)):
+        for subset in itertools.combinations(gens, r):
+            table = symmetry._closure(config, subset)
+            assert _sorted_keys(_set_closure(boxed_vertices, subset)) == table._keys.tobytes()
+            orders.append(len(table))
+    assert sorted(orders) == [3] * 4 + [9] * 3 + [24] * 3 + [72] * 2 + [648] * 2
 
 
 def test_closure_over_its_bound_raises(config, monkeypatch):
@@ -293,8 +333,10 @@ def test_closure_over_its_bound_raises(config, monkeypatch):
 
 
 def test_group_memory_is_bounded(config, group):
-    # Mirrors test_scan_memory_is_bounded: both closures hold their sorted
-    # keys and one frontier of keys, never (n, 240) vertex permutations.
+    # Mirrors test_scan_memory_is_bounded: both closures hold one
+    # (orbit, 240) transversal, the stabiliser's keys and a few dozen of its
+    # generators, then the (orbit, |H|, 4) coset gather and its sorted keys;
+    # never (n, 240) vertex permutations of the whole group.
     for closure in (generate_group, reflection_group_order):
         tracemalloc.start()
         try:
