@@ -34,7 +34,7 @@ print("  determinants:", [str(g.determinant_unit()) for g in gens])
 print()
 
 print("Each generator permutes the 240 polytope vertices exactly; the closure")
-print("is built as the cosets of the stabiliser of one axis vertex, and each")
+print("walks a chain of stabilisers, one axis vertex after another, and each")
 print("element is kept as the images of the four axis vertices:")
 t0 = time.time()
 table = generate_group(config)

@@ -289,7 +289,10 @@ class WittingConfiguration:
     ``transition_array`` (40, 40), 9 |<s|t>|^2 in {0, 3, 9};
     ``tetrads_of_state`` (40, 4), the four tetrad ids of each state in
     ascending order (``bases_of``); ``common_tetrad`` (40, 40), the tetrad
-    shared by two states or -1 (``common_basis``).
+    shared by two states or -1.  Distinct orthogonal states share exactly
+    one tetrad; a state paired with itself takes the lowest of its four
+    (a public tie-break both protocol parties can apply without
+    communicating); non-orthogonal pairs share none.
     """
 
     def __init__(self) -> None:
@@ -446,17 +449,6 @@ class WittingConfiguration:
 
     def bases_of(self, card: Card) -> tuple[int, ...]:
         return tuple(self.tetrads_of_state[self._by_card[card].index].tolist())
-
-    def common_basis(self, a: Card, b: Card) -> int | None:
-        """The tetrad shared by two cards.
-
-        Distinct orthogonal cards lie in exactly one common tetrad; equal
-        cards resolve to the lowest of their four tetrad ids (a public
-        tie-break both protocol parties can apply without communicating);
-        non-orthogonal pairs share none.
-        """
-        shared = int(self.common_tetrad[self._by_card[a].index, self._by_card[b].index])
-        return None if shared < 0 else shared
 
     def vertex_array(self) -> np.ndarray:
         """The 240 polytope vertices, (240, 4, 2): vertex 6 s + u is UNITS[u] times state s."""

@@ -194,8 +194,13 @@ def contextuality_witness(
 
     Every complete per-tetrad table has one: were some table witness-free,
     its marks would define a global marking correct on all 40 tetrads,
-    which the exhaustive scan rules out.
+    which the exhaustive scan rules out.  A table that is not one mark
+    position in 0..3 per tetrad raises ``ValueError``.
     """
+    if len(table) != len(config.bases):
+        raise ValueError(f"table must have {len(config.bases)} entries, got {len(table)}")
+    for position in table:
+        check_int("mark position", position, 0, 3)
     marked: dict[Card, list[int]] = {}
     unmarked: dict[Card, list[int]] = {}
     for basis, position in zip(config.bases, table):

@@ -12,19 +12,17 @@ their arithmetic goes through the array kernel of :mod:`.configuration`
 itself is closed over permutations of the 240 Witting vertices: those
 vertices span C^4, so each element is exactly one permutation, and it is
 fixed by the images of the four axis vertices, packed into one uint32 key.
-Closure is the orbit-stabiliser construction with Schreier generators
-(Sims 1970; Seress, *Permutation Group Algorithms*, 2003).  A breadth-first
-search over whole permutation rows finds a transversal: one element t_v
-taking the first axis vertex a0 to each vertex v of its orbit.  The
-Schreier generators t_w^-1 g t_v, w = g(v), generate the stabiliser H of
-a0; only that small group is closed breadth first over keys, each step
-applying its generators' permutations to a frontier of keys with numpy
-fancy indexing.  The group is the disjoint union of the cosets t_v H, whose
-keys are one gather of the transversal at H's axis images, sorted once.
-Keys are deduplicated by sorting and tested for membership by binary
-search, never by ``np.unique`` or ``np.isin``: from numpy 2.3 ``np.unique``
-goes through a hash table, about 100 times slower than ``np.sort`` on these
-uint32 keys.  The closure is a
+Closure walks a stabiliser chain along the four axis vertices (Sims 1970;
+Seress, *Permutation Group Algorithms*, 2003).  At each level a
+breadth-first search finds a transversal t_v of the next axis vertex's
+orbit under the stabiliser of those before it, and the Schreier generators
+t_w^-1 g t_v, w = g(v), generate that vertex's stabiliser for the next
+level.  Each element is one product of a row from every level, and its key
+is that product's images of the axes: one gather per level and one sort.
+Duplicate products are dropped by a stable argsort and membership is
+tested by binary search, never by ``np.unique`` or ``np.isin``: from numpy
+2.3 ``np.unique`` goes through a hash table, about 100 times slower than
+``np.sort`` on these uint32 keys.  The closure is a
 :class:`GroupTable`: the sorted keys (about 200 KB) and the vertex index
 they refer to.  Matrices, orders and the action on the 40 states are read
 off those two.  Vertex 6 s + u is UNITS[u] times state s, so state s goes
@@ -86,6 +84,9 @@ class SymmetryElement:
     denom_exp: int
 
     def __post_init__(self) -> None:
+        check_int("denominator exponent", self.denom_exp, 0)
+        if self.denom_exp > 0 and not (self.m % 3).any():
+            raise ValueError("m / 3**denom_exp is not reduced: use from_parts")
         self.m.setflags(write=False)
 
     @classmethod
@@ -222,14 +223,6 @@ def _pack(images: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(images).view(np.uint32)[..., 0]
 
 
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of a 1-d array, sorted: np.unique without its hash table."""
-    keys = np.sort(keys)
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
-
-
 def _member(keys: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """Whether each candidate is one of the sorted keys, by binary search.
 
@@ -255,86 +248,75 @@ def _first_occurrences(values: np.ndarray) -> np.ndarray:
 def _transversal(gens: np.ndarray, point: int) -> np.ndarray:
     """One permutation mapping ``point`` to each point of its orbit.
 
-    Breadth first over (n, 240) uint8 rows, the identity first: each level
-    forms g t for every generator g and frontier row t, and keeps the first
-    row for each image of ``point`` not reached before.
+    Breadth first from the identity over (n, size) uint8 rows: each level
+    reads the images g(t(point)) for every generator g and frontier row t,
+    keeps the first product for each point not reached before, and builds
+    the whole row g t only for those.
     """
-    trans = frontier = np.arange(gens.shape[1], dtype=np.uint8)[None, :]
-    reached = np.zeros(gens.shape[1], dtype=bool)
+    size = gens.shape[1]
+    trans = frontier = np.arange(size, dtype=np.uint8)[None, :]
+    reached = np.zeros(size, dtype=bool)
     reached[point] = True
     while len(frontier):
-        cand = gens[:, frontier].reshape(-1, gens.shape[1])  # g[t[x]] = (g t)(x)
-        first = _first_occurrences(cand[:, point])
-        frontier = cand[first[~reached[cand[first, point]]]]
+        images = gens[:, frontier[:, point]].ravel()  # (k n,): g[t[point]]
+        first = _first_occurrences(images)
+        g, t = np.divmod(first[~reached[images[first]]], len(frontier))
+        frontier = gens[g[:, None], frontier[t]]  # g[t[x]] = (g t)(x)
         reached[frontier[:, point]] = True
         trans = np.concatenate((trans, frontier))
     return trans
 
 
-def _schreier_generators(gens: np.ndarray, trans: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """Schreier generators t_w^-1 g t_v of the stabiliser of ``axes[0]``, deduplicated.
+def _schreier_generators(
+    gens: np.ndarray, trans: np.ndarray, axes: np.ndarray, point: int
+) -> np.ndarray:
+    """Schreier generators t_w^-1 g t_v of the stabiliser of ``point``, deduplicated.
 
-    For every generator g and transversal row t_v, w is the image g(v) and
-    t_w its row.  The keys t_w^-1 g t_v (axes) come first, read through the
-    inverse rows; only one pair per distinct key, the identity left out, is
-    built as a whole (m, 240) permutation.
+    For every generator g and transversal row t_v, w is the image
+    g(t_v(point)) and t_w its row.  The keys of t_w^-1 g t_v, its images of
+    ``axes``, come first, read through the inverse rows; only one pair per
+    distinct key, the identity left out, is built as a whole (m, size) row.
     """
     n, size = trans.shape
     inverse = np.empty_like(trans)
     inverse[np.arange(n)[:, None], trans] = np.arange(size, dtype=np.uint8)
     row_of = np.zeros(size, dtype=np.intp)
-    row_of[trans[:, axes[0]]] = np.arange(n)
-    images = gens[:, trans[:, axes]]  # (k, n, 4): g t_v on the axes
-    w = row_of[images[..., :1]]  # (k, n, 1): the row of t_w
-    keys = _pack(inverse[w, images]).ravel()
+    row_of[trans[:, point]] = np.arange(n)
+    w = row_of[gens[:, trans[:, point]]]  # (k, n): the row of t_w
+    keys = _pack(inverse[w[..., None], gens[:, trans[:, axes]]]).ravel()
     kept = _first_occurrences(keys)
     kept = kept[keys[kept] != _pack(axes)]
     g, v = np.divmod(kept, n)
-    moved = gens[g[:, None], trans[v]]  # (m, 240): g t_v
-    return inverse[w.ravel()[kept, None], moved]
-
-
-def _breadth_first(gens: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """Sorted keys of the group the (m, 240) permutations generate.
-
-    The orbit of the axis frame under left multiplication: the key of g h
-    is g applied to the four axis images of h, so each level is the (n, 4)
-    uint8 view of the fresh keys.  Each level's candidates are deduplicated
-    by sorting and tested against the sorted keys with :func:`_member`.
-    """
-    frontier = axes[None, :]
-    keys = _pack(frontier)
-    while len(frontier):
-        cand = _sorted_unique(_pack(gens[:, frontier]).ravel())
-        fresh = cand[~_member(keys, cand)]
-        if len(keys) + len(fresh) > _CLOSURE_BOUND:
-            raise SymmetryError(f"closure exceeded {_CLOSURE_BOUND} elements")
-        keys = np.sort(np.concatenate((keys, fresh)))
-        frontier = fresh.view(np.uint8).reshape(-1, 4)
-    return keys
+    return inverse[w.ravel()[kept, None], gens[g[:, None], trans[v]]]
 
 
 def _closure(
     config: WittingConfiguration, elements: Iterable[SymmetryElement]
 ) -> GroupTable:
-    """The group the given elements generate, as cosets of one stabiliser.
+    """The group the given elements generate, by a stabiliser chain on the axes.
 
-    With a0 the first axis vertex, t_v a transversal of its orbit and H its
-    stabiliser, the group is the disjoint union of the cosets t_v H: t_v h
-    maps a0 to v, so each element appears once.  H is closed breadth first
-    from its Schreier generators; the key of t_v h is t_v applied to the
-    axis images of h, one gather of (orbit, |H|, 4) bytes and one sort.
-    More than ``_CLOSURE_BOUND`` elements raise.
+    Level i takes a transversal of the orbit of axis vertex a_i under the
+    stabiliser of a_0 .. a_i-1, and Schreier generators of the stabiliser of
+    a_i for the next level.  Only the identity fixes all four axes, so each
+    element is one product t_0 t_1 t_2 t_3, and its key is that product's
+    images of the axes: one gather per level, last to first, and one sort.
+    More than ``_CLOSURE_BOUND`` elements raise before any gather.
     """
     vertices = _Vertices(config)
     gens = np.array([vertices.permutation(g) for g in elements])  # (k, 240) uint8
     axes = vertices.axes
-    trans = _transversal(gens, axes[0])
-    stabiliser = _breadth_first(_schreier_generators(gens, trans, axes), axes)
-    if len(trans) * len(stabiliser) > _CLOSURE_BOUND:
-        raise SymmetryError(f"closure exceeded {_CLOSURE_BOUND} elements")
-    keys = _pack(trans[:, stabiliser.view(np.uint8).reshape(-1, 4)])
-    return GroupTable(np.sort(keys.ravel()), vertices)
+    chain, order = [], 1
+    for point in axes:
+        trans = _transversal(gens, point)
+        order *= len(trans)
+        if order > _CLOSURE_BOUND:
+            raise SymmetryError(f"closure exceeded {_CLOSURE_BOUND} elements")
+        gens = _schreier_generators(gens, trans, axes, point)
+        chain.append(trans)
+    images = axes[None, :]
+    for trans in reversed(chain):
+        images = trans[:, images].reshape(-1, 4)
+    return GroupTable(np.sort(_pack(images)), vertices)
 
 
 @dataclass(eq=False, repr=False)
@@ -402,7 +384,7 @@ class GroupTable:
 
 
 def generate_group(config: WittingConfiguration) -> GroupTable:
-    """Closure of the four generators, as cosets of one vertex's stabiliser."""
+    """Closure of the four generators, by a stabiliser chain on the axes."""
     return _closure(config, generators(config))
 
 

@@ -288,20 +288,21 @@ def test_orthogonal_pair_has_unique_basis(config):
         ]
         if scaled_inner(s.vector, t.vector).is_zero():
             assert len(common) == 1
-            assert config.common_basis(s.card, t.card) == common[0]
+            assert config.common_tetrad[s.index, t.index] == common[0]
         else:
             assert not common
-            assert config.common_basis(s.card, t.card) is None
+            assert config.common_tetrad[s.index, t.index] == -1
 
 
 def test_common_basis_tie_break_for_equal_cards(config):
     for s in config.states:
-        assert config.common_basis(s.card, s.card) == min(config.bases_of(s.card))
+        assert config.common_tetrad[s.index, s.index] == min(config.bases_of(s.card))
 
 
 def test_common_basis_examples(config):
     # S2 and C2 share the rank-2 tetrad (canonical id 1)
-    rank2 = config.common_basis(Card("S", 2), Card("C", 2))
+    s2, c2, d3 = (config.state_of(Card(*c)).index for c in (("S", 2), ("C", 2), ("D", 3)))
+    rank2 = config.common_tetrad[s2, c2]
     assert rank2 == 1
     assert config.bases[rank2].tag == "rank-tetrad"
     assert {c.rank for c in config.bases[rank2].members} == {2}
@@ -309,7 +310,7 @@ def test_common_basis_examples(config):
     assert config.transition_prob(
         config.state_of(Card("S", 2)), config.state_of(Card("D", 3))
     ) != 0
-    assert config.common_basis(Card("S", 2), Card("D", 3)) is None
+    assert config.common_tetrad[s2, d3] == -1
 
 
 # -- conjugation -----------------------------------------------------------------
@@ -463,10 +464,8 @@ def test_session_tables_match_card_queries(config):
         assert list(config.bases_of(s.card)) == holding
         assert config.tetrads_of_state[s.index].tolist() == holding
         for t in config.states:
-            common = config.common_basis(s.card, t.card)
             shared = [b for b in holding if t.card in config.bases[b].members]
-            expected = -1 if common is None else common
-            assert config.common_tetrad[s.index, t.index] == expected == min(shared, default=-1)
+            assert config.common_tetrad[s.index, t.index] == min(shared, default=-1)
 
 
 def test_arrays_are_read_only(config):

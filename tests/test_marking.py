@@ -166,6 +166,13 @@ def test_contextuality_witness_exists_for_any_complete_table(config):
         assert unmarked_basis.members.index(card) != table[unmarked_id]
 
 
+@pytest.mark.parametrize("table", [(0,) * 3, (), (9,) * 40], ids=["short", "empty", "position-9"])
+def test_contextuality_witness_rejects_malformed_tables(config, table):
+    # None would claim the table is witness-free, that is non-contextual
+    with pytest.raises(ValueError):
+        contextuality_witness(config, table)
+
+
 def test_rank_tetrads_alone_need_no_witness(config):
     # Restricted to the ten rank tetrads, marking is consistent: any global
     # marking realises it, since each card appears in exactly one of them.

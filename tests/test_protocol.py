@@ -256,8 +256,8 @@ def test_channel_messages_logged(config):
     records = csv_records(text)
     assert len(records) == 10
     for r in records:
-        a, b = (config.states[int(r[k])].card for k in ("alice_choice", "bob_choice"))
-        assert r["sifted"] == str(int(config.common_basis(a, b) is not None))
+        a, b = (int(r[k]) for k in ("alice_choice", "bob_choice"))
+        assert r["sifted"] == str(int(config.common_tetrad[a, b] >= 0))
     _, text = run_with_csv(run_naive_session, config, 10, UA, UB, seed=16)
     for r in csv_records(text):
         assert 0 <= int(r["alice_choice"]) < 40

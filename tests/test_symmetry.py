@@ -159,6 +159,21 @@ def test_from_parts_leaves_the_callers_array_writable():
     assert (element.m == 0).all()
 
 
+def test_direct_construction_refuses_an_unreduced_pair():
+    # Built directly, 3 I / 3 would hash and compare unequal to the identity
+    # it is; from_parts reduces it.
+    three = 3 * SymmetryElement.identity().m
+    with pytest.raises(ValueError, match="not reduced"):
+        SymmetryElement(three, 1)
+    assert SymmetryElement.from_parts(three, 1) == SymmetryElement.identity()
+
+
+@pytest.mark.parametrize("d", [-1, 1.0, True])
+def test_direct_construction_takes_only_a_nonnegative_int_exponent(d):
+    with pytest.raises(ValueError, match="denominator exponent must be an int >= 0"):
+        SymmetryElement(SymmetryElement.identity().m.copy(), d)
+
+
 def test_scalar_content_of_group(group):
     # -1 times the identity is in the closure; w times it is not.
     minus = SymmetryElement.identity().scaled_by_unit(1)
@@ -323,6 +338,30 @@ def test_closure_of_each_generator_subset_matches_python_set_search(
     assert sorted(orders) == [3] * 4 + [9] * 3 + [24] * 3 + [72] * 2 + [648] * 2
 
 
+def test_first_occurrences_matches_a_python_reference():
+    rng = np.random.default_rng(25)
+    for n in (0, 1, 7, 500):
+        values = rng.integers(0, 40, n).astype(np.uint32)
+        first: dict[int, int] = {}
+        for i, x in enumerate(values.tolist()):
+            first.setdefault(x, i)
+        expected = [first[x] for x in sorted(first)]
+        assert symmetry._first_occurrences(values).tolist() == expected
+
+
+def test_member_matches_a_python_reference():
+    rng = np.random.default_rng(26)
+    keys = np.sort(rng.integers(10, 1000, 60).astype(np.uint32))  # repeats
+    # below the first key, between and on keys, past the last key (clipped)
+    cand = np.concatenate((
+        np.arange(10, dtype=np.uint32), rng.integers(10, 1000, 200).astype(np.uint32),
+        keys, np.array([keys[-1] + 1, 2**32 - 1], dtype=np.uint32),
+    ))
+    held = set(keys.tolist())
+    assert symmetry._member(keys, cand).tolist() == [x in held for x in cand.tolist()]
+    assert symmetry._member(keys, cand[:0]).tolist() == []
+
+
 def test_closure_over_its_bound_raises(config, monkeypatch):
     monkeypatch.setattr(symmetry, "_CLOSURE_BOUND", 60_000)
     with pytest.raises(SymmetryError):
@@ -333,10 +372,11 @@ def test_closure_over_its_bound_raises(config, monkeypatch):
 
 
 def test_group_memory_is_bounded(config, group):
-    # Mirrors test_scan_memory_is_bounded: both closures hold one
-    # (orbit, 240) transversal, the stabiliser's keys and a few dozen of its
-    # generators, then the (orbit, |H|, 4) coset gather and its sorted keys;
-    # never (n, 240) vertex permutations of the whole group.
+    # Mirrors test_scan_memory_is_bounded: both closures hold four
+    # (orbit, 240) transversals of at most 240 + 72 + 3 + 3 rows and a few
+    # dozen Schreier generators, then the last gather of at most
+    # (240, 648, 4) axis images and its sorted keys; never (n, 240) vertex
+    # permutations of the whole group.
     for closure in (generate_group, reflection_group_order):
         tracemalloc.start()
         try:
