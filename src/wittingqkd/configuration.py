@@ -38,14 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
+from .cards import RANKS, SUITS, Card
 from .eisenstein import MAGNITUDE_BOUND, Eisenstein, UNITS
-
-SUITS = ("S", "H", "D", "C")  # spades, hearts, diamonds, clubs: ascending order
-RANKS = tuple(range(1, 11))
 
 # Complex conjugation maps each state to another configuration state with the
 # same suit and the rank swapped by this involution (ranks 1 and 2 are real).
@@ -54,22 +52,6 @@ RANK_CONJUGATION = {1: 1, 2: 2, 3: 4, 4: 3, 5: 8, 8: 5, 7: 9, 9: 7, 6: 10, 10: 6
 
 class ConfigurationError(RuntimeError):
     """Raised when the embedded tables fail a structural self-check."""
-
-
-class Card(NamedTuple):
-    suit: str
-    rank: int
-
-    @property
-    def label(self) -> str:
-        return f"{self.suit}{self.rank}"
-
-    @classmethod
-    def parse(cls, text: str) -> "Card":
-        suit, rank = text[:1].upper(), text[1:]
-        if suit not in SUITS or rank not in [str(r) for r in RANKS]:
-            raise ValueError(f"not a card label: {text!r}")
-        return cls(suit, int(rank))
 
 
 # Vector tokens: w = omega, W = conj(omega) = omega^2, R = i*sqrt(3) = 1 + 2w.
@@ -285,13 +267,13 @@ class WittingConfiguration:
     The resulting object is immutable and safe to share between threads.
 
     Integer arrays, all read-only and indexed by state index:
-    ``vector_array`` (40, 4, 2), the canonical vectors as (a, b) pairs;
-    ``transition_array`` (40, 40), 9 |<s|t>|^2 in {0, 3, 9};
-    ``tetrads_of_state`` (40, 4), the four tetrad ids of each state in
-    ascending order (``bases_of``); ``common_tetrad`` (40, 40), the tetrad
-    shared by two states or -1.  Distinct orthogonal states share exactly
-    one tetrad; a state paired with itself takes the lowest of its four
-    (a public tie-break both protocol parties can apply without
+    ``vector_array`` (40, 4, 2) int64, the canonical vectors as (a, b) pairs;
+    ``transition_array`` (40, 40) int64, 9 |<s|t>|^2 in {0, 3, 9};
+    ``tetrads_of_state`` (40, 4) uint8, the four tetrad ids of each state in
+    ascending order (``bases_of``); ``common_tetrad`` (40, 40) int8, the
+    tetrad shared by two states or -1.  Distinct orthogonal states share
+    exactly one tetrad; a state paired with itself takes the lowest of its
+    four (a public tie-break both protocol parties can apply without
     communicating); non-orthogonal pairs share none.
     """
 
@@ -335,11 +317,11 @@ class WittingConfiguration:
             tuple(self._by_card[c].index for c in b.members) for b in self.bases
         )
         members = np.array(self.basis_states)
-        owner = np.repeat(np.arange(40), 4)  # tetrad id of each entry of members
+        owner = np.repeat(np.arange(40, dtype=np.uint8), 4)  # tetrad id of each entry of members
         by_state = members.ravel().argsort(kind="stable")
         self.tetrads_of_state = _frozen(owner[by_state].reshape(40, 4))
         # Each tetrad's 16 ordered pairs of members; the diagonal is refilled.
-        common = np.full((40, 40), -1)
+        common = np.full((40, 40), -1, np.int8)
         common[members[:, :, None], members[:, None, :]] = np.arange(40)[:, None, None]
         np.fill_diagonal(common, self.tetrads_of_state[:, 0])  # the lowest of four
         self.common_tetrad = _frozen(common)

@@ -147,7 +147,8 @@ def _uniform(rng: Random, bound: int, n: int) -> np.ndarray:
 
     Each accepted word gives ``k = _digits_per_word(bound)`` digits, least
     significant first; a word at or above ``2**64 // bound**k * bound**k``
-    is rejected, and digits past ``n`` are dropped.
+    is rejected, and digits past ``n`` are dropped.  The draws come in the
+    narrowest unsigned dtype that holds ``bound - 1``.
     """
     k = _digits_per_word(bound)
     span = bound**k
@@ -160,7 +161,7 @@ def _uniform(rng: Random, bound: int, n: int) -> np.ndarray:
         if limit < 1 << 64:
             fresh = fresh[fresh < np.uint64(limit)]
         words = np.concatenate((words, fresh))
-    digits = np.empty((need, k), np.uint64)
+    digits = np.empty((need, k), np.min_scalar_type(bound - 1))
     base = np.uint64(bound)
     for j in range(k):
         # Floor division by a numpy scalar runs as a multiply (libdivide);
@@ -168,7 +169,7 @@ def _uniform(rng: Random, bound: int, n: int) -> np.ndarray:
         quotient = words // base
         digits[:, j] = words - quotient * base
         words = quotient
-    return digits.ravel()[:n].astype(np.intp)
+    return digits.ravel()[:n]
 
 
 class _Party:
@@ -183,7 +184,7 @@ class _Party:
         policy = self.policy
         if policy.mode == "fixed":
             check_int("fixed choice", policy.choice, 0, bound - 1)
-            return np.full(n, policy.choice, np.intp)
+            return np.full(n, policy.choice, np.min_scalar_type(bound - 1))
         if policy.mode == "agreed":
             return _uniform(self.shared, bound, n)
         own = _uniform(self.own, bound, n)
@@ -236,7 +237,11 @@ _KEY_AGREEMENT = _Protocol(
 
 
 class RoundBlock(NamedTuple):
-    """One block of rounds; outcome -1 marks a round nobody measured."""
+    """One block of rounds; outcome -1 marks a round nobody measured.
+
+    Choices are ``uint8`` and outcomes ``int8``, one byte per round each;
+    ``sifted`` and ``matched`` are ``bool``.
+    """
 
     start: int
     alice_choice: tuple[np.ndarray, ...]  # (state,), (state, tetrad) or (tetrad,)
@@ -351,7 +356,7 @@ def _run(
             measured = slice(None)
             a_tetrad, b_tetrad = alice[-1], bob[-1]
         flat = outcome_of[a_tetrad, b_tetrad, _uniform(outcome_rng, den, len(a_tetrad))]
-        a_out, b_out = np.full(n, -1), np.full(n, -1)
+        a_out, b_out = np.full(n, -1, np.int8), np.full(n, -1, np.int8)
         a_out[measured], b_out[measured] = np.divmod(flat, d)
         matched = sifted & (a_out == b_out)
         n_sifted += int(sifted.sum())
@@ -468,46 +473,43 @@ def transcript_csv_rows(block: RoundBlock) -> list[str]:
     """The CSV rows of one block of rounds, as slices of text.
 
     The header comes first in the first block; every other slice holds at
-    most ``TRANSCRIPT_SLICE_ROWS`` rows, so only one slice's cells are alive
-    at a time.  A choice of several values is joined with ";"; an outcome
-    nobody measured is empty; lines end in CRLF, as ``csv.writer`` writes
-    them.  Every row is joined from five cells read from small tables of
-    strings, so no string is made per round: the round number's thousands,
-    its last three digits, the two choices, and the outcomes with the sift
-    flags.
+    most ``TRANSCRIPT_SLICE_ROWS`` rows, so only one slice's cells and
+    index arrays are alive at a time.  A choice of several values is joined
+    with ";"; an outcome nobody measured is empty; lines end in CRLF, as
+    ``csv.writer`` writes them.  Every row is joined from five cells read
+    from small tables of strings, built once per block, so no string is made
+    per round: the round number's thousands, its last three digits, the two
+    choices, and the outcomes with the sift flags.
     """
     n = len(block.sifted)
-    thousands, units = np.divmod(np.arange(block.start, block.start + n), 1000)
-    first = int(thousands[0])
-    high = [str(k) if k else "" for k in range(first, int(thousands[-1]) + 1)]
+    first = block.start // 1000
+    high = [str(k) if k else "" for k in range(first, (block.start + n - 1) // 1000 + 1)]
     low = [str(i) for i in range(1000)] + [f"{i:03d}" for i in range(1000)]
-
-    def choice(columns: tuple[np.ndarray, ...]) -> tuple[list[str], np.ndarray]:
-        index = np.zeros(n, np.intp)
-        ranges = []
-        for column in columns:
-            size = int(column.max()) + 1
-            index = index * size + column
-            ranges.append(range(size))
-        combos = itertools.product(*ranges)
-        return ["," + ";".join(map(str, combo)) for combo in combos], index
-
+    choices = (block.alice_choice, block.bob_choice)
+    sizes = [[int(column.max()) + 1 for column in choice] for choice in choices]
+    combos = [
+        ["," + ";".join(map(str, combo)) for combo in itertools.product(*map(range, size))]
+        for size in sizes
+    ]
     outcomes = ["", "0", "1", "2", "3"]  # indexed by outcome + 1
     tails = [f",{a},{b},{s},{m}\r\n" for a in outcomes for b in outcomes for s in "01" for m in "01"]
-    tail = ((block.alice_outcome + 1) * 5 + block.bob_outcome + 1) * 4 + block.sifted * 2 + block.matched
-    columns = [
-        (high, thousands - first),
-        (low, units + 1000 * (thousands > 0)),
-        choice(block.alice_choice),
-        choice(block.bob_choice),
-        (tails, tail),
-    ]
-    columns = [(np.array(table, dtype=object), index) for table, index in columns]
-    cells = np.empty((min(n, TRANSCRIPT_SLICE_ROWS), len(columns)), dtype=object)
+    tables = [np.array(table, dtype=object) for table in (high, low, *combos, tails)]
+    cells = np.empty((min(n, TRANSCRIPT_SLICE_ROWS), len(tables)), dtype=object)
     slices = [TRANSCRIPT_HEADER] if block.start == 0 else []
     for lo in range(0, n, TRANSCRIPT_SLICE_ROWS):
-        rows = cells[: min(n - lo, TRANSCRIPT_SLICE_ROWS)]
-        for j, (table, index) in enumerate(columns):
-            rows[:, j] = table[index[lo : lo + len(rows)]]
+        part = slice(lo, min(n, lo + TRANSCRIPT_SLICE_ROWS))
+        rows = cells[: part.stop - lo]
+        thousands, units = np.divmod(np.arange(block.start + lo, block.start + part.stop), 1000)
+        indices = [thousands - first, units + 1000 * (thousands > 0)]
+        for choice, size in zip(choices, sizes):
+            index = np.zeros(len(rows), np.intp)
+            for column, bound in zip(choice, size):
+                index = index * bound + column[part]
+            indices.append(index)
+        a = block.alice_outcome[part].astype(np.intp) + 1
+        b = block.bob_outcome[part].astype(np.intp) + 1
+        indices.append((a * 5 + b) * 4 + block.sifted[part] * 2 + block.matched[part])
+        for j, (table, index) in enumerate(zip(tables, indices)):
+            rows[:, j] = table[index]
         slices.append("".join(rows.ravel().tolist()))
     return slices

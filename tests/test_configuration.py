@@ -1,6 +1,10 @@
 import cmath
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import networkx as nx
@@ -60,6 +64,26 @@ def test_card_parse_reads_every_label(config):
 def test_card_parse_rejects_malformed_labels(text):
     with pytest.raises(ValueError, match=f"^not a card label: {text!r}$"):
         Card.parse(text)
+
+
+def test_card_imports_without_numpy():
+    script = """
+import sys
+from wittingqkd import Card
+assert "numpy" not in sys.modules, "numpy loaded"
+assert Card.parse("D7") == ("D", 7) and Card("H", 10).label == "H10"
+from wittingqkd.configuration import Card as configuration_card
+assert configuration_card is Card
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_table_anchor_rows(config):

@@ -249,6 +249,41 @@ def test_csv_rows(config):
     assert out.getvalue() == text
 
 
+def _csv_writer_text(block) -> str:
+    """The block's rows as ``csv.writer`` writes them, one row at a time."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    if block.start == 0:
+        writer.writerow(TRANSCRIPT_HEADER.strip().split(","))
+    for i in range(len(block.sifted)):
+        sides = (block.alice_choice, block.bob_choice)
+        choices = [";".join(str(int(c[i])) for c in side) for side in sides]
+        outcomes = [int(o[i]) if o[i] >= 0 else "" for o in block[3:5]]  # Alice's, Bob's
+        flags = [int(block.sifted[i]), int(block.matched[i])]
+        writer.writerow([block.start + i, *choices, *outcomes, *flags])
+    return out.getvalue()
+
+
+def test_transcript_cells_match_csv_writer_row_by_row():
+    # Every tail code (outcomes -1..3 each, sifted, matched) on int8
+    # outcomes; the first block crosses thousands inside its slices, the
+    # second starts partway through a thousand (8292) and crosses 10000.
+    codes = list(itertools.product(range(-1, 4), range(-1, 4), (False, True), (False, True)))
+    assert len(codes) == 100
+    rng = np.random.default_rng(26)
+    first = 2 * TRANSCRIPT_SLICE_ROWS + 100  # 8292
+    for start, n in ((0, first), (first, 2_000)):
+        picked = np.array([codes[(start + i) % 100] for i in range(n)], np.int8)
+        block = protocol_mod.RoundBlock(
+            start,
+            (rng.integers(0, 40, n, np.uint8), rng.integers(0, 4, n, np.uint8)),
+            (rng.integers(0, 40, n, np.uint8),),
+            picked[:, 0], picked[:, 1], picked[:, 2].astype(bool), picked[:, 3].astype(bool),
+        )
+        got = "".join(transcript_csv_rows(block)).splitlines(keepends=True)
+        assert got == _csv_writer_text(block).splitlines(keepends=True)
+
+
 def test_channel_messages_logged(config):
     # Key agreement announces states and sifts on a common tetrad; the naive
     # protocol announces tetrads and sifts on equality.
@@ -297,13 +332,15 @@ def test_key_agreement_without_common_tetrad_sifts_nothing(config):
     assert {r["sifted"] for r in csv_records(text)} == {"0"}
 
 
-def _peak_bytes(config, rounds: int, path) -> int:
+def _peak_bytes(config, rounds: int, path, protocol="key-agreement", eve_basis=None,
+                transcript=True) -> int:
     tracemalloc.start()
     try:
         with open(path, "w", newline="") as fh:
-            run_key_agreement(
-                config, rounds, UA, UB, seed=19,
-                on_block=lambda block: fh.writelines(transcript_csv_rows(block)),
+            run_session(
+                config, protocol, rounds, UA, UB, eve_basis, seed=19,
+                on_block=(lambda block: fh.writelines(transcript_csv_rows(block)))
+                if transcript else None,
             )
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -315,6 +352,21 @@ def test_transcript_memory_is_flat_in_rounds(config, tmp_path):
     small = _peak_bytes(config, rounds, tmp_path / "small.csv")
     large = _peak_bytes(config, 10 * rounds, tmp_path / "large.csv")
     assert large <= 1.2 * small, (small, large)
+
+
+@pytest.mark.parametrize(
+    "protocol, eve_basis",
+    [("naive", None), ("naive", 5), ("two-step", None), ("key-agreement", None)],
+)
+@pytest.mark.parametrize("transcript, limit_mb", [(True, 4), (False, 1.5)])
+def test_block_working_set_is_pinned(config, tmp_path, protocol, eve_basis, transcript, limit_mb):
+    # Per-round arrays are one byte wide (draws, choices, outcomes), and the
+    # transcript's index arrays live one slice at a time.  The limits sit
+    # well below what 8-byte arrays and block-wide index arrays take:
+    # 7.9-9.5 MB with a transcript and 2.4-3.6 MB without.
+    path = tmp_path / "rounds.csv"
+    peak = _peak_bytes(config, BLOCK_ROUNDS, path, protocol, eve_basis, transcript)
+    assert peak < limit_mb * 1e6, peak
 
 
 # Transcript digests of fixed command lines, beside the key-agreement one
@@ -551,6 +603,61 @@ def test_bound_one_draws_words_and_ends():
     draws = protocol_mod._uniform(rng, 1, 64)
     assert draws.tolist() == [0] * 64
     assert rng.used == 2
+
+
+NARROW_BOUNDS = [1, 4, 36, 40, 256, 257, 324, 2**16, 2**16 + 1, 2**32, 2**63 - 1]
+
+
+def _narrowest_unsigned(bound):
+    unsigned = (np.uint8, np.uint16, np.uint32, np.uint64)
+    return next(t for t in unsigned if np.iinfo(t).max >= bound - 1)
+
+
+@pytest.mark.parametrize("bound", NARROW_BOUNDS)
+def test_draws_come_in_the_narrowest_dtype_with_version_3_values(bound):
+    k = protocol_mod._digits_per_word(bound)
+    limit = 2**64 // bound**k * bound**k
+    words = [Random(bound).getrandbits(64) for _ in range(40)] + [bound**k - 1]
+    if limit < 2**64:
+        words[3] = limit  # rejected
+    accepted = [w for w in words if w < limit]
+    expected = [d for w in accepted for d in _digits(w, bound, k)][: k * len(accepted) - k // 2]
+    rng = ChosenWords(words)
+    draws = protocol_mod._uniform(rng, bound, len(expected))
+    assert draws.dtype == _narrowest_unsigned(bound)
+    assert draws.tolist() == expected
+    assert rng.used == len(words)
+
+
+@pytest.mark.parametrize("bound", [4, 40, 2**16, 2**16 + 1])
+def test_fixed_draws_come_in_the_narrowest_dtype(bound):
+    party = protocol_mod._Party(PartyPolicy("fixed", choice=bound - 1), 0)
+    draws = party.draw(bound, 5)
+    assert draws.dtype == _narrowest_unsigned(bound)
+    assert draws.tolist() == [bound - 1] * 5
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [Fraction(255, 256), Fraction(256, 257), Fraction(65535, 65536), Fraction(65536, 65537)],
+)
+def test_correlated_coin_on_narrow_draws_compares_as_python_ints(weight):
+    num, den = weight.numerator, weight.denominator
+    k, k40 = protocol_mod._digits_per_word(den), protocol_mod._digits_per_word(40)
+    n = 2 * k
+    coins = [(num - 1, num, den - 1, 0, num - 2)[j % 5] for j in range(n)]
+    own, shared = [j % 20 for j in range(n)], [20 + j * 3 % 20 for j in range(n)]
+
+    def words(digits, bound, per_word):
+        return [sum(d * bound**j for j, d in enumerate(digits[i : i + per_word]))
+                for i in range(0, len(digits), per_word)]
+
+    party = protocol_mod._Party(PartyPolicy("correlated", 1, weight=weight), 0)
+    party.own = ChosenWords(words(own, 40, k40) + words(coins, den, k))
+    party.shared = ChosenWords(words(shared, 40, k40))
+    expected = [s if c < num else o for o, s, c in zip(own, shared, coins)]
+    assert party.draw(40, n).tolist() == expected
+    assert {c < num for c in coins} == {True, False}
 
 
 # -- tetrad ids ------------------------------------------------------------------
