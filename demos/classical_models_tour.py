@@ -3,16 +3,24 @@
 Run:  python3 demos/classical_models_tour.py   (takes a second or two)
 """
 
+from random import Random
+
 from wittingqkd import WittingConfiguration
 from wittingqkd.marking import (
     ALL_SPADES,
     MAX_SCORE_EXAMPLE,
     N_MARKINGS,
-    build_contextual_deck_model,
     contextuality_witness,
     exhaustive_scan,
     score_marking,
 )
+
+
+def build_contextual_deck_model(config, seed):
+    """Mark one member position in each of the 40 tetrads (seeded, shared)."""
+    rng = Random(seed)
+    return tuple(rng.randrange(4) for _ in config.bases)
+
 
 config = WittingConfiguration()
 

@@ -112,7 +112,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if fh is not None:  # rows are written block by block as the session runs
 
             def on_block(block) -> None:
-                fh.writelines(transcript_csv_rows(block))
+                transcript_csv_rows(block, fh.write)
 
         transcript = run_session(
             config,

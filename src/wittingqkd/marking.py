@@ -3,19 +3,22 @@
 A non-contextual model pre-marks cards so that every one of the 40 tetrads
 contains exactly one marked card.  The ten rank tetrads partition the deck,
 forcing any candidate model to mark exactly one suit per rank: 4**10 =
-1048576 candidates, few enough to score them all.  None is correct on all
-40 tetrads; the best of these reach 34.  A per-tetrad (contextual) mark
-table, by contrast, trivially reproduces the quantum statistics, and any
-such complete table necessarily marks some card in one of its tetrads but
-not in another.
+1048576 candidates, few enough to score them all.  Each of the 1024
+markings of five ranks (one half of a candidate) is described by two 40-bit
+tetrad masks, "marks no member" and "marks exactly one", so a candidate is
+scored by one popcount, 65536 at a time in bounded memory.  None is correct
+on all 40 tetrads; the best of these reach 34.  A per-tetrad (contextual)
+mark table, by contrast, trivially reproduces the quantum statistics, and
+any such complete table necessarily marks some card in one of its tetrads
+but not in another.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from .configuration import Card, SUITS, WittingConfiguration, check_int
 
 N_MARKINGS = 4**10
 _HALF = 4**5  # markings of five ranks: one half of a marking index
+_BLOCK = 1 << 16  # markings scored at a time by the exhaustive scan
 
 
 @dataclass(frozen=True)
@@ -120,43 +124,62 @@ class ScanResult:
         }
 
 
-def _correct_counts(config: WittingConfiguration) -> np.ndarray:
-    """Correct-tetrad count of every marking, a (4**10,) int8 array.
+def _half_masks(config: WittingConfiguration) -> np.ndarray:
+    """Tetrad bitmasks of every half marking, a (2, 2, 1024) uint64 array.
 
-    Entry i belongs to ``Marking.from_index(i)``.  The index splits into a
-    low half (bits 0-9: the suits of ranks 1-5) and a high half (bits
-    10-19: ranks 6-10), so a tetrad's number of marked members is a low
-    part plus a high part, each a 1024-entry vector read off one (1024, 5)
-    half-digit table.  The counts accumulate in a (1024, 1024) grid indexed
-    [high, low], whose row-major ravel is marking-index order.
+    Entry [p, k, h] has bit t set when half index h of half p (0: the suits
+    of ranks 1-5, 1: ranks 6-10) marks exactly k members of tetrad t, for
+    k = 0 ("zero") and k = 1 ("one").
     """
-    half = ((np.arange(_HALF)[:, None] >> (2 * np.arange(5))) & 3).astype(np.int8)
-    grid = np.zeros((_HALF, _HALF), dtype=np.int8)
-    # Grid-sized buffers, reused: a fresh 1 MB temporary per tetrad is a new
-    # mapping whose pages fault in each time, which doubles the scan's time.
-    marked = np.empty_like(grid)
-    correct = np.empty(grid.shape, dtype=bool)
-    for members in _member_keys(config):
-        parts = np.zeros((2, _HALF), dtype=np.int8)  # the low and the high part
+    digits = (np.arange(_HALF)[:, None] >> (2 * np.arange(5))) & 3
+    marked = np.zeros((2, _HALF, len(config.bases)), dtype=np.int8)
+    for t, members in enumerate(_member_keys(config)):
         for r, s in members:
-            parts[r // 5] += half[:, r % 5] == s
-        np.add(parts[1][:, None], parts[0][None, :], out=marked)
-        grid += np.equal(marked, 1, out=correct)
-    return grid.ravel()
+            marked[r // 5, :, t] += digits[:, r % 5] == s
+    bits = np.uint64(1) << np.arange(len(config.bases), dtype=np.uint64)
+    return np.stack([(marked == k).astype(np.uint64) @ bits for k in (0, 1)], axis=1)
+
+
+def _correct_count_blocks(config: WittingConfiguration) -> Iterator[tuple[int, np.ndarray]]:
+    """Correct-tetrad counts of all markings, ``_BLOCK`` at a time.
+
+    Yields ``(start, counts)`` in marking-index order: ``counts[j]``, a
+    uint8, belongs to ``Marking.from_index(start + j)``.  The index splits
+    into a low half (bits 0-9: the suits of ranks 1-5) and a high half
+    (bits 10-19: ranks 6-10).  A tetrad is correct when exactly one member
+    is marked: one by the low half and none by the high half, or the
+    reverse.  So a marking's count is one popcount of
+    ``(one_hi & zero_lo) | (zero_hi & one_lo)`` over the masks of
+    :func:`_half_masks`.  A block takes ``_BLOCK // 1024`` high halves
+    against all 1024 low ones, so the scan holds a few (64, 1024) arrays
+    however many markings it scores.
+    """
+    (zero_lo, one_lo), (zero_hi, one_hi) = _half_masks(config)
+    rows = _BLOCK // _HALF
+    for hi in range(0, _HALF, rows):
+        part = slice(hi, hi + rows)
+        mask = one_hi[part, None] & zero_lo
+        mask |= zero_hi[part, None] & one_lo
+        yield hi * _HALF, np.bitwise_count(mask).ravel()
 
 
 def exhaustive_scan(config: WittingConfiguration) -> ScanResult:
     """Score every candidate marking; exact counts, no sampling.
 
-    Every marking is scored on one (1024, 1024) int8 grid indexed [suits
-    of ranks 6-10, suits of ranks 1-5], whose row-major order is
-    marking-index order (:func:`_correct_counts`).  The maximizers are
-    therefore listed in increasing marking index.
+    The counts come block by block from :func:`_correct_count_blocks`, in
+    marking-index order; each block adds to the histogram and to the
+    running maximum and its maximizers, which are therefore listed in
+    increasing marking index.  No array of all 4**10 counts is made.
     """
-    correct = _correct_counts(config)
-    hist = np.bincount(correct, minlength=41)
-    max_correct = int(correct.max())
-    maximizers = np.nonzero(correct == max_correct)[0]
+    hist = np.zeros(41, dtype=np.int64)
+    max_correct, maximizers = -1, []
+    for start, counts in _correct_count_blocks(config):
+        hist += np.bincount(counts, minlength=41)
+        top = int(counts.max())
+        if top > max_correct:
+            max_correct, maximizers = top, []
+        if top == max_correct:
+            maximizers.extend((start + np.flatnonzero(counts == top)).tolist())
     count_at_max = int(hist[max_correct])
     total_correct = int((np.arange(41, dtype=np.int64) * hist).sum())
     return ScanResult(
@@ -167,24 +190,11 @@ def exhaustive_scan(config: WittingConfiguration) -> ScanResult:
         frac_above_28=Fraction(int(hist[29:].sum()), N_MARKINGS),
         frac_at_max=Fraction(count_at_max, N_MARKINGS),
         exists_perfect=bool(hist[40] > 0),
-        maximizer_indices=tuple(int(i) for i in maximizers),
+        maximizer_indices=tuple(maximizers),
     )
 
 
 # -- contextual (per-tetrad) models ---------------------------------------------
-
-
-def build_contextual_deck_model(
-    config: WittingConfiguration, seed: int
-) -> tuple[int, ...]:
-    """Mark one member position in each of the 40 tetrads (seeded, shared).
-
-    Both participants holding the same table always pick the same card for
-    any tetrad, reproducing the quantum agreement statistics; the price is
-    contextuality, witnessed by :func:`contextuality_witness`.
-    """
-    rng = Random(seed)
-    return tuple(rng.randrange(4) for _ in config.bases)
 
 
 def contextuality_witness(
@@ -192,10 +202,13 @@ def contextuality_witness(
 ) -> tuple[Card, int, int] | None:
     """A (card, marked tetrad, unmarked tetrad) triple exhibited by the table.
 
-    Every complete per-tetrad table has one: were some table witness-free,
-    its marks would define a global marking correct on all 40 tetrads,
-    which the exhaustive scan rules out.  A table that is not one mark
-    position in 0..3 per tetrad raises ``ValueError``.
+    The table marks one member position per tetrad, in tetrad-id order.
+    Two parties sharing it always pick the same card for any tetrad, which
+    reproduces the quantum agreement statistics; the price is
+    contextuality.  Every complete per-tetrad table has a witness: were one
+    witness-free, its marks would define a global marking correct on all 40
+    tetrads, which the exhaustive scan rules out.  A table that is not one
+    mark position in 0..3 per tetrad raises ``ValueError``.
     """
     if len(table) != len(config.bases):
         raise ValueError(f"table must have {len(config.bases)} entries, got {len(table)}")

@@ -332,7 +332,8 @@ def _run(
 
     parties = [_Party(policy, index) for index, policy in enumerate(policies)]
     outcome_rng = _stream(seed, _OUTCOMES)
-    keys: list[np.ndarray] = []
+    key = bytearray()
+    carry = np.empty(0, np.uint8)  # the last 0-3 sifted outcomes, not yet packed
     n_sifted = n_matched = same = both = 0
     for start in range(0, rounds, BLOCK_ROUNDS):
         n = min(BLOCK_ROUNDS, rounds - start)
@@ -361,7 +362,10 @@ def _run(
         matched = sifted & (a_out == b_out)
         n_sifted += int(sifted.sum())
         n_matched += int(matched.sum())
-        keys.append(a_out[sifted].astype(np.uint8))
+        pending = np.concatenate((carry, a_out[sifted].view(np.uint8)))
+        whole = len(pending) - len(pending) % 4
+        key += _pack_key(pending[:whole])
+        carry = pending[whole:]
         if protocol.picks_state:
             equal = alice[0] == bob[0]
             same += int(equal.sum())
@@ -369,10 +373,11 @@ def _run(
         if on_block is not None:
             on_block(RoundBlock(start, alice, bob, a_out, b_out, sifted, matched))
 
+    key += _pack_key(carry)
     extras = protocol.extras(same, n_sifted, both)
     return SessionTranscript(
         protocol.name, rounds, seed, eve_basis, n_sifted, n_matched,
-        key_bits=_pack_key(np.concatenate(keys)),
+        key_bits=bytes(key),
         extras={k: Fraction(v, rounds) for k, v in extras.items()},
     )
 
@@ -469,17 +474,18 @@ TRANSCRIPT_HEADER = "round,alice_choice,bob_choice,alice_outcome,bob_outcome,sif
 TRANSCRIPT_SLICE_ROWS = 4096
 
 
-def transcript_csv_rows(block: RoundBlock) -> list[str]:
-    """The CSV rows of one block of rounds, as slices of text.
+def transcript_csv_rows(block: RoundBlock, write: Callable[[str], object]) -> None:
+    """Write the CSV rows of one block of rounds, one slice of text at a time.
 
     The header comes first in the first block; every other slice holds at
-    most ``TRANSCRIPT_SLICE_ROWS`` rows, so only one slice's cells and
-    index arrays are alive at a time.  A choice of several values is joined
-    with ";"; an outcome nobody measured is empty; lines end in CRLF, as
-    ``csv.writer`` writes them.  Every row is joined from five cells read
-    from small tables of strings, built once per block, so no string is made
-    per round: the round number's thousands, its last three digits, the two
-    choices, and the outcomes with the sift flags.
+    most ``TRANSCRIPT_SLICE_ROWS`` rows and goes to ``write`` as soon as it
+    is joined, so only one slice's cells, index arrays and text are alive
+    at a time.  A choice of several values is joined with ";"; an outcome
+    nobody measured is empty; lines end in CRLF, as ``csv.writer`` writes
+    them.  Every row is joined from five cells read from small tables of
+    strings, built once per block, so no string is made per round: the
+    round number's thousands, its last three digits, the two choices, and
+    the outcomes with the sift flags.
     """
     n = len(block.sifted)
     first = block.start // 1000
@@ -495,7 +501,8 @@ def transcript_csv_rows(block: RoundBlock) -> list[str]:
     tails = [f",{a},{b},{s},{m}\r\n" for a in outcomes for b in outcomes for s in "01" for m in "01"]
     tables = [np.array(table, dtype=object) for table in (high, low, *combos, tails)]
     cells = np.empty((min(n, TRANSCRIPT_SLICE_ROWS), len(tables)), dtype=object)
-    slices = [TRANSCRIPT_HEADER] if block.start == 0 else []
+    if block.start == 0:
+        write(TRANSCRIPT_HEADER)
     for lo in range(0, n, TRANSCRIPT_SLICE_ROWS):
         part = slice(lo, min(n, lo + TRANSCRIPT_SLICE_ROWS))
         rows = cells[: part.stop - lo]
@@ -511,5 +518,4 @@ def transcript_csv_rows(block: RoundBlock) -> list[str]:
         indices.append((a * 5 + b) * 4 + block.sifted[part] * 2 + block.matched[part])
         for j, (table, index) in enumerate(zip(tables, indices)):
             rows[:, j] = table[index]
-        slices.append("".join(rows.ravel().tolist()))
-    return slices
+        write("".join(rows.ravel().tolist()))

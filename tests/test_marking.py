@@ -2,6 +2,7 @@ import tracemalloc
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from wittingqkd.configuration import Card
@@ -10,13 +11,19 @@ from wittingqkd.marking import (
     MAX_SCORE_EXAMPLE,
     Marking,
     N_MARKINGS,
-    _correct_counts,
-    build_contextual_deck_model,
+    _BLOCK,
+    _correct_count_blocks,
     contextuality_witness,
     exhaustive_scan,
     rank_tetrad_partition_ok,
     score_marking,
 )
+
+
+def build_contextual_deck_model(config, seed):
+    """Mark one member position in each of the 40 tetrads (seeded, shared)."""
+    rng = Random(seed)
+    return tuple(rng.randrange(4) for _ in config.bases)
 
 
 def test_rank_tetrads_partition_the_deck(config):
@@ -114,13 +121,19 @@ def test_scan_maximizers(config, scan):
 
 
 def test_correct_counts_equal_scalar_scores(config, scan):
-    # the split-digit grid must give every marking exactly the scalar score;
-    # 0, 1023, 1024 and 4**10 - 1 sit on the seams between the two halves
-    counts = _correct_counts(config)
-    assert counts.shape == (N_MARKINGS,)
+    # the tetrad masks must give every marking exactly the scalar score;
+    # 0, 1023, 1024 and 4**10 - 1 sit on the seams between the two halves,
+    # and each block's first and last index on the seams between blocks
+    blocks = list(_correct_count_blocks(config))
+    starts = [start for start, _ in blocks]
+    assert starts == list(range(0, N_MARKINGS, _BLOCK))
+    for _, counts in blocks:
+        assert counts.shape == (_BLOCK,) and counts.dtype == np.uint8
+    counts = np.concatenate([counts for _, counts in blocks])
     rng = Random(2024)
     indices = {rng.randrange(N_MARKINGS) for _ in range(2000)}
     indices |= set(scan.maximizer_indices) | {0, 1023, 1024, N_MARKINGS - 1}
+    indices |= set(starts) | {start + _BLOCK - 1 for start in starts}
     for idx in sorted(indices):
         assert counts[idx] == score_marking(config, Marking.from_index(idx)).correct
 
@@ -137,7 +150,9 @@ def test_scan_memory_is_bounded(config):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    # about 1.3 MB: one block's masks and counts; an array of all 4**10
+    # counts, with the intp copy np.bincount makes of it, takes 9 MB
+    assert peak < 2 * 2**20
 
 
 def test_contextual_deck_model(config):

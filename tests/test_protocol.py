@@ -181,7 +181,7 @@ def test_key_agreement_rates(config):
 def run_with_csv(run, *args, **kwargs):
     """Run a session writing its CSV transcript block by block, as the CLI does."""
     out = io.StringIO()
-    tr = run(*args, on_block=lambda block: out.writelines(transcript_csv_rows(block)), **kwargs)
+    tr = run(*args, on_block=lambda block: transcript_csv_rows(block, out.write), **kwargs)
     return tr, out.getvalue()
 
 
@@ -231,12 +231,25 @@ def test_key_bits_come_from_sifted_rounds(config):
     )
 
 
+def test_key_bits_pack_across_blocks(config):
+    # Blocks whose sifted count is not a multiple of 4 carry their last
+    # outcomes into the next block's bytes; the key is as if packed at once.
+    blocks = []
+    tr = run_key_agreement(config, 3 * BLOCK_ROUNDS + 5, UA, UB, seed=21, on_block=blocks.append)
+    sifted = [block.alice_outcome[block.sifted] for block in blocks]
+    assert len(blocks) == 4 and any(len(part) % 4 for part in sifted[:-1])
+    bits = "".join(format(int(o), "02b") for part in sifted for o in part)
+    bits += "0" * (-len(bits) % 8)
+    assert tr.key_bits == bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+
+
 def test_csv_rows(config):
     blocks = []
     rounds = 2 * TRANSCRIPT_SLICE_ROWS + 50
     run_naive_session(config, rounds, UA, UB, seed=15, on_block=blocks.append)
     assert len(blocks) == 1
-    slices = transcript_csv_rows(blocks[0])
+    slices = []
+    transcript_csv_rows(blocks[0], slices.append)
     assert slices[0] == TRANSCRIPT_HEADER
     assert [s.count("\n") for s in slices[1:]] == [TRANSCRIPT_SLICE_ROWS] * 2 + [50]
     text = "".join(slices)
@@ -280,7 +293,9 @@ def test_transcript_cells_match_csv_writer_row_by_row():
             (rng.integers(0, 40, n, np.uint8),),
             picked[:, 0], picked[:, 1], picked[:, 2].astype(bool), picked[:, 3].astype(bool),
         )
-        got = "".join(transcript_csv_rows(block)).splitlines(keepends=True)
+        out = io.StringIO()
+        transcript_csv_rows(block, out.write)
+        got = out.getvalue().splitlines(keepends=True)
         assert got == _csv_writer_text(block).splitlines(keepends=True)
 
 
@@ -339,7 +354,7 @@ def _peak_bytes(config, rounds: int, path, protocol="key-agreement", eve_basis=N
         with open(path, "w", newline="") as fh:
             run_session(
                 config, protocol, rounds, UA, UB, eve_basis, seed=19,
-                on_block=(lambda block: fh.writelines(transcript_csv_rows(block)))
+                on_block=(lambda block: transcript_csv_rows(block, fh.write))
                 if transcript else None,
             )
         return tracemalloc.get_traced_memory()[1]
@@ -354,16 +369,26 @@ def test_transcript_memory_is_flat_in_rounds(config, tmp_path):
     assert large <= 1.2 * small, (small, large)
 
 
+def test_key_memory_is_flat_in_rounds(config, tmp_path):
+    # Each block's sifted outcomes are packed as the block ends, so a session
+    # holds its packed key, a quarter byte per sifted round, and no more.
+    rounds = 2 * BLOCK_ROUNDS
+    small = _peak_bytes(config, rounds, tmp_path / "small.csv", transcript=False)
+    large = _peak_bytes(config, 10 * rounds, tmp_path / "large.csv", transcript=False)
+    assert large <= 1.2 * small, (small, large)
+
+
 @pytest.mark.parametrize(
     "protocol, eve_basis",
     [("naive", None), ("naive", 5), ("two-step", None), ("key-agreement", None)],
 )
-@pytest.mark.parametrize("transcript, limit_mb", [(True, 4), (False, 1.5)])
+@pytest.mark.parametrize("transcript, limit_mb", [(True, 2.5), (False, 1.5)])
 def test_block_working_set_is_pinned(config, tmp_path, protocol, eve_basis, transcript, limit_mb):
     # Per-round arrays are one byte wide (draws, choices, outcomes), and the
-    # transcript's index arrays live one slice at a time.  The limits sit
-    # well below what 8-byte arrays and block-wide index arrays take:
-    # 7.9-9.5 MB with a transcript and 2.4-3.6 MB without.
+    # transcript's index arrays and text live one slice at a time: 1.4-1.9 MB
+    # with a transcript and 0.6-1.2 MB without.  The limits sit below what
+    # 8-byte arrays and block-wide index arrays take (7.9-9.5 MB and 2.4-3.6
+    # MB) and, with a transcript, below a block's whole text (2.6-3.5 MB).
     path = tmp_path / "rounds.csv"
     peak = _peak_bytes(config, BLOCK_ROUNDS, path, protocol, eve_basis, transcript)
     assert peak < limit_mb * 1e6, peak
@@ -830,7 +855,7 @@ def test_round_engine_builds_no_eisenstein_objects(monkeypatch):
     for protocol in ("naive", "two-step", "key-agreement"):
         run_session(
             config, protocol, BLOCK_ROUNDS + 1, UA, UB, seed=41,
-            on_block=lambda block: out.writelines(transcript_csv_rows(block)),
+            on_block=lambda block: transcript_csv_rows(block, out.write),
         )
     assert out.tell() > 0
     assert len(built) == 0
