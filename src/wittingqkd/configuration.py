@@ -31,19 +31,20 @@ the orthogonality graph, the 40 tetrads (each orthogonal pair and its two
 common orthogonal states), the session tables, and the MUB slices (the
 tetrads through an axis state).  The symmetry group computes with the same
 functions.  Boxed :class:`Eisenstein` vectors appear only at the API edge
-(``ProjectiveState.vector``).
+(``ProjectiveState.vector``, which ``ProjectiveState.pairs`` holds as ints).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 from .cards import RANKS, SUITS, Card
-from .eisenstein import MAGNITUDE_BOUND, Eisenstein, UNITS
+from .eisenstein import Eisenstein, UNITS, pair_inner
 
 # Complex conjugation maps each state to another configuration state with the
 # same suit and the rank swapped by this involution (ranks 1 and 2 are real).
@@ -190,30 +191,8 @@ def canonical_phase(vector: Iterable[Eisenstein]) -> Vector:
 
 
 def scaled_inner(s: Iterable[Eisenstein], t: Iterable[Eisenstein]) -> Eisenstein:
-    """Hermitian inner product sum(conj(s_i) * t_i) of sqrt(3)-scaled vectors.
-
-    The sum runs on plain ints and boxes only its result, so it is the
-    pure-Python Z[w] kernel, independent of the array one (:func:`ring_matmul`).
-    It raises ``OverflowError`` on exactly the inputs where the boxed fold
-    ``acc = acc + x.conj() * y`` would: every conjugate, product and running
-    sum is held to :data:`MAGNITUDE_BOUND`, as an ``Eisenstein`` would be.
-    """
-    # conj(a + bw) = (a - b) - bw, and Eisenstein.__mul__ takes (x + yw)(c + dw)
-    # to xc - yd + (xd + yc - yd)w; with x = a - b, y = -b the product is
-    # (a - b)c + bd + (ad - bc)w.  Of the conjugate only a - b can leave the
-    # bound, as -b is bounded with b.
-    re = im = peak = 0
-    for x, y in zip(s, t):
-        a, b, c, d = x.a, x.b, y.a, y.b
-        p = a - b
-        pr = p * c + b * d
-        pw = a * d - b * c
-        re += pr
-        im += pw
-        peak = max(peak, abs(p), abs(pr), abs(pw), abs(re), abs(im))
-    if peak > MAGNITUDE_BOUND:
-        raise OverflowError(f"scaled_inner exceeds 2**20: {peak}")
-    return Eisenstein(re, im)
+    """:func:`~wittingqkd.eisenstein.pair_inner` of boxed vectors, boxing only its result."""
+    return Eisenstein(*pair_inner(s, t))
 
 
 @dataclass(frozen=True)
@@ -227,6 +206,11 @@ class ProjectiveState:
     @property
     def index(self) -> int:
         return SUITS.index(self.card.suit) * 10 + self.card.rank - 1
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The vector as plain (a, b) int pairs, as :func:`pair_inner` reads it."""
+        return tuple((x.a, x.b) for x in self.vector)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,15 @@
 
 Once state vectors are scaled by sqrt(3), every amplitude appearing in the
 40-state configuration is an Eisenstein integer, so the whole package can
-compute with pairs of Python ints instead of floats.  Exact probabilities
-are plain ``fractions.Fraction`` values built from the integer norms
-produced here.
+compute with pairs of Python ints instead of floats: boxed as
+:class:`Eisenstein`, or plain (a, b) pairs in :func:`pair_inner`.  Exact
+probabilities are ``fractions.Fraction`` values built from integer norms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 # Everything in this package stays tiny; a breach means a reduction step was
 # skipped upstream, so fail loudly instead of letting values grow.
@@ -63,6 +64,9 @@ class Eisenstein:
         """Lexicographic sort key; fixes the canonical-phase convention."""
         return (self.a, self.b)
 
+    def __iter__(self):  # unpacks as (a, b), so pair_inner reads boxed values too
+        return iter((self.a, self.b))
+
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)
@@ -83,3 +87,25 @@ I_SQRT3 = Eisenstein(1, 2)
 # The six elements of norm 1, in the fixed public order (1, -1, w, -w, w^2, -w^2).
 # Canonicalisation and serialisation depend on this order; do not reorder.
 UNITS = (ONE, -ONE, OMEGA, -OMEGA, OMEGA2, -OMEGA2)
+
+
+def pair_inner(s: Iterable, t: Iterable) -> tuple[int, int]:
+    """Hermitian inner product sum(conj(s_i) * t_i) of sqrt(3)-scaled vectors of
+    (a, b) int pairs (an ``Eisenstein`` unpacks as one): the pure-Python Z[w]
+    kernel, independent of the array one in ``configuration``.  Every conjugate,
+    product and running sum is held to :data:`MAGNITUDE_BOUND`, so it raises
+    ``OverflowError`` exactly where the boxed fold ``acc + x.conj() * y`` would.
+    """
+    # conj(a + bw)(c + dw) = (a - b)c + bd + (ad - bc)w; of conj(a + bw) only a - b can grow.
+    re = im = 0
+    bound = MAGNITUDE_BOUND
+    for (a, b), (c, d) in zip(s, t):
+        p = a - b
+        pr = p * c + b * d
+        pw = a * d - b * c
+        re += pr
+        im += pw
+        if not (-bound <= p <= bound and -bound <= pr <= bound and -bound <= pw <= bound
+                and -bound <= re <= bound and -bound <= im <= bound):
+            raise OverflowError(f"Z[w] inner product exceeds 2**20: {(p, pr, pw, re, im)}")
+    return re, im

@@ -4,51 +4,36 @@ The shared state is the maximally entangled pair (|00> + |11> + |22> + |33>)/2.
 Rewriting it over any orthonormal basis {x_k} pairs each |x_k> on one side
 with the componentwise-conjugated |x_k*> on the other, so when Bob measures
 the conjugated copy of Alice's tetrad the outcome indices agree with
-certainty.  All probabilities here are exact ``Fraction`` values.
-One private formula reads the configuration's integer transition table:
-:func:`outcome_counts` applies it to every tetrad pair, and the round
-engine samples those counts; :func:`joint_distribution` and
-:func:`intercept_resend_distribution` apply it to one pair alone.  The
-rest (delayed queries, two-step measurement, ``JointState``) is the boxed
-Z[w] vector reference that ``verify`` and the tests check the table
-against: one query projector and one Born rule over a tetrad, shared by
-the single ququart and the pair.  Its vectors are kept
-unnormalised with an explicit power-of-sqrt(3) scale so no irrational
-number ever appears.
+certainty.  Every probability is an integer weight over an integer
+denominator, given to callers as an exact ``Fraction``.  One private
+formula reads the configuration's integer transition table:
+:func:`outcome_counts` applies it to every tetrad pair, and the round engine
+samples those counts; :func:`joint_distribution` and
+:func:`intercept_resend_distribution` apply it to one pair alone.  The rest
+(delayed queries, two-step measurement, ``JointState``) is the Z[w] vector
+reference that ``verify`` and the tests check the table against: one query
+projector and one Born rule over a tetrad, shared by the single ququart and
+the pair, on (a, b) int pairs through :func:`~wittingqkd.eisenstein.pair_inner`,
+without numpy; one integer recomposition mixes a two-step measurement's
+branches back, and ``composed()`` and :func:`compose_branches` read it as
+fractions.  Its vectors are unnormalised with an explicit power-of-sqrt(3)
+scale, so no irrational number ever appears.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
-from .eisenstein import ONE, ZERO
-from .configuration import (
-    Card,
-    ProjectiveState,
-    Vector,
-    WittingConfiguration,
-    check_int,
-    scaled_inner,
-)
+from .eisenstein import MAGNITUDE_BOUND, Eisenstein, pair_inner
+from .configuration import Card, ProjectiveState, Vector, WittingConfiguration, check_int
 
-
-@dataclass(frozen=True)
-class QuquartState:
-    """A (possibly unnormalised) 4-vector amps / sqrt(3)**scale over Z[w]."""
-
-    amps: Vector
-    scale: int = 0
-
-    @property
-    def norm_sq(self) -> Fraction:
-        return Fraction(_sq(self.amps), 3**self.scale)
-
-    @classmethod
-    def from_state(cls, state: ProjectiveState) -> "QuquartState":
-        return cls(state.vector, 1)  # scaled vectors have norm^2 3
+Pairs = tuple[tuple[int, int], ...]  # a Z[w] vector, each a + b*w as (a, b)
+Counts = tuple[tuple[int, ...], int]  # (weights, den): probabilities weight / den
 
 
 @dataclass(frozen=True)
@@ -80,22 +65,6 @@ class JointDistribution:
         return [
             [f"{x.numerator}/{x.denominator}" for x in row] for row in self.p
         ]
-
-
-def basis_vectors(
-    config: WittingConfiguration, basis: int, conjugated: bool = False
-) -> tuple[Vector, ...]:
-    """Member vectors of a tetrad, in announcement order.
-
-    With ``conjugated`` the componentwise conjugates are returned: the
-    states Bob actually measures.  (Each conjugate is again a configuration
-    state, with the same suit and the conjugation-partner rank.)
-    """
-    _check_tetrad(config, basis)
-    vecs = tuple(config.state_of(c).vector for c in config.bases[basis].members)
-    if conjugated:
-        vecs = tuple(tuple(x.conj() for x in v) for v in vecs)
-    return vecs
 
 
 def _check_tetrad(config: WittingConfiguration, tetrad: object) -> None:
@@ -148,8 +117,7 @@ def _block(
     _check_tetrad(config, bob_basis)
     members = config.basis_states
     counts, den = _counts(config, members[alice_basis], members[bob_basis], eve_basis)
-    rows = counts.tolist()
-    return JointDistribution(tuple(tuple(Fraction(n, den) for n in row) for row in rows))
+    return _joint((counts.ravel().tolist(), den))
 
 
 def joint_distribution(
@@ -181,84 +149,158 @@ def intercept_resend_distribution(
 # -- the Z[w] reference: one projector, one Born rule ---------------------------
 
 
-def _split(v: Vector, amps: Vector) -> tuple[Vector, Vector]:
-    """Both branches of the query projector P = v v^dag / 3, times 3.
+@dataclass(frozen=True)
+class QuquartState:
+    """A (possibly unnormalised) 4-vector amps / sqrt(3)**scale over Z[w], amps as (a, b) pairs."""
 
-    One inner product gives (3P amps, 3(1 - P) amps); each branch carries
-    two more factors of sqrt(3) in its scale than ``amps``.
+    amps: Pairs
+    scale: int = 0
+
+    @property
+    def norm_sq(self) -> Fraction:
+        return Fraction(_sq(self.amps), 3**self.scale)
+
+    @classmethod
+    def from_state(cls, state: ProjectiveState) -> "QuquartState":
+        return cls(state.pairs, 1)  # scaled vectors have norm^2 3
+
+
+def basis_vectors(
+    config: WittingConfiguration, basis: int, conjugated: bool = False
+) -> tuple[Vector, ...]:
+    """Member vectors of a tetrad, in announcement order.
+
+    With ``conjugated`` the componentwise conjugates are returned: the
+    states Bob actually measures.  (Each conjugate is again a configuration
+    state, with the same suit and the conjugation-partner rank.)
     """
-    c = scaled_inner(v, amps)
-    yes = tuple(c * x for x in v)
-    return yes, tuple(x * 3 - y for x, y in zip(amps, yes))
+    return tuple(tuple(Eisenstein(*x) for x in v) for v in _tetrad(config, basis, conjugated))
 
 
-def _born(vectors: tuple[Vector, ...], amps: Vector, den: int) -> tuple[Fraction, ...]:
-    """Born probabilities |<v|amps>|^2 / den, one per measured vector.
-
-    Each vector has squared norm 3, so ``den`` is the squared norm of the
-    measured amplitudes times 3 per side measured; only the zero state has
-    ``den`` 0.
-    """
-    if den == 0:
-        raise ValueError("cannot measure the zero state")
-    return tuple(Fraction(scaled_inner(v, amps).norm_sq(), den) for v in vectors)
+def _tetrad(config: WittingConfiguration, basis: int, conj: bool = False) -> tuple[Pairs, ...]:
+    _check_tetrad(config, basis)
+    vecs = tuple(config.states[i].pairs for i in config.basis_states[basis])
+    # conj(a + bw) = (a - b) - bw
+    return tuple(tuple((a - b, -b) for a, b in v) for v in vecs) if conj else vecs
 
 
-def _sq(amps: Vector) -> int:
-    return sum(x.norm_sq() for x in amps)
-
-
-def _probe_state(config: WittingConfiguration, probe: Card, basis: int) -> ProjectiveState:
+def _probe(config: WittingConfiguration, probe: Card, basis: int) -> int:
+    """The probe's position in the tetrad, which must hold it."""
     _check_tetrad(config, basis)
     if probe not in config.bases[basis].members:
         raise ValueError(f"{probe.label} is not a member of tetrad {basis}")
-    return config.state_of(probe)
+    return config.bases[basis].members.index(probe)
+
+
+def _split(v: Pairs, amps: Pairs) -> tuple[tuple[int, int], Pairs, Pairs]:
+    """c = <v|amps> and the branches (3P amps, 3(1 - P) amps) = (c v, 3 amps - c v)
+    of the query projector P = v v^dag / 3, two more factors of sqrt(3) in scale
+    than ``amps``.  Each component of 3 amps, c v and 3 amps - c v is held to
+    ``MAGNITUDE_BOUND``, as the boxed products and difference would be."""
+    p, q = c = pair_inner(v, amps)
+    yes = tuple((p * a - q * b, p * b + q * a - q * b) for a, b in v)
+    no = tuple((3 * x - a, 3 * y - b) for (x, y), (a, b) in zip(amps, yes))
+    if (3 * max(abs(n) for pair in amps for n in pair) > MAGNITUDE_BOUND
+            or max(abs(n) for pair in yes + no for n in pair) > MAGNITUDE_BOUND):
+        raise OverflowError("query branch exceeds 2**20")
+    return c, yes, no
+
+
+def _born(products: Iterable[tuple[int, int]], den: int) -> Counts:
+    """Born weights |<v|amps>|^2 of the inner products ``products``, over ``den``:
+    each measured vector has squared norm 3, so ``den`` is the squared norm of
+    the amplitudes times 3 per side measured, 0 only for the zero state."""
+    if den == 0:
+        raise ValueError("cannot measure the zero state")
+    return tuple(a * a - a * b + b * b for a, b in products), den
+
+
+def _sq(amps: Pairs) -> int:
+    return sum(a * a - a * b + b * b for a, b in amps)
+
+
+def _fractions(counts: Counts | None) -> tuple[Fraction, ...] | None:
+    return None if counts is None else tuple(Fraction(n, counts[1]) for n in counts[0])
+
+
+def _joint(counts: Counts) -> JointDistribution:  # 16 weights, Alice's outcome major
+    w, den = counts
+    return JointDistribution(tuple(_fractions((w[i : i + 4], den)) for i in range(0, 16, 4)))
+
+
+def _mix(parts: Iterable[tuple[int, int, Counts | None]], size: int) -> Counts:
+    """The distributions w / d of the parts (n, t, (w, d)) mixed with weights
+    n / t (a part of weight 0 has no counts), as ``size`` integer weights over
+    one denominator: a/b + c/d = (ad + cb)/bd, every t and d > 0."""
+    acc, den = [0] * size, 1
+    for n, t, counts in parts:
+        if counts is not None:
+            w, d = counts
+            acc = [x * t * d + n * y * den for x, y in zip(acc, w, strict=True)]
+            den *= t * d
+    return tuple(acc), den
 
 
 @dataclass(frozen=True)
 class DelayedQueryResult:
-    """Outcome of asking "is the system in this state?" without destroying it.
+    """Outcome of asking "is the system in this state?" without destroying it:
+    the (yes, no) weights over their denominator, and the unnormalised
+    post-states (None for a branch of probability zero)."""
 
-    Post-measurement branch states are unnormalised; their exact squared
-    norms are available on the states themselves.  A branch of probability
-    zero carries no post-state.
-    """
-
-    p_yes: Fraction
+    query: Counts
     post_yes: QuquartState | None
     post_no: QuquartState | None
+
+    @property
+    def p_yes(self) -> Fraction:
+        return Fraction(self.query[0][0], self.query[1])
 
 
 def delayed_query(state: QuquartState, probe: ProjectiveState) -> DelayedQueryResult:
     """Apply the query projector for a configuration state to ``state``."""
-    (p_yes,) = _born((probe.vector,), state.amps, 3 * _sq(state.amps))
-    yes, no = (QuquartState(a, state.scale + 2) for a in _split(probe.vector, state.amps))
-    return DelayedQueryResult(
-        p_yes, yes if p_yes != 0 else None, no if p_yes != 1 else None
-    )
+    c, yes, no = _split(probe.pairs, state.amps)
+    (w,), den = _born((c,), 3 * _sq(state.amps))
+    weights = (w, den - w)
+    posts = (QuquartState(a, state.scale + 2) if n else None for a, n in zip((yes, no), weights))
+    return DelayedQueryResult((weights, den), *posts)
+
+
+def one_step_counts(config: WittingConfiguration, basis: int, state: QuquartState) -> Counts:
+    """Born weights of a direct tetrad measurement on ``state``, over their denominator."""
+    vectors, den = _tetrad(config, basis), 3 * _sq(state.amps)
+    return _born((pair_inner(v, state.amps) for v in vectors), den)
 
 
 def one_step_distribution(
     config: WittingConfiguration, basis: int, state: QuquartState
 ) -> tuple[Fraction, ...]:
     """Born distribution of a direct tetrad measurement on ``state``."""
-    return _born(basis_vectors(config, basis), state.amps, 3 * _sq(state.amps))
+    return _fractions(one_step_counts(config, basis, state))
 
 
 @dataclass(frozen=True)
-class TwoStepBreakdown:
-    """Branch probabilities of query-then-measure, and their recomposition."""
+class TwoStepBreakdown(DelayedQueryResult):
+    """The query's outcome and the tetrad's Born weights over their denominator
+    in each branch (None in a branch of weight 0); the branch distributions
+    and their recomposition."""
 
-    p_yes: Fraction
-    dist_yes: tuple[Fraction, ...] | None
-    dist_no: tuple[Fraction, ...] | None
+    branches: tuple[Counts | None, Counts | None]
+
+    @property
+    def dist_yes(self) -> tuple[Fraction, ...] | None:
+        return _fractions(self.branches[0])
+
+    @property
+    def dist_no(self) -> tuple[Fraction, ...] | None:
+        return _fractions(self.branches[1])
+
+    def composed_counts(self) -> Counts:
+        """The branches' tetrad weights mixed by the query's, over one denominator."""
+        weights, den = self.query
+        return _mix(((n, den, c) for n, c in zip(weights, self.branches)), 4)
 
     def composed(self) -> tuple[Fraction, ...]:
-        total = [Fraction(0)] * 4
-        for p, dist in ((self.p_yes, self.dist_yes), (1 - self.p_yes, self.dist_no)):
-            if dist is not None:
-                total = [t + p * x for t, x in zip(total, dist)]
-        return tuple(total)
+        return _fractions(self.composed_counts())
 
 
 def two_step_distribution(
@@ -274,61 +316,72 @@ def two_step_distribution(
     with certainty and the composition reproduces the direct measurement
     distribution exactly.
     """
-    q = delayed_query(state, _probe_state(config, probe, basis))
-    dist_yes, dist_no = (
-        None if post is None else one_step_distribution(config, basis, post)
-        for post in (q.post_yes, q.post_no)
-    )
-    return TwoStepBreakdown(q.p_yes, dist_yes, dist_no)
-
-
-# -- the entangled pair under two-step measurement -----------------------------
+    _probe(config, probe, basis)
+    q = delayed_query(state, config.state_of(probe))
+    posts = (q.post_yes, q.post_no)
+    branches = tuple(p and one_step_counts(config, basis, p) for p in posts)
+    return TwoStepBreakdown(q.query, *posts, branches)
 
 
 @dataclass(frozen=True)
 class JointState:
     """Unnormalised two-ququart state sum_jk amps[j][k] |j>|k> / sqrt(3)**scale."""
 
-    amps: tuple[Vector, ...]
+    amps: tuple[Pairs, ...]
     scale: int = 0
 
     @classmethod
     def entangled_pair(cls) -> "JointState":
-        return cls(tuple(tuple(ONE if j == k else ZERO for k in range(4)) for j in range(4)))
+        return cls(tuple(tuple((int(j == k), 0) for k in range(4)) for j in range(4)))
 
     @property
-    def norm_sq(self) -> Fraction:
-        return Fraction(sum(_sq(row) for row in self.amps), 3**self.scale)
+    def weight(self) -> int:  # squared norm times 3**scale
+        return sum(map(_sq, self.amps))
 
-    def _split(self, v: Vector, side: str) -> tuple["JointState", "JointState"]:
+    def _split(self, v: Pairs, side: str) -> tuple["JointState", "JointState"]:
         # Query one side: Bob's projector acts on each row, Alice's on each column.
         rows = tuple(zip(*self.amps)) if side == "alice" else self.amps
-        yes, no = zip(*(_split(v, row) for row in rows))
+        _, yes, no = zip(*(_split(v, row) for row in rows))
         if side == "alice":
             yes, no = tuple(zip(*yes)), tuple(zip(*no))
         return JointState(yes, self.scale + 2), JointState(no, self.scale + 2)
 
-    def measurement_distribution(
-        self, alice_vectors: tuple[Vector, ...], bob_vectors: tuple[Vector, ...]
-    ) -> JointDistribution:
-        """Exact conditional joint distribution in the given product tetrads.
+    def measurement_counts(
+        self, alice_vectors: tuple[Pairs, ...], bob_vectors: tuple[Pairs, ...]
+    ) -> Counts:
+        """Exact conditional joint in the given product tetrads, as 16 weights
+        over one denominator, Alice's outcome major.
 
         Contracting one of Bob's vectors into the pair leaves Alice's
         unnormalised conditional state, which she measures by the Born rule.
         """
-        den = 9 * sum(_sq(row) for row in self.amps)
-        columns = [
-            _born(alice_vectors, tuple(scaled_inner(vb, row) for row in self.amps), den)
-            for vb in bob_vectors
-        ]
-        return JointDistribution(tuple(zip(*columns)))
+        cond = [[pair_inner(vb, row) for row in self.amps] for vb in bob_vectors]
+        products = (pair_inner(va, c) for va in alice_vectors for c in cond)
+        return _born(products, 9 * self.weight)
+
+    def measurement_distribution(
+        self, alice_vectors: tuple[Pairs, ...], bob_vectors: tuple[Pairs, ...]
+    ) -> JointDistribution:
+        return _joint(self.measurement_counts(alice_vectors, bob_vectors))
 
 
 @dataclass(frozen=True)
 class TwoStepBranch:
+    """One yes/no branch: probability ``weight / total`` and, unless that is
+    0, the conditional joint as :meth:`JointState.measurement_counts`."""
+
     label: str  # "yy", "yn", "ny", "nn"
-    probability: Fraction
-    conditional: JointDistribution | None  # None only for zero-probability branches
+    weight: int
+    total: int
+    counts: Counts | None
+
+    @property
+    def probability(self) -> Fraction:
+        return Fraction(self.weight, self.total)
+
+    @cached_property
+    def conditional(self) -> JointDistribution | None:
+        return self.counts and _joint(self.counts)
 
 
 def two_step_joint_branches(
@@ -343,36 +396,32 @@ def two_step_joint_branches(
     Alice queries her probe then completes her tetrad; Bob does the same
     with conjugated states.  The four (yes/no x yes/no) branches recompose
     exactly to the one-step joint distribution, whatever the probes are.
-    This builds every branch state over Z[w].  In one shared tetrad the
-    outcome pair fixes the branch, so the round engine sifts a two-step
-    round with one draw from the one-step joint.
+    This builds every branch state over Z[w] and weighs its squared norm.
+    In one shared tetrad the outcome pair fixes the branch, so the round
+    engine sifts a two-step round with one draw from the one-step joint.
     """
-    pa = _probe_state(config, alice_probe, alice_basis).vector
-    pb = tuple(x.conj() for x in _probe_state(config, bob_probe, bob_basis).vector)
-    av = basis_vectors(config, alice_basis)
-    bv = basis_vectors(config, bob_basis, conjugated=True)
-
+    av, bv = _tetrad(config, alice_basis), _tetrad(config, bob_basis, True)
+    pa, pb = av[_probe(config, alice_probe, alice_basis)], bv[_probe(config, bob_probe, bob_basis)]
     start = JointState.entangled_pair()
     branches = []
     for alice_branch, a_state in zip("yn", start._split(pa, "alice")):
         for bob_branch, state in zip("yn", a_state._split(pb, "bob")):
-            prob = state.norm_sq / start.norm_sq
-            cond = state.measurement_distribution(av, bv) if prob != 0 else None
-            branches.append(TwoStepBranch(alice_branch + bob_branch, prob, cond))
-    if sum(b.probability for b in branches) != 1:
+            total = start.weight * 3 ** (state.scale - start.scale)
+            counts = state.measurement_counts(av, bv) if state.weight else None
+            branches.append(TwoStepBranch(alice_branch + bob_branch, state.weight, total, counts))
+    if sum(b.weight for b in branches) != total:
         raise AssertionError("branch probabilities do not sum to 1")
     return tuple(branches)
 
 
+def compose_branch_counts(branches: tuple[TwoStepBranch, ...]) -> Counts:
+    """The branches' conditional joints mixed by their probabilities: 16
+    weights, Alice's outcome major, over one denominator."""
+    return _mix(((b.weight, b.total, b.counts) for b in branches), 16)
+
+
 def compose_branches(branches: tuple[TwoStepBranch, ...]) -> JointDistribution:
-    rows = [[Fraction(0)] * 4 for _ in range(4)]
-    for branch in branches:
-        if branch.conditional is None:
-            continue
-        for a in range(4):
-            for b in range(4):
-                rows[a][b] += branch.probability * branch.conditional.p[a][b]
-    return JointDistribution(tuple(tuple(row) for row in rows))
+    return _joint(compose_branch_counts(branches))
 
 
 # -- the query gate on qubits ----------------------------------------------------

@@ -11,12 +11,16 @@ The configuration builds its transition table on an integer array
 (``config.vector_array``, one Gram product over Z[w]), and the symmetry
 group's matrices run on the same array kernel.  ``transition-spectrum``,
 ``mub-embedding`` and ``pair-bases`` assert only on :func:`_overlaps`, the
-table of 9 |<s|t>|^2 recomputed with :func:`scaled_inner`, the pure-int
-Z[w] inner product, which uses no numpy; the first compares it with
+table of 9 |<s|t>|^2 recomputed from the state vectors with the pure-int
+:func:`~wittingqkd.eisenstein.pair_inner`; the first compares it with
 ``config.transition_array`` entry by entry, so a fault in the array kernel
-shows there.  ``column-shifts``, ``symmetry-group`` and ``reflection-group``
-run on the array; the group orders they assert are known values, so a
-fault in the kernel still shows.
+shows there.  ``deferred-measurement`` and ``joint-two-step`` take the Z[w]
+vector reference's integer recomposition of its branches
+(``TwoStepBreakdown.composed_counts``, :func:`compose_branch_counts`) and
+compare it with the direct weights by one cross-multiplication, :func:`_equal`.
+``column-shifts``, ``symmetry-group`` and ``reflection-group`` run on the
+array; the group orders they assert are known values, so a fault in the
+kernel still shows.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ from .configuration import (
     ring_conj,
     ring_mul,
     ring_norm,
-    scaled_inner,
     vector_set,
 )
+from .eisenstein import pair_inner
 from .marking import (
     ALL_SPADES,
     MAX_SCORE_EXAMPLE,
@@ -45,10 +49,11 @@ from .marking import (
     score_marking,
 )
 from .measurement import (
+    Counts,
     QuquartState,
-    compose_branches,
+    compose_branch_counts,
     joint_distribution,
-    one_step_distribution,
+    one_step_counts,
     toffoli_report,
     two_step_distribution,
     two_step_joint_branches,
@@ -82,16 +87,15 @@ def _check_counts(config: WittingConfiguration) -> str:
 
 
 def _overlaps(config: WittingConfiguration) -> list[list[int]]:
-    """The 40x40 table of 9 |<s|t>|^2, recomputed from the boxed vectors.
-
-    One :func:`scaled_inner` per pair s <= t, mirrored, as |<t|s>| = |<s|t>|:
-    no numpy, and nothing read from ``config.transition_array``.
-    """
-    vectors = [s.vector for s in config.states]
+    """The 40x40 table of 9 |<s|t>|^2, recomputed from the state vectors: one
+    :func:`pair_inner` per pair s <= t, mirrored, as |<t|s>| = |<s|t>|; no
+    numpy, and nothing read from ``config.transition_array``."""
+    vectors = [s.pairs for s in config.states]
     table = [[0] * len(vectors) for _ in vectors]
     for i, v in enumerate(vectors):
         for j in range(i, len(vectors)):
-            table[i][j] = table[j][i] = scaled_inner(v, vectors[j]).norm_sq()
+            a, b = pair_inner(v, vectors[j])
+            table[i][j] = table[j][i] = a * a - a * b + b * b
     return table
 
 
@@ -178,17 +182,25 @@ def _check_pair_bases(config: WittingConfiguration) -> str:
     return "each orthogonal pair in exactly 1 tetrad; common-tetrad rate 13/40"
 
 
+def _equal(p: Counts, q: Counts) -> bool:
+    """Whether weights a over b equal weights c over d entry by entry, by one
+    cross-multiplication: a/b = c/d exactly when ad = cb, for b, d > 0.
+    Weight vectors of different lengths raise ``ValueError``."""
+    (a, b), (c, d) = p, q
+    assert b > 0 and d > 0, (b, d)
+    return all(x * d == y * b for x, y in zip(a, c, strict=True))
+
+
 def _check_deferred_measurement(config: WittingConfiguration) -> str:
-    inputs = (QuquartState.from_state(config.states[0]),
-              QuquartState.from_state(config.states[17]))
+    inputs = [QuquartState.from_state(config.states[i]) for i in (0, 17)]
     checked = 0
     for basis in config.bases:
         # The direct measurement depends only on the tetrad and the input.
-        direct = [one_step_distribution(config, basis.id, x) for x in inputs]
+        direct = [one_step_counts(config, basis.id, x) for x in inputs]
         for card in basis.members:
-            for probe_input, expected in zip(inputs, direct):
-                breakdown = two_step_distribution(config, card, basis.id, probe_input)
-                assert breakdown.composed() == expected
+            for probe_input, counts in zip(inputs, direct):
+                q = two_step_distribution(config, card, basis.id, probe_input)
+                assert _equal(q.composed_counts(), counts)
             checked += 1
     assert checked == 160
     return "two-step branches recompose to one-step exactly for all 160 pairs"
@@ -196,10 +208,11 @@ def _check_deferred_measurement(config: WittingConfiguration) -> str:
 
 def _check_joint_two_step(config: WittingConfiguration) -> str:
     basis = config.bases[2]
+    quarter = ([int(x == y) for x in range(4) for y in range(4)], 4)
     for pa in basis.members:
         for pb in basis.members:
             branches = two_step_joint_branches(config, pa, basis.id, pb, basis.id)
-            assert compose_branches(branches).is_quarter_diagonal()
+            assert _equal(compose_branch_counts(branches), quarter)
     return "joint two-step branches compose to (1/4)I on a shared tetrad"
 
 

@@ -5,12 +5,14 @@ from random import Random
 import pytest
 
 from wittingqkd.configuration import Card, scaled_inner
-from wittingqkd.eisenstein import ZERO
+from wittingqkd.eisenstein import MAGNITUDE_BOUND, ZERO
 from wittingqkd.measurement import (
     JointDistribution,
     JointState,
     QuquartState,
+    TwoStepBranch,
     basis_vectors,
+    compose_branch_counts,
     compose_branches,
     delayed_query,
     intercept_resend_distribution,
@@ -219,6 +221,21 @@ def test_delayed_query_norms_split_the_state(config):
             assert q.post_yes.norm_sq == q.p_yes
 
 
+@pytest.mark.parametrize("rank, p_yes", [(1, 0), (2, Fraction(1, 3))])
+@pytest.mark.parametrize("component", [MAGNITUDE_BOUND // 3, MAGNITUDE_BOUND // 3 + 1])
+def test_query_branches_are_held_to_the_magnitude_bound(config, rank, p_yes, component):
+    # amps = component |1>.  Orthogonal to S1 the no branch is 3 amps; against
+    # S2 both branches stay within 2 * component, but the boxed 3 * x that the
+    # no branch is taken from leaves the bound all the same.
+    state = QuquartState(((0, 0), (component, 0), (0, 0), (0, 0)))
+    probe = config.state_of(Card("S", rank))
+    if 3 * component > MAGNITUDE_BOUND:
+        with pytest.raises(OverflowError):
+            delayed_query(state, probe)
+    else:
+        assert delayed_query(state, probe).p_yes == p_yes
+
+
 # -- two-step measurement --------------------------------------------------------
 
 
@@ -329,3 +346,29 @@ def test_toffoli_report():
         "involutive": True,
         "probe0_differs": True,
     }
+
+
+def test_fraction_views_read_the_integer_recomposition(config):
+    """composed() and compose_branches give the one integer recomposition,
+    weights over one denominator, as Fractions."""
+    state = QuquartState.from_state(config.states[17])
+    for card in config.bases[5].members:
+        breakdown = two_step_distribution(config, card, 5, state)
+        weights, den = breakdown.composed_counts()
+        assert breakdown.composed() == tuple(Fraction(n, den) for n in weights)
+        assert breakdown.composed() == one_step_distribution(config, 5, state)
+    members = config.bases[7].members
+    branches = two_step_joint_branches(config, members[0], 7, members[1], 7)
+    weights, den = compose_branch_counts(branches)
+    rows = [weights[i : i + 4] for i in range(0, 16, 4)]
+    assert compose_branches(branches).p == tuple(
+        tuple(Fraction(n, den) for n in row) for row in rows
+    )
+
+
+def test_recomposition_rejects_a_branch_of_another_length():
+    """A branch with 12 weights is an error, not mixed into a 12-entry prefix."""
+    full = TwoStepBranch("yy", 1, 2, ((1,) * 16, 16))
+    short = TwoStepBranch("nn", 1, 2, ((1,) * 12, 12))
+    with pytest.raises(ValueError):
+        compose_branch_counts((full, short))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,9 @@ def test_suite_builds_few_boxed_values(monkeypatch):
     """Boxed Z[w] values stay at the API edge: the inner products of the
     checks run on plain ints, and each direct distribution is computed once
     per tetrad and input.  The full suite built 97,348 of them when each
-    inner product boxed its every term; it now builds about 13,800."""
+    inner product boxed its every term, and 13,792 while the vector
+    reference still boxed its branch states; it now builds 164, nearly all
+    of them the configuration's own state vectors."""
     built = []
     original = Eisenstein.__post_init__
 
@@ -54,4 +58,64 @@ def test_suite_builds_few_boxed_values(monkeypatch):
     monkeypatch.setattr(Eisenstein, "__post_init__", counted)
     results = verify.run_checks()
     assert all(r.passed for r in results), [r for r in results if not r.passed]
-    assert 0 < len(built) < 15_000, len(built)
+    assert 0 < len(built) < 1_000, len(built)
+
+
+def _built(monkeypatch, cls, method, check, config):
+    """How many ``cls`` objects ``check(config)`` builds, counted at ``method``."""
+    built = []
+    original = getattr(cls, method)
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, method, counted)
+    check(config)
+    monkeypatch.undo()
+    return len(built)
+
+
+@pytest.mark.parametrize(
+    "check", [verify._check_deferred_measurement, verify._check_joint_two_step]
+)
+def test_reference_checks_build_no_boxed_values(config, monkeypatch, check):
+    """The Z[w] vector reference runs on (a, b) int pairs and the checks
+    compare integer weights, so neither builds an ``Eisenstein`` or a
+    ``Fraction``.  While the reference boxed its branch states and Born
+    weights, the two built 6,944 and 4,224 ``Eisenstein`` values."""
+    assert _built(monkeypatch, Eisenstein, "__post_init__", check, config) == 0
+    assert _built(monkeypatch, Fraction, "__new__", check, config) == 0
+
+
+def test_reference_checks_do_not_read_the_transition_array():
+    """One entry of the array changed: the spectrum check sees it, while the
+    two checks on the vector reference still pass, as they never read the
+    array."""
+    config = WittingConfiguration()
+    faulty = config.transition_array.copy()
+    faulty[0, 1] = 3 - faulty[0, 1]
+    config.transition_array = faulty
+    with pytest.raises(AssertionError):
+        verify._check_spectrum(config)
+    assert verify._check_deferred_measurement(config).startswith("two-step branches")
+    assert verify._check_joint_two_step(config).startswith("joint two-step branches")
+
+
+@pytest.mark.parametrize(
+    "p, q, expected",
+    [
+        (([1, 1], 2), ([2, 2], 4), True),
+        (([1, 0, 3], 4), ([2, 0, 6], 8), True),
+        (([1, 2], 3), ([1, 2], 4), False),
+        (([1, 2], 4), ([2, 1], 4), False),
+    ],
+)
+def test_equal_compares_by_cross_multiplication(p, q, expected):
+    assert verify._equal(p, q) is expected
+
+
+def test_equal_rejects_weights_of_another_length():
+    """A shorter weight vector is an error, not a match on its prefix."""
+    with pytest.raises(ValueError):
+        verify._equal(([1, 1], 2), ([1, 1, 0], 2))
