@@ -31,7 +31,9 @@ the orthogonality graph, the 40 tetrads (each orthogonal pair and its two
 common orthogonal states), the session tables, and the MUB slices (the
 tetrads through an axis state).  The symmetry group computes with the same
 functions.  Boxed :class:`Eisenstein` vectors appear only at the API edge
-(``ProjectiveState.vector``, which ``ProjectiveState.pairs`` holds as ints).
+(``ProjectiveState.vector``, :func:`canonical_phase`, ``expand_vertices``);
+``ProjectiveState.pairs`` holds each vector as the int pairs that the Z[w]
+reference in ``measurement`` reads.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Iterable
 import numpy as np
 
 from .cards import RANKS, SUITS, Card
-from .eisenstein import Eisenstein, UNITS, pair_inner
+from .eisenstein import Eisenstein, UNITS
 
 # Complex conjugation maps each state to another configuration state with the
 # same suit and the rank swapped by this involution (ranks 1 and 2 are real).
@@ -190,11 +192,6 @@ def canonical_phase(vector: Iterable[Eisenstein]) -> Vector:
     return tuple(unit * x for x in vec)  # type: ignore[return-value]
 
 
-def scaled_inner(s: Iterable[Eisenstein], t: Iterable[Eisenstein]) -> Eisenstein:
-    """:func:`~wittingqkd.eisenstein.pair_inner` of boxed vectors, boxing only its result."""
-    return Eisenstein(*pair_inner(s, t))
-
-
 @dataclass(frozen=True)
 class ProjectiveState:
     """One configuration state: canonical vector plus both index schemes."""
@@ -209,7 +206,7 @@ class ProjectiveState:
 
     @cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        """The vector as plain (a, b) int pairs, as :func:`pair_inner` reads it."""
+        """The vector as plain (a, b) int pairs, the one form ``pair_inner`` reads."""
         return tuple((x.a, x.b) for x in self.vector)
 
 

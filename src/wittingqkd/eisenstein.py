@@ -3,8 +3,9 @@
 Once state vectors are scaled by sqrt(3), every amplitude appearing in the
 40-state configuration is an Eisenstein integer, so the whole package can
 compute with pairs of Python ints instead of floats: boxed as
-:class:`Eisenstein`, or plain (a, b) pairs in :func:`pair_inner`.  Exact
-probabilities are ``fractions.Fraction`` values built from integer norms.
+:class:`Eisenstein` at the API edges, and as plain (a, b) int pairs in
+:func:`pair_inner`.  Exact probabilities are integer norms over integer
+denominators.
 """
 
 from __future__ import annotations
@@ -64,9 +65,6 @@ class Eisenstein:
         """Lexicographic sort key; fixes the canonical-phase convention."""
         return (self.a, self.b)
 
-    def __iter__(self):  # unpacks as (a, b), so pair_inner reads boxed values too
-        return iter((self.a, self.b))
-
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)
@@ -89,17 +87,18 @@ I_SQRT3 = Eisenstein(1, 2)
 UNITS = (ONE, -ONE, OMEGA, -OMEGA, OMEGA2, -OMEGA2)
 
 
-def pair_inner(s: Iterable, t: Iterable) -> tuple[int, int]:
+def pair_inner(s: Iterable[tuple[int, int]], t: Iterable[tuple[int, int]]) -> tuple[int, int]:
     """Hermitian inner product sum(conj(s_i) * t_i) of sqrt(3)-scaled vectors of
-    (a, b) int pairs (an ``Eisenstein`` unpacks as one): the pure-Python Z[w]
-    kernel, independent of the array one in ``configuration``.  Every conjugate,
-    product and running sum is held to :data:`MAGNITUDE_BOUND`, so it raises
-    ``OverflowError`` exactly where the boxed fold ``acc + x.conj() * y`` would.
+    (a, b) int pairs: the pure-Python Z[w] kernel, independent of the array one
+    in ``configuration``.  Vectors of different lengths raise ``ValueError``.
+    Every conjugate, product and running sum is held to :data:`MAGNITUDE_BOUND`,
+    so it raises ``OverflowError`` exactly where the boxed fold
+    ``acc + x.conj() * y`` would.
     """
     # conj(a + bw)(c + dw) = (a - b)c + bd + (ad - bc)w; of conj(a + bw) only a - b can grow.
     re = im = 0
     bound = MAGNITUDE_BOUND
-    for (a, b), (c, d) in zip(s, t):
+    for (a, b), (c, d) in zip(s, t, strict=True):
         p = a - b
         pr = p * c + b * d
         pw = a * d - b * c

@@ -5,8 +5,8 @@ Rewriting it over any orthonormal basis {x_k} pairs each |x_k> on one side
 with the componentwise-conjugated |x_k*> on the other, so when Bob measures
 the conjugated copy of Alice's tetrad the outcome indices agree with
 certainty.  Every probability is an integer weight over an integer
-denominator, given to callers as an exact ``Fraction``.  One private
-formula reads the configuration's integer transition table:
+denominator; the per-pair joints give theirs as exact ``Fraction`` values.
+One private formula reads the configuration's integer transition table:
 :func:`outcome_counts` applies it to every tetrad pair, and the round engine
 samples those counts; :func:`joint_distribution` and
 :func:`intercept_resend_distribution` apply it to one pair alone.  The rest
@@ -14,23 +14,22 @@ samples those counts; :func:`joint_distribution` and
 reference that ``verify`` and the tests check the table against: one query
 projector and one Born rule over a tetrad, shared by the single ququart and
 the pair, on (a, b) int pairs through :func:`~wittingqkd.eisenstein.pair_inner`,
-without numpy; one integer recomposition mixes a two-step measurement's
-branches back, and ``composed()`` and :func:`compose_branches` read it as
-fractions.  Its vectors are unnormalised with an explicit power-of-sqrt(3)
-scale, so no irrational number ever appears.
+without numpy, taking and returning integer (weights, den) pairs; one
+integer recomposition mixes a two-step measurement's branches back.  Its
+vectors are unnormalised with an explicit power-of-sqrt(3) scale, so no
+irrational number ever appears.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
-from .eisenstein import MAGNITUDE_BOUND, Eisenstein, pair_inner
-from .configuration import Card, ProjectiveState, Vector, WittingConfiguration, check_int
+from .eisenstein import MAGNITUDE_BOUND, pair_inner
+from .configuration import Card, ProjectiveState, WittingConfiguration, check_int
 
 Pairs = tuple[tuple[int, int], ...]  # a Z[w] vector, each a + b*w as (a, b)
 Counts = tuple[tuple[int, ...], int]  # (weights, den): probabilities weight / den
@@ -117,7 +116,8 @@ def _block(
     _check_tetrad(config, bob_basis)
     members = config.basis_states
     counts, den = _counts(config, members[alice_basis], members[bob_basis], eve_basis)
-    return _joint((counts.ravel().tolist(), den))
+    rows = counts.tolist()
+    return JointDistribution(tuple(tuple(Fraction(n, den) for n in row) for row in rows))
 
 
 def joint_distribution(
@@ -156,28 +156,14 @@ class QuquartState:
     amps: Pairs
     scale: int = 0
 
-    @property
-    def norm_sq(self) -> Fraction:
-        return Fraction(_sq(self.amps), 3**self.scale)
-
     @classmethod
     def from_state(cls, state: ProjectiveState) -> "QuquartState":
         return cls(state.pairs, 1)  # scaled vectors have norm^2 3
 
 
-def basis_vectors(
-    config: WittingConfiguration, basis: int, conjugated: bool = False
-) -> tuple[Vector, ...]:
-    """Member vectors of a tetrad, in announcement order.
-
-    With ``conjugated`` the componentwise conjugates are returned: the
-    states Bob actually measures.  (Each conjugate is again a configuration
-    state, with the same suit and the conjugation-partner rank.)
-    """
-    return tuple(tuple(Eisenstein(*x) for x in v) for v in _tetrad(config, basis, conjugated))
-
-
 def _tetrad(config: WittingConfiguration, basis: int, conj: bool = False) -> tuple[Pairs, ...]:
+    """Member vectors of a tetrad, in announcement order; with ``conj`` their
+    componentwise conjugates, the states Bob measures."""
     _check_tetrad(config, basis)
     vecs = tuple(config.states[i].pairs for i in config.basis_states[basis])
     # conj(a + bw) = (a - b) - bw
@@ -219,15 +205,6 @@ def _sq(amps: Pairs) -> int:
     return sum(a * a - a * b + b * b for a, b in amps)
 
 
-def _fractions(counts: Counts | None) -> tuple[Fraction, ...] | None:
-    return None if counts is None else tuple(Fraction(n, counts[1]) for n in counts[0])
-
-
-def _joint(counts: Counts) -> JointDistribution:  # 16 weights, Alice's outcome major
-    w, den = counts
-    return JointDistribution(tuple(_fractions((w[i : i + 4], den)) for i in range(0, 16, 4)))
-
-
 def _mix(parts: Iterable[tuple[int, int, Counts | None]], size: int) -> Counts:
     """The distributions w / d of the parts (n, t, (w, d)) mixed with weights
     n / t (a part of weight 0 has no counts), as ``size`` integer weights over
@@ -251,10 +228,6 @@ class DelayedQueryResult:
     post_yes: QuquartState | None
     post_no: QuquartState | None
 
-    @property
-    def p_yes(self) -> Fraction:
-        return Fraction(self.query[0][0], self.query[1])
-
 
 def delayed_query(state: QuquartState, probe: ProjectiveState) -> DelayedQueryResult:
     """Apply the query projector for a configuration state to ``state``."""
@@ -271,36 +244,17 @@ def one_step_counts(config: WittingConfiguration, basis: int, state: QuquartStat
     return _born((pair_inner(v, state.amps) for v in vectors), den)
 
 
-def one_step_distribution(
-    config: WittingConfiguration, basis: int, state: QuquartState
-) -> tuple[Fraction, ...]:
-    """Born distribution of a direct tetrad measurement on ``state``."""
-    return _fractions(one_step_counts(config, basis, state))
-
-
 @dataclass(frozen=True)
 class TwoStepBreakdown(DelayedQueryResult):
     """The query's outcome and the tetrad's Born weights over their denominator
-    in each branch (None in a branch of weight 0); the branch distributions
-    and their recomposition."""
+    in each branch (None in a branch of weight 0), and their recomposition."""
 
     branches: tuple[Counts | None, Counts | None]
-
-    @property
-    def dist_yes(self) -> tuple[Fraction, ...] | None:
-        return _fractions(self.branches[0])
-
-    @property
-    def dist_no(self) -> tuple[Fraction, ...] | None:
-        return _fractions(self.branches[1])
 
     def composed_counts(self) -> Counts:
         """The branches' tetrad weights mixed by the query's, over one denominator."""
         weights, den = self.query
         return _mix(((n, den, c) for n, c in zip(weights, self.branches)), 4)
-
-    def composed(self) -> tuple[Fraction, ...]:
-        return _fractions(self.composed_counts())
 
 
 def two_step_distribution(
@@ -359,11 +313,6 @@ class JointState:
         products = (pair_inner(va, c) for va in alice_vectors for c in cond)
         return _born(products, 9 * self.weight)
 
-    def measurement_distribution(
-        self, alice_vectors: tuple[Pairs, ...], bob_vectors: tuple[Pairs, ...]
-    ) -> JointDistribution:
-        return _joint(self.measurement_counts(alice_vectors, bob_vectors))
-
 
 @dataclass(frozen=True)
 class TwoStepBranch:
@@ -374,14 +323,6 @@ class TwoStepBranch:
     weight: int
     total: int
     counts: Counts | None
-
-    @property
-    def probability(self) -> Fraction:
-        return Fraction(self.weight, self.total)
-
-    @cached_property
-    def conditional(self) -> JointDistribution | None:
-        return self.counts and _joint(self.counts)
 
 
 def two_step_joint_branches(
@@ -418,10 +359,6 @@ def compose_branch_counts(branches: tuple[TwoStepBranch, ...]) -> Counts:
     """The branches' conditional joints mixed by their probabilities: 16
     weights, Alice's outcome major, over one denominator."""
     return _mix(((b.weight, b.total, b.counts) for b in branches), 16)
-
-
-def compose_branches(branches: tuple[TwoStepBranch, ...]) -> JointDistribution:
-    return _joint(compose_branch_counts(branches))
 
 
 # -- the query gate on qubits ----------------------------------------------------

@@ -2,10 +2,11 @@
 
 Each check recomputes one family of structural claims from scratch and
 returns a short human-readable detail string; any exception or failed
-predicate marks the check failed.  ``quick=True`` skips the three checks
-flagged in ``CHECKS``: the two group closures and the exhaustive marking
-scan, the checks that enumerate a whole group or search space rather than
-the 40 states and their tetrads.
+predicate marks the check failed.  The predicates are ``assert`` statements,
+so :func:`run_checks` refuses to run when ``python -O`` strips them.
+``quick=True`` skips the three checks flagged in ``CHECKS``: the two group
+closures and the exhaustive marking scan, the checks that enumerate a whole
+group or search space rather than the 40 states and their tetrads.
 
 The configuration builds its transition table on an integer array
 (``config.vector_array``, one Gram product over Z[w]), and the symmetry
@@ -26,6 +27,7 @@ kernel still shows.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -276,6 +278,8 @@ CHECKS: tuple[tuple[str, Callable[[WittingConfiguration], str], bool], ...] = (
 
 
 def run_checks(quick: bool = False) -> list[CheckResult]:
+    if sys.flags.optimize:
+        raise RuntimeError("verify needs assert statements; run it without -O or PYTHONOPTIMIZE")
     config = WittingConfiguration()
     results = []
     for name, fn, slow in CHECKS:

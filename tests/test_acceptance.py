@@ -18,7 +18,7 @@ from wittingqkd.measurement import (
     QuquartState,
     intercept_resend_distribution,
     joint_distribution,
-    one_step_distribution,
+    one_step_counts,
     two_step_distribution,
 )
 from wittingqkd.protocol import (
@@ -205,8 +205,11 @@ def test_criterion_10_deferred_measurement(config):
                     breakdown = two_step_distribution(
                         config, state.card, basis_id, phi
                     )
-                    assert breakdown.composed() == one_step_distribution(
+                    # weights a over b equal c over d exactly when ad = cb
+                    (a, b), (c, d) = breakdown.composed_counts(), one_step_counts(
                         config, basis_id, phi
                     )
+                    assert len(a) == len(c) == 4
+                    assert all(x * d == y * b for x, y in zip(a, c))
                 pairs += 1
         assert pairs == 160

@@ -302,6 +302,23 @@ def test_closed_stdout_exits_1_without_traceback():
     assert "Exception ignored" not in proc.stderr
 
 
+@pytest.mark.parametrize("how", ["-O", "PYTHONOPTIMIZE"])
+def test_verify_refuses_to_run_without_its_asserts(how):
+    # -O strips assert statements, so every check would pass unexamined.
+    flags, env = (["-O"], _src_env()) if how == "-O" else ([], dict(_src_env(), PYTHONOPTIMIZE="1"))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "wittingqkd", "verify", "--quick"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ") and "-O" in proc.stderr
+
+
 def test_sessions_never_import_numpy_random(tmp_path):
     # numpy.random adds several MB of resident memory; the samplers read
     # random.Random streams only.

@@ -21,9 +21,8 @@ from wittingqkd.configuration import (
     canonical_rows,
     ring_conj,
     ring_mul,
-    scaled_inner,
 )
-from wittingqkd.eisenstein import Eisenstein, I_SQRT3, MAGNITUDE_BOUND, ONE, UNITS, ZERO
+from wittingqkd.eisenstein import Eisenstein, I_SQRT3, MAGNITUDE_BOUND, ONE, UNITS, ZERO, pair_inner
 
 W = cmath.exp(2j * cmath.pi / 3)
 
@@ -147,15 +146,28 @@ def test_axis_vertex_present(config):
 # -- inner products --------------------------------------------------------------
 
 
-def test_scaled_inner_examples(config):
+def _keys(vector):
+    return tuple(x.key() for x in vector)
+
+
+def test_pair_inner_examples(config):
     s1 = config.state_of(Card("S", 1))
     h1 = config.state_of(Card("H", 1))
-    assert scaled_inner(s1.vector, s1.vector).norm_sq() == 9
-    assert scaled_inner(s1.vector, h1.vector).is_zero()
+    assert Eisenstein(*pair_inner(s1.pairs, s1.pairs)).norm_sq() == 9
+    assert pair_inner(s1.pairs, h1.pairs) == (0, 0)
     # S2 and C2 share the rank-2 tetrad, hence are orthogonal.
     s2 = config.state_of(Card("S", 2))
     c2 = config.state_of(Card("C", 2))
-    assert scaled_inner(s2.vector, c2.vector).norm_sq() == 0
+    assert Eisenstein(*pair_inner(s2.pairs, c2.pairs)).norm_sq() == 0
+
+
+def test_pair_inner_rejects_boxed_vectors(config):
+    """Its one input format is (a, b) int pairs; a boxed vector is a TypeError."""
+    s = config.states[0]
+    with pytest.raises(TypeError):
+        pair_inner(s.vector, s.pairs)
+    with pytest.raises(TypeError):
+        pair_inner(s.pairs, s.vector)
 
 
 def boxed_fold(s, t):
@@ -167,16 +179,16 @@ def boxed_fold(s, t):
     return acc
 
 
-def test_scaled_inner_matches_the_boxed_fold(config):
+def test_pair_inner_matches_the_boxed_fold(config):
     """All 1600 ordered state pairs and every (vertex, state) pair, both ways."""
-    states = [s.vector for s in config.states]
+    states = config.states
     for u in states:
         for v in states:
-            assert scaled_inner(u, v) == boxed_fold(u, v)
+            assert pair_inner(u.pairs, v.pairs) == boxed_fold(u.vector, v.vector).key()
     for w in config.expand_vertices():
         for v in states:
-            assert scaled_inner(w, v) == boxed_fold(w, v)
-            assert scaled_inner(v, w) == boxed_fold(v, w)
+            assert pair_inner(_keys(w), v.pairs) == boxed_fold(w, v.vector).key()
+            assert pair_inner(v.pairs, _keys(w)) == boxed_fold(v.vector, w).key()
 
 
 B = MAGNITUDE_BOUND
@@ -203,28 +215,14 @@ def _pad(*pairs):
 @example(_pad((B, 0), (B, 0)), _pad((-1, 0), (2, 0)))  # product 2B, running sum B
 @example(_pad((1, 0), (1, 0)), _pad((0, B), (0, B)))  # running sum 2Bw
 @example(_pad((B, 0), (B, 0), (-B, 0)), _pad((1, 0), (1, 0), (1, 0)))  # sum 2B, then back to B
-def test_scaled_inner_overflows_exactly_where_the_boxed_fold_does(s, t):
+def test_pair_inner_overflows_exactly_where_the_boxed_fold_does(s, t):
     try:
         expected = boxed_fold(s, t)
     except OverflowError:
         with pytest.raises(OverflowError):
-            scaled_inner(s, t)
+            pair_inner(_keys(s), _keys(t))
     else:
-        assert scaled_inner(s, t) == expected
-
-
-def test_scaled_inner_boxes_one_value(config, monkeypatch):
-    built = []
-    original = Eisenstein.__post_init__
-
-    def counted(self):
-        built.append(1)
-        original(self)
-
-    monkeypatch.setattr(Eisenstein, "__post_init__", counted)
-    for s in config.states:
-        scaled_inner(s.vector, config.states[0].vector)
-    assert len(built) == 40
+        assert pair_inner(_keys(s), _keys(t)) == expected.key()
 
 
 def test_transition_spectrum_exact_and_vs_float(config):
@@ -310,7 +308,7 @@ def test_orthogonal_pair_has_unique_basis(config):
             for b in config.bases
             if s.card in b.members and t.card in b.members
         ]
-        if scaled_inner(s.vector, t.vector).is_zero():
+        if pair_inner(s.pairs, t.pairs) == (0, 0):
             assert len(common) == 1
             assert config.common_tetrad[s.index, t.index] == common[0]
         else:
@@ -472,11 +470,11 @@ def test_vector_array_holds_the_state_vectors(config):
 
 
 def test_transition_table_matches_boxed_overlaps(config):
-    """The Gram-product table against scaled_inner, all 1600 ordered pairs."""
+    """The Gram-product table against the boxed fold, all 1600 ordered pairs."""
     assert config.transition_array.shape == (40, 40)
     for s in config.states:
         for t in config.states:
-            n = scaled_inner(s.vector, t.vector).norm_sq()
+            n = boxed_fold(s.vector, t.vector).norm_sq()
             assert config.transition_array[s.index, t.index] == n
             assert config.transition_prob(s, t) == Fraction(n, 9)
 

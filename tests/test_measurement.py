@@ -4,20 +4,18 @@ from random import Random
 
 import pytest
 
-from wittingqkd.configuration import Card, scaled_inner
-from wittingqkd.eisenstein import MAGNITUDE_BOUND, ZERO
+from wittingqkd.configuration import Card
+from wittingqkd.eisenstein import MAGNITUDE_BOUND, ZERO, Eisenstein
 from wittingqkd.measurement import (
     JointDistribution,
     JointState,
     QuquartState,
     TwoStepBranch,
-    basis_vectors,
     compose_branch_counts,
-    compose_branches,
     delayed_query,
     intercept_resend_distribution,
     joint_distribution,
-    one_step_distribution,
+    one_step_counts,
     outcome_counts,
     toffoli_report,
     two_step_distribution,
@@ -126,25 +124,36 @@ def test_eve_average_mismatch_by_class(config):
 
 def _plain_dot(s, t):
     acc = ZERO
-    for x, y in zip(s, t):
+    for x, y in zip(s, t, strict=True):
         acc = acc + x * y
     return acc
 
 
+def _conj(v):
+    return tuple(x.conj() for x in v)
+
+
+def _boxed_tetrad(config, t, conjugated=False):
+    # boxed member vectors in announcement order, read off the cards
+    vectors = [config.state_of(card).vector for card in config.bases[t].members]
+    return [_conj(v) for v in vectors] if conjugated else vectors
+
+
 def _vector_joint(config, a, b, bob_conjugated=True):
     # amplitude of outcome pair (i, j): half the bilinear product of the vectors
-    bv = basis_vectors(config, b, conjugated=bob_conjugated)
+    bv = _boxed_tetrad(config, b, conjugated=bob_conjugated)
     return tuple(
         tuple(Fraction(_plain_dot(x, y).norm_sq(), 36) for y in bv)
-        for x in basis_vectors(config, a)
+        for x in _boxed_tetrad(config, a)
     )
 
 
 def _vector_intercept_resend(config, a, b, e):
-    bv = basis_vectors(config, b, conjugated=True)
-    ev = basis_vectors(config, e, conjugated=True)
-    p1 = [[_plain_dot(x, z).norm_sq() for z in ev] for x in basis_vectors(config, a)]
-    p2 = [[scaled_inner(y, z).norm_sq() for y in bv] for z in ev]
+    bv = _boxed_tetrad(config, b, conjugated=True)
+    ev = _boxed_tetrad(config, e, conjugated=True)
+    p1 = [[_plain_dot(x, z).norm_sq() for z in ev] for x in _boxed_tetrad(config, a)]
+    bh = [_conj(y) for y in bv]  # <y|z> is the plain product of conj(y) and z
+    p2 = [[_plain_dot(y, z).norm_sq() for y in bh] for z in ev]
     return tuple(
         tuple(Fraction(sum(p1[i][k] * p2[k][j] for k in range(4)), 324) for j in range(4))
         for i in range(4)
@@ -153,6 +162,19 @@ def _vector_intercept_resend(config, a, b, e):
 
 def _fractions(block, den):
     return tuple(tuple(Fraction(n, den) for n in row) for row in block.tolist())
+
+
+def _cross_equal(p, q):
+    """Weights a over b equal weights c over d entry by entry: ad = cb."""
+    (a, b), (c, d) = p, q
+    return len(a) == len(c) and all(x * d == y * b for x, y in zip(a, c))
+
+
+def _block(counts, den, a, b):
+    return counts[a, b].ravel().tolist(), den
+
+
+QUARTER_DIAGONAL = ([int(x == y) for x in range(4) for y in range(4)], 4)
 
 
 def test_joint_table_matches_vector_reference(config):
@@ -178,12 +200,13 @@ def test_intercept_resend_table_matches_vector_reference(config):
 def test_probe_branches_match_joint_state_reference(config):
     # The Z[w] joint-state reference of query-then-measure, for every
     # same-tetrad probe pair, recomposes the shared tetrad's joint exactly.
+    counts, den = outcome_counts(config)
     pairs = 0
     for basis in config.bases:
-        joint = joint_distribution(config, basis.id, basis.id)
+        joint = _block(counts, den, basis.id, basis.id)
         for pa, pb in itertools.product(basis.members, repeat=2):
             branches = two_step_joint_branches(config, pa, basis.id, pb, basis.id)
-            assert compose_branches(branches).p == joint.p, (basis.id, pa, pb)
+            assert _cross_equal(compose_branch_counts(branches), joint), (basis.id, pa, pb)
             pairs += 1
     assert pairs == 640
 
@@ -191,39 +214,47 @@ def test_probe_branches_match_joint_state_reference(config):
 # -- delayed queries -----------------------------------------------------------
 
 
+def _weight(state):
+    """Squared norm of a post-state times 3**scale, from boxed amplitudes."""
+    return sum(Eisenstein(*x).norm_sq() for x in state.amps)
+
+
 def test_delayed_query_probabilities(config):
     s2 = config.state_of(Card("S", 2))
     same = delayed_query(QuquartState.from_state(s2), s2)
-    assert same.p_yes == 1 and same.post_no is None
+    (yes, no), den = same.query
+    assert yes == den and no == 0 and same.post_no is None
 
     h2 = config.state_of(Card("H", 2))  # orthogonal to S2 (rank-2 tetrad)
     ortho = delayed_query(QuquartState.from_state(h2), s2)
-    assert ortho.p_yes == 0 and ortho.post_yes is None
+    (yes, no), den = ortho.query
+    assert yes == 0 and no == den and ortho.post_yes is None
 
     d3 = config.state_of(Card("D", 3))  # non-orthogonal to S2
     other = delayed_query(QuquartState.from_state(d3), s2)
-    assert other.p_yes == Fraction(1, 3)
+    (yes, no), den = other.query
+    assert 3 * yes == den and yes + no == den
     assert other.post_yes is not None and other.post_no is not None
-    assert other.post_yes.norm_sq + other.post_no.norm_sq == 1
+    assert other.post_yes.scale == other.post_no.scale
+    assert _weight(other.post_yes) + _weight(other.post_no) == 3**other.post_yes.scale
 
 
 def test_delayed_query_norms_split_the_state(config):
     probe = config.state_of(Card("C", 7))
     for state in config.states[::3]:
         q = delayed_query(QuquartState.from_state(state), probe)
-        total = Fraction(0)
+        posts = [p for p in (q.post_yes, q.post_no) if p is not None]
+        # each post-state is scaled by two more factors of sqrt(3) than the input
+        assert {p.scale for p in posts} == {3}
+        assert sum(map(_weight, posts)) == 3**3
         if q.post_yes is not None:
-            total += q.post_yes.norm_sq
-        if q.post_no is not None:
-            total += q.post_no.norm_sq
-        assert total == 1
-        if q.post_yes is not None:
-            assert q.post_yes.norm_sq == q.p_yes
+            (yes, _), den = q.query
+            assert _weight(q.post_yes) * den == yes * 3**3
 
 
-@pytest.mark.parametrize("rank, p_yes", [(1, 0), (2, Fraction(1, 3))])
+@pytest.mark.parametrize("rank, yes_in_thirds", [(1, 0), (2, 1)])
 @pytest.mark.parametrize("component", [MAGNITUDE_BOUND // 3, MAGNITUDE_BOUND // 3 + 1])
-def test_query_branches_are_held_to_the_magnitude_bound(config, rank, p_yes, component):
+def test_query_branches_are_held_to_the_magnitude_bound(config, rank, yes_in_thirds, component):
     # amps = component |1>.  Orthogonal to S1 the no branch is 3 amps; against
     # S2 both branches stay within 2 * component, but the boxed 3 * x that the
     # no branch is taken from leaves the bound all the same.
@@ -233,7 +264,8 @@ def test_query_branches_are_held_to_the_magnitude_bound(config, rank, p_yes, com
         with pytest.raises(OverflowError):
             delayed_query(state, probe)
     else:
-        assert delayed_query(state, probe).p_yes == p_yes
+        (yes, _), den = delayed_query(state, probe).query
+        assert 3 * yes == yes_in_thirds * den
 
 
 # -- two-step measurement --------------------------------------------------------
@@ -248,9 +280,7 @@ def test_two_step_requires_probe_in_basis(config):
 # Each call gets a probe from the tetrad the bad id would alias to (-1 is
 # tetrad 39, True tetrad 1), so only the id check can reject it.
 _REFERENCE_CALLS = {
-    "basis_vectors": lambda config, t, probe, state: basis_vectors(config, t),
-    "one_step_distribution":
-        lambda config, t, probe, state: one_step_distribution(config, t, state),
+    "one_step_counts": lambda config, t, probe, state: one_step_counts(config, t, state),
     "two_step_distribution":
         lambda config, t, probe, state: two_step_distribution(config, probe, t, state),
     # tetrad 0 holds S1
@@ -274,23 +304,46 @@ def test_reference_rejects_bad_tetrad_ids(config, call, tetrad):
         _REFERENCE_CALLS[call](config, tetrad, probe, state)
 
 
+def _pairs_tetrad(config, t, conjugated=False):
+    return [tuple(x.key() for x in v) for v in _boxed_tetrad(config, t, conjugated)]
+
+
+def _measure_pair(config, amps):
+    # the pair with every row amps, measured in tetrad 0 and its conjugates
+    state = JointState((amps,) * 4)
+    return state.measurement_counts(_pairs_tetrad(config, 0), _pairs_tetrad(config, 0, True))
+
+
 _ZERO_STATE_CALLS = {
-    "one_step_distribution": lambda config, zero: one_step_distribution(config, 0, zero),
+    "one_step_counts": lambda config, zero: one_step_counts(config, 0, zero),
     "delayed_query": lambda config, zero: delayed_query(zero, config.states[0]),
     "two_step_distribution":
         lambda config, zero: two_step_distribution(config, Card("S", 1), 0, zero),
-    "JointState.measurement_distribution":
-        lambda config, zero: JointState((zero.amps,) * 4).measurement_distribution(
-            basis_vectors(config, 0), basis_vectors(config, 0, conjugated=True)
-        ),
+    "JointState.measurement_counts": lambda config, zero: _measure_pair(config, zero.amps),
 }
 
 
 @pytest.mark.parametrize("call", sorted(_ZERO_STATE_CALLS))
 def test_reference_rejects_the_zero_state(config, call):
-    zero = QuquartState((ZERO,) * 4)
+    zero = QuquartState(((0, 0),) * 4)
     with pytest.raises(ValueError, match="cannot measure the zero state"):
         _ZERO_STATE_CALLS[call](config, zero)
+
+
+_LENGTH_CALLS = {
+    "one_step_counts": lambda config, amps: one_step_counts(config, 0, QuquartState(amps)),
+    "delayed_query": lambda config, amps: delayed_query(QuquartState(amps), config.states[0]),
+    "JointState.measurement_counts": _measure_pair,
+}
+
+
+@pytest.mark.parametrize("size", [3, 5])
+@pytest.mark.parametrize("call", sorted(_LENGTH_CALLS))
+def test_reference_rejects_a_vector_of_another_length(config, call, size):
+    """A 3- or 5-component vector is an error, not measured as if padded or cut."""
+    amps = ((1, 0),) + ((0, 0),) * (size - 1)
+    with pytest.raises(ValueError, match=r"zip\(\) argument"):
+        _LENGTH_CALLS[call](config, amps)
 
 
 def test_two_step_recomposes_exactly_for_all_160_pairs(config):
@@ -302,20 +355,22 @@ def test_two_step_recomposes_exactly_for_all_160_pairs(config):
         for basis_id in config.bases_of(state.card):
             for phi in inputs:
                 breakdown = two_step_distribution(config, state.card, basis_id, phi)
-                assert breakdown.composed() == one_step_distribution(
-                    config, basis_id, phi
+                assert _cross_equal(
+                    breakdown.composed_counts(), one_step_counts(config, basis_id, phi)
                 )
                 # the yes branch, measured in the tetrad, lands on the probe
                 position = config.bases[basis_id].members.index(state.card)
-                if breakdown.p_yes == 0:
-                    assert breakdown.dist_yes is None
+                if breakdown.query[0][0] == 0:
+                    assert breakdown.branches[0] is None
                 else:
-                    assert breakdown.dist_yes == tuple(int(k == position) for k in range(4))
+                    certain = ([int(k == position) for k in range(4)], 1)
+                    assert _cross_equal(breakdown.branches[0], certain)
             pairs += 1
     assert pairs == 160
 
 
 def test_joint_branches_compose_to_one_step(config):
+    counts, den = outcome_counts(config)
     rng = Random(3)
     for _ in range(12):
         ba = config.bases[rng.randrange(40)]
@@ -323,9 +378,7 @@ def test_joint_branches_compose_to_one_step(config):
         pa = ba.members[rng.randrange(4)]
         pb = bb.members[rng.randrange(4)]
         branches = two_step_joint_branches(config, pa, ba.id, pb, bb.id)
-        assert compose_branches(branches).p == joint_distribution(
-            config, ba.id, bb.id
-        ).p
+        assert _cross_equal(compose_branch_counts(branches), _block(counts, den, ba.id, bb.id))
 
 
 def test_joint_branches_same_basis_give_quarter_identity(config):
@@ -333,7 +386,7 @@ def test_joint_branches_same_basis_give_quarter_identity(config):
     for pa in basis.members:
         for pb in basis.members:
             branches = two_step_joint_branches(config, pa, basis.id, pb, basis.id)
-            assert compose_branches(branches).is_quarter_diagonal()
+            assert _cross_equal(compose_branch_counts(branches), QUARTER_DIAGONAL)
 
 
 # -- the query gate ----------------------------------------------------------------
@@ -346,24 +399,6 @@ def test_toffoli_report():
         "involutive": True,
         "probe0_differs": True,
     }
-
-
-def test_fraction_views_read_the_integer_recomposition(config):
-    """composed() and compose_branches give the one integer recomposition,
-    weights over one denominator, as Fractions."""
-    state = QuquartState.from_state(config.states[17])
-    for card in config.bases[5].members:
-        breakdown = two_step_distribution(config, card, 5, state)
-        weights, den = breakdown.composed_counts()
-        assert breakdown.composed() == tuple(Fraction(n, den) for n in weights)
-        assert breakdown.composed() == one_step_distribution(config, 5, state)
-    members = config.bases[7].members
-    branches = two_step_joint_branches(config, members[0], 7, members[1], 7)
-    weights, den = compose_branch_counts(branches)
-    rows = [weights[i : i + 4] for i in range(0, 16, 4)]
-    assert compose_branches(branches).p == tuple(
-        tuple(Fraction(n, den) for n in row) for row in rows
-    )
 
 
 def test_recomposition_rejects_a_branch_of_another_length():

@@ -15,7 +15,7 @@ from wittingqkd import WittingConfiguration
 from wittingqkd.cli import main
 from wittingqkd.eisenstein import Eisenstein
 from wittingqkd.measurement import (
-    compose_branches,
+    compose_branch_counts,
     intercept_resend_distribution,
     joint_distribution,
     outcome_counts,
@@ -444,43 +444,39 @@ def test_outcome_counts_equal_intercept_resend_distribution(config, eve):
 def test_probe_branches_partition_the_shared_joint(config):
     # A sifted round draws its outcome pair from the shared tetrad's block of
     # the engine's table in one step: the pair fixes the branch, and each Z[w]
-    # branch weighs what the block puts on its label's outcomes.
+    # branch weighs what the block puts on its label's outcomes.  Every
+    # probability is an integer weight over a denominator, compared by
+    # cross-multiplying: a/b = c/d exactly when ad = cb.
     counts, den = outcome_counts(config)
     pairs = 0
+    outcomes = list(itertools.product(range(4), repeat=2))  # Alice's outcome major
     for basis in config.bases:
-        block = counts[basis.id, basis.id].tolist()
+        block = counts[basis.id, basis.id].ravel().tolist()
         for (i, pa), (j, pb) in itertools.product(enumerate(basis.members), repeat=2):
             branches = two_step_joint_branches(config, pa, basis.id, pb, basis.id)
+            labels = ["yn"[x != i] + "yn"[y != j] for x, y in outcomes]
             mass = {}
-            for x, y in itertools.product(range(4), repeat=2):
-                label = "yn"[x != i] + "yn"[y != j]
-                mass[label] = mass.get(label, 0) + Fraction(block[x][y], den)
-            assert compose_branches(branches).p == tuple(
-                tuple(Fraction(n, den) for n in row) for row in block
-            )
+            for label, n in zip(labels, block):
+                mass[label] = mass.get(label, 0) + n
+            weights, d = compose_branch_counts(branches)
+            assert len(weights) == 16
+            assert all(w * den == n * d for w, n in zip(weights, block))
             for branch in branches:
-                assert branch.probability == mass[branch.label], (basis.id, i, j)
-                if branch.conditional is None:
+                assert branch.weight * den == mass[branch.label] * branch.total, (basis.id, i, j)
+                if branch.counts is None:
                     continue
-                for x, y in itertools.product(range(4), repeat=2):
-                    if branch.conditional.p[x][y]:
-                        assert branch.label == "yn"[x != i] + "yn"[y != j]
+                cond, cden = branch.counts
+                for label, n in zip(labels, cond):
+                    if n:
+                        assert branch.label == label
                 # weighted by its probability, a branch is the block masked
                 # to its label's outcome pairs
-                masked = tuple(
-                    tuple(
-                        Fraction(block[x][y], den)
-                        if "yn"[x != i] + "yn"[y != j] == branch.label
-                        else 0
-                        for y in range(4)
-                    )
-                    for x in range(4)
-                )
-                weighted = tuple(
-                    tuple(branch.probability * p for p in row)
-                    for row in branch.conditional.p
-                )
-                assert weighted == masked, (basis.id, i, j, branch.label)
+                masked = [n if label == branch.label else 0 for label, n in zip(labels, block)]
+                assert len(cond) == 16
+                assert all(
+                    branch.weight * n * den == m * branch.total * cden
+                    for n, m in zip(cond, masked)
+                ), (basis.id, i, j, branch.label)
             pairs += 1
     assert pairs == 640
 
