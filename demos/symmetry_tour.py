@@ -20,7 +20,9 @@ config = WittingConfiguration()
 
 print("A triflection is an order-3 complex reflection about one state.")
 t = triflection(config.state_of(Card("S", 1)))
-print("About the first axis state it is diagonal:")
+print("About the first axis state it is diagonal.  Its entries are held")
+print("scaled by 1 + 2w (= i sqrt(3)), so they stay in Z[w]; unscaled it is")
+print("diag(w, 1, 1, 1):")
 for i in range(4):
     print("  ", [str(t.entry(i, j)) for j in range(4)])
 print("cubed:", "identity" if t @ t @ t == SymmetryElement.identity() else "NOT identity")

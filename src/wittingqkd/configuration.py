@@ -30,10 +30,11 @@ product (:func:`ring_matmul`).  Everything else is read off that table:
 the orthogonality graph, the 40 tetrads (each orthogonal pair and its two
 common orthogonal states), the session tables, and the MUB slices (the
 tetrads through an axis state).  The symmetry group computes with the same
-functions.  Boxed :class:`Eisenstein` vectors appear only at the API edge
-(``ProjectiveState.vector``, :func:`canonical_phase`, ``expand_vertices``);
-``ProjectiveState.pairs`` holds each vector as the int pairs that the Z[w]
-reference in ``measurement`` reads.
+functions.  Each ``ProjectiveState`` holds its vector as ``pairs``, the
+(a, b) int rows of ``vector_array`` that the Z[w] reference in
+``measurement`` reads.  Boxed :class:`Eisenstein` vectors appear only at
+the API edge (``ProjectiveState.vector``, built on first access,
+:func:`canonical_phase`, ``expand_vertices``).
 """
 
 from __future__ import annotations
@@ -194,9 +195,9 @@ def canonical_phase(vector: Iterable[Eisenstein]) -> Vector:
 
 @dataclass(frozen=True)
 class ProjectiveState:
-    """One configuration state: canonical vector plus both index schemes."""
+    """One configuration state: canonical vector as (a, b) int pairs, both index schemes."""
 
-    vector: Vector
+    pairs: tuple[tuple[int, int], ...]
     card: Card
     block: tuple[int, int]  # (column, row)
 
@@ -205,9 +206,9 @@ class ProjectiveState:
         return SUITS.index(self.card.suit) * 10 + self.card.rank - 1
 
     @cached_property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """The vector as plain (a, b) int pairs, the one form ``pair_inner`` reads."""
-        return tuple((x.a, x.b) for x in self.vector)
+    def vector(self) -> Vector:
+        """The vector boxed as :class:`Eisenstein` values, built on first access."""
+        return tuple(Eisenstein(a, b) for a, b in self.pairs)  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -275,10 +276,9 @@ class WittingConfiguration:
         if bad.any():
             raise ConfigurationError(f"state {placed[bad.argmax()][0].label} has norm^2 != 3")
         self.vector_array = _frozen(canonical_rows(raw))
-        boxed = (tuple(Eisenstein(*x) for x in vec) for vec in self.vector_array.tolist())
         self.states: tuple[ProjectiveState, ...] = tuple(
-            ProjectiveState(vec, card, block)  # type: ignore[arg-type]
-            for vec, (card, block) in zip(boxed, placed)
+            ProjectiveState(tuple(map(tuple, vec)), card, block)
+            for vec, (card, block) in zip(self.vector_array.tolist(), placed)
         )
         self._by_card = {s.card: s for s in self.states}
         if len(vector_set(self.vector_array)) != 40:
@@ -456,7 +456,7 @@ def states_payload(config: WittingConfiguration) -> list[dict]:
         {
             "card": s.card.label,
             "block": list(s.block),
-            "vector": [[x.a, x.b] for x in s.vector],
+            "vector": [list(x) for x in s.pairs],
         }
         for s in config.states
     ]

@@ -11,7 +11,7 @@ denominators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 # Everything in this package stays tiny; a breach means a reduction step was
 # skipped upstream, so fail loudly instead of letting values grow.
@@ -87,7 +87,7 @@ I_SQRT3 = Eisenstein(1, 2)
 UNITS = (ONE, -ONE, OMEGA, -OMEGA, OMEGA2, -OMEGA2)
 
 
-def pair_inner(s: Iterable[tuple[int, int]], t: Iterable[tuple[int, int]]) -> tuple[int, int]:
+def pair_inner(s: Sequence[tuple[int, int]], t: Sequence[tuple[int, int]]) -> tuple[int, int]:
     """Hermitian inner product sum(conj(s_i) * t_i) of sqrt(3)-scaled vectors of
     (a, b) int pairs: the pure-Python Z[w] kernel, independent of the array one
     in ``configuration``.  Vectors of different lengths raise ``ValueError``.
@@ -95,10 +95,13 @@ def pair_inner(s: Iterable[tuple[int, int]], t: Iterable[tuple[int, int]]) -> tu
     so it raises ``OverflowError`` exactly where the boxed fold
     ``acc + x.conj() * y`` would.
     """
+    if len(s) != len(t):  # the error zip(s, t, strict=True) raises, without its cost
+        which = "shorter" if len(t) < len(s) else "longer"
+        raise ValueError(f"zip() argument 2 is {which} than argument 1")
     # conj(a + bw)(c + dw) = (a - b)c + bd + (ad - bc)w; of conj(a + bw) only a - b can grow.
     re = im = 0
     bound = MAGNITUDE_BOUND
-    for (a, b), (c, d) in zip(s, t, strict=True):
+    for (a, b), (c, d) in zip(s, t):
         p = a - b
         pr = p * c + b * d
         pw = a * d - b * c

@@ -238,10 +238,14 @@ def delayed_query(state: QuquartState, probe: ProjectiveState) -> DelayedQueryRe
     return DelayedQueryResult((weights, den), *posts)
 
 
+def _measure(vectors: tuple[Pairs, ...], amps: Pairs) -> Counts:
+    """Born weights of measuring ``amps`` in the given vectors, over their denominator."""
+    return _born((pair_inner(v, amps) for v in vectors), 3 * _sq(amps))
+
+
 def one_step_counts(config: WittingConfiguration, basis: int, state: QuquartState) -> Counts:
     """Born weights of a direct tetrad measurement on ``state``, over their denominator."""
-    vectors, den = _tetrad(config, basis), 3 * _sq(state.amps)
-    return _born((pair_inner(v, state.amps) for v in vectors), den)
+    return _measure(_tetrad(config, basis), state.amps)
 
 
 @dataclass(frozen=True)
@@ -271,9 +275,10 @@ def two_step_distribution(
     distribution exactly.
     """
     _probe(config, probe, basis)
+    vectors = _tetrad(config, basis)
     q = delayed_query(state, config.state_of(probe))
     posts = (q.post_yes, q.post_no)
-    branches = tuple(p and one_step_counts(config, basis, p) for p in posts)
+    branches = tuple(p and _measure(vectors, p.amps) for p in posts)
     return TwoStepBreakdown(q.query, *posts, branches)
 
 

@@ -1,9 +1,10 @@
 """Triflection generators and the exact symmetry group of the configuration.
 
-A group element is a 4x4 matrix over Z[w] together with a power-of-3
-denominator: the pair (m, d) represents m / 3**d and is kept reduced (some
-entry of m not divisible by 3 whenever d > 0).  Reduced pairs are unique,
-so equality and hashing of elements are exact: no tolerance.
+A group element is a unitary U held as m = (1 + 2w) U, integral for every
+U that permutes the 240 Witting vertices: column j is the image of the axis
+vertex (1 + 2w) e_j.  The form is unique, so equality and hashing are
+exact.  A product or an image divides once by 1 + 2w and raises if the
+result leaves Z[w].
 
 Matrices are (4, 4, 2) int64 arrays in the layout of
 ``config.vector_array``: the last axis holds the (a, b) of a + b*w.  All
@@ -24,10 +25,11 @@ tested by binary search, never by ``np.unique`` or ``np.isin``: from numpy
 2.3 ``np.unique`` goes through a hash table, about 100 times slower than
 ``np.sort`` on these uint32 keys.  The closure is a
 :class:`GroupTable`: the sorted keys (about 200 KB) and the vertex index
-they refer to.  Matrices, orders and the action on the 40 states are read
-off those two.  Vertex 6 s + u is UNITS[u] times state s, so state s goes
-to entry 6 s of an element's vertex permutation divided by 6, and the
-orbit of state 0 is byte 0 of every key divided by 6.
+they refer to.  An element's m is the vertex rows at its key's bytes, and
+the orders and the action on the 40 states are read off the same two.
+Vertex 6 s + u is UNITS[u] times state s, so state s goes to entry 6 s of
+an element's vertex permutation divided by 6, and the orbit of state 0 is
+byte 0 of every key divided by 6.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ from .configuration import (
 
 _CLOSURE_BOUND = 200_000  # above |G32| = 155520, the largest closure here
 _IDENTITY = np.eye(4, dtype=np.int64)[:, :, None] * UNIT_PAIRS[0]  # (4, 4, 2)
+_AXES = np.eye(4, dtype=np.int64)[:, :, None] * np.array((1, 2))  # (1 + 2w) I
+_R_CONJ = np.array((-1, -2))  # conj(1 + 2w)
 _PERMS = np.array(list(itertools.permutations(range(4))))  # (24, 4)
 _PERM_SIGNS = 1 - 2 * (  # parity of each permutation's inversion count
     np.triu(_PERMS[:, :, None] > _PERMS[:, None, :], 1).sum(axis=(1, 2)) % 2
@@ -67,41 +71,34 @@ class NotASymmetryError(ValueError):
     """The given unitary does not map the 40-state set to itself."""
 
 
-def _reduce(m: np.ndarray, d: int) -> tuple[np.ndarray, int]:
-    while d > 0 and not (m % 3).any():
-        m = m // 3
-        d -= 1
-    if np.abs(m).max() > MAGNITUDE_BOUND:
-        raise SymmetryError("matrix entries exceed the magnitude bound")
-    return m, d
+def _over_r(x: np.ndarray) -> np.ndarray:
+    """x / (1 + 2w) = x (-1 - 2w) / 3 elementwise; NotASymmetryError outside Z[w]."""
+    y = ring_mul(_R_CONJ, x)
+    if (y % 3).any():
+        raise NotASymmetryError("not divisible by 1 + 2w in Z[w]")
+    return y // 3
 
 
 @dataclass(frozen=True)
 class SymmetryElement:
-    """A unitary m / 3**denom_exp with entries in Z[w], reduced."""
+    """A unitary U held as m = (1 + 2w) U over Z[w]: column j of m is the image
+    of the axis vertex (1 + 2w) e_j.  Construction freezes a copy of m."""
 
     m: np.ndarray  # shape (4, 4, 2), int64; treated as immutable
-    denom_exp: int
 
     def __post_init__(self) -> None:
-        check_int("denominator exponent", self.denom_exp, 0)
-        if self.denom_exp > 0 and not (self.m % 3).any():
-            raise ValueError("m / 3**denom_exp is not reduced: use from_parts")
-        self.m.setflags(write=False)
-
-    @classmethod
-    def from_parts(cls, m: np.ndarray, d: int) -> "SymmetryElement":
-        a = np.ascontiguousarray(m, dtype=np.int64)
-        if a is m:  # never freeze the caller's array
-            a = a.copy()
-        return cls(*_reduce(a, d))
+        m = np.array(self.m, dtype=np.int64)  # never freeze the caller's array
+        if np.abs(m).max() > MAGNITUDE_BOUND:
+            raise SymmetryError("matrix entries exceed the magnitude bound")
+        m.setflags(write=False)
+        object.__setattr__(self, "m", m)
 
     @classmethod
     def identity(cls) -> "SymmetryElement":
-        return cls.from_parts(_IDENTITY, 0)
+        return cls(_AXES)
 
     def key(self) -> bytes:
-        return bytes((self.denom_exp,)) + self.m.tobytes()
+        return self.m.tobytes()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SymmetryElement) and self.key() == other.key()
@@ -110,26 +107,24 @@ class SymmetryElement:
         return hash(self.key())
 
     def __matmul__(self, other: "SymmetryElement") -> "SymmetryElement":
-        return SymmetryElement.from_parts(
-            ring_matmul(self.m, other.m), self.denom_exp + other.denom_exp
-        )
+        return SymmetryElement(_over_r(ring_matmul(self.m, other.m)))
 
     def entry(self, i: int, j: int) -> Eisenstein:
+        """Entry (i, j) of m, that is (1 + 2w) times the unitary's entry."""
         return Eisenstein(*self.m[i, j].tolist())
 
     def scaled_by_unit(self, unit_index: int) -> "SymmetryElement":
         """Multiply by UNITS[unit_index]."""
         check_int("unit index", unit_index, 0, len(UNITS) - 1)
-        return SymmetryElement.from_parts(
-            ring_mul(UNIT_PAIRS[unit_index], self.m), self.denom_exp
-        )
+        return SymmetryElement(ring_mul(UNIT_PAIRS[unit_index], self.m))
 
     def is_unitary(self) -> bool:
+        """m^dag m = 3 I, as |1 + 2w|^2 = 3."""
         prod = ring_matmul(ring_conj(self.m).transpose(1, 0, 2), self.m)
-        return bool((prod == 3 ** (2 * self.denom_exp) * _IDENTITY).all())
+        return bool((prod == 3 * _IDENTITY).all())
 
     def determinant_unit(self) -> Eisenstein:
-        """det(m) / 3**(4 d), which must be one of the six units.
+        """det(m) / 9, which must be one of the six units: (1 + 2w)^4 = 9.
 
         The determinant is the Leibniz sum over the 24 permutations of the
         four columns.
@@ -137,22 +132,18 @@ class SymmetryElement:
         factors = self.m[np.arange(4), _PERMS]  # (24, 4, 2): m[i, p(i)]
         terms = functools.reduce(ring_mul, factors.transpose(1, 0, 2))
         det = (_PERM_SIGNS[:, None] * terms).sum(axis=0)
-        match = (det == 3 ** (4 * self.denom_exp) * UNIT_PAIRS).all(axis=1)
+        match = (det == 9 * UNIT_PAIRS).all(axis=1)
         if not match.any():
-            raise SymmetryError(f"determinant {det.tolist()} is not a unit times 3^(4d)")
+            raise SymmetryError(f"determinant {det.tolist()} is not 9 times a unit")
         return UNITS[int(match.argmax())]
 
     def apply(self, vectors: np.ndarray) -> np.ndarray:
-        """Exact images of a (..., 4, 2) array of vectors, same shape.
+        """Exact images U v of a (..., 4, 2) array of vectors, same shape.
 
         Raises :class:`NotASymmetryError` if an image leaves Z[w]^4, that is
-        if m v is not divisible by 3**denom_exp.
+        if m v is not divisible by 1 + 2w.
         """
-        images = ring_matmul(self.m, vectors[..., None, :])[..., 0, :]
-        scale = 3**self.denom_exp
-        if (images % scale).any():
-            raise NotASymmetryError("an image is not a vector over Z[w]")
-        return images // scale
+        return _over_r(ring_matmul(self.m, vectors[..., None, :])[..., 0, :])
 
 
 def triflection(state: ProjectiveState) -> SymmetryElement:
@@ -160,13 +151,13 @@ def triflection(state: ProjectiveState) -> SymmetryElement:
 
     For a sqrt(3)-scaled vector v this is 1 + (w - 1) v v^dag / 3; it fixes
     the orthogonal complement and multiplies the state itself by w, so its
-    cube is the identity.  The projector v v^dag is phase-invariant, making
-    the construction independent of the canonical representative.
+    cube is the identity.  Held as (1 + 2w) I + w^2 v v^dag, since
+    (1 + 2w)(w - 1) = 3 w^2.  The projector v v^dag is phase-invariant,
+    making the construction independent of the canonical representative.
     """
-    v = np.array([x.key() for x in state.vector])
+    v = np.array(state.pairs)
     projector = ring_mul(v[:, None], ring_conj(v))  # v v^dag, scaled by 3
-    w_minus_1 = np.array((-1, 1))
-    return SymmetryElement.from_parts(3 * _IDENTITY + ring_mul(w_minus_1, projector), 1)
+    return SymmetryElement(_AXES + ring_mul(UNIT_PAIRS[4], projector))
 
 
 GENERATOR_CARDS = (Card("S", 1), Card("C", 2), Card("D", 1), Card("S", 2))
@@ -178,7 +169,7 @@ def generators(config: WittingConfiguration) -> tuple[SymmetryElement, ...]:
     for card in GENERATOR_CARDS:
         raw = triflection(config.state_of(card))
         g = raw.scaled_by_unit(4)  # * w^2 makes det exactly 1
-        if g.determinant_unit() != Eisenstein(1, 0):
+        if g.determinant_unit() != UNITS[0]:
             raise SymmetryError(f"generator at {card.label} has det != 1")
         if not g.is_unitary():
             raise SymmetryError(f"generator at {card.label} is not unitary")
@@ -196,15 +187,14 @@ class _Vertices:
     def __init__(self, config: WittingConfiguration):
         self.m = config.vertex_array()
         self._index = {row.tobytes(): i for i, row in enumerate(self.m)}
-        axes = np.eye(4, dtype=np.int64)[:, :, None] * np.array((1, 2))
-        self.axes = np.array(self._lookup(axes), dtype=np.uint8)  # (1 + 2w) e_j
+        self.axes = self.lookup(_AXES)  # (1 + 2w) e_j
 
-    def _lookup(self, images: np.ndarray) -> list[int]:
-        """Vertex indices of the rows of a (k, 4, 2) array."""
+    def lookup(self, images: np.ndarray) -> np.ndarray:
+        """Vertex indices of the rows of a (k, 4, 2) array, as uint8."""
         found = [self._index.get(row.tobytes()) for row in images]
         if None in found:
             raise NotASymmetryError("a vertex image is not a polytope vertex")
-        return found  # type: ignore[return-value]
+        return np.array(found, dtype=np.uint8)
 
     def permutation(self, g: SymmetryElement) -> np.ndarray:
         """The vertex permutation g induces, as a (240,) uint8 array.
@@ -212,10 +202,10 @@ class _Vertices:
         Raises :class:`NotASymmetryError` if an image leaves Z[w]^4 or the
         polytope, and :class:`SymmetryError` if two vertices share an image.
         """
-        perm = self._lookup(g.apply(self.m))
-        if len(set(perm)) != len(perm):
+        perm = self.lookup(g.apply(self.m))
+        if len(set(perm.tolist())) != len(perm):
             raise SymmetryError("vertex images do not form a permutation")
-        return np.array(perm, dtype=np.uint8)
+        return perm
 
 
 def _pack(images: np.ndarray) -> np.ndarray:
@@ -354,25 +344,22 @@ class GroupTable:
         return sum(identity.scaled_by_unit(u) in self for u in range(n))
 
     def element(self, i: int) -> SymmetryElement:
-        """The matrix of element i, rebuilt from its axis images.
+        """Element i, gathered from its axis images: column j of m is vertex
+        byte j of the key.
 
         i indexes the sorted keys as numpy does: element 0 is not in general
         the identity, -1 is the last, and out of range raises IndexError.
-        Column j is the image of the axis vertex (1 + 2w) e_j, byte j of the
-        key, divided by (1 + 2w), that is multiplied by (-1 - 2w) / 3.
         """
         columns = self._vertices.m[self._keys[[i]].view(np.uint8)]
-        minus_1_minus_2w = np.array((-1, -2))
-        return SymmetryElement.from_parts(
-            ring_mul(minus_1_minus_2w, columns.transpose(1, 0, 2)), 1
-        )
+        return SymmetryElement(columns.transpose(1, 0, 2))
 
     def __contains__(self, elem: SymmetryElement) -> bool:
+        """Whether m's four columns are vertices whose packed indices are a key."""
         try:
-            perm = self._vertices.permutation(elem)
+            images = self._vertices.lookup(elem.m.transpose(1, 0, 2))
         except NotASymmetryError:
             return False
-        return bool(_member(self._keys, _pack(perm[self._vertices.axes])))
+        return bool(_member(self._keys, _pack(images)))
 
     def state_permutation(self, g: SymmetryElement) -> tuple[int, ...]:
         """The permutation of the 40 states induced by g, in or out of the table.

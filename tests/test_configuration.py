@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import itertools
 import os
 import subprocess
@@ -467,6 +468,36 @@ def test_vector_array_holds_the_state_vectors(config):
     for s in config.states:
         assert config.vector_array[s.index].tolist() == [list(x.key()) for x in s.vector]
         assert all(type(x) is Eisenstein for x in s.vector)
+
+
+@pytest.fixture
+def eisenstein_count(monkeypatch):
+    """Counts Eisenstein constructions through a patched ``__post_init__``."""
+    made = []
+    post_init = Eisenstein.__post_init__
+    monkeypatch.setattr(Eisenstein, "__post_init__", lambda x: made.append(1) or post_init(x))
+    return made
+
+
+# sha256 of repr([s.vector for s in config.states]), the boxed vectors the
+# build stored before it held the states as int pairs.
+BOXED_VECTORS_SHA256 = "887eadfb525a3a0edf4f4bbb7cd3b29f1d8b101baa07cb6e7810fca10520ef19"
+
+
+def test_build_and_a_simulate_op_box_no_eisenstein_values(eisenstein_count, capsys):
+    from wittingqkd.cli import main
+
+    fresh = WittingConfiguration()
+    main(["simulate", "--protocol", "naive", "--rounds", "2000", "--seed", "7", "--eve", "3"])
+    assert capsys.readouterr().out
+    assert eisenstein_count == []
+    # The boxed view is built on first access, 160 values, and then kept.
+    vectors = [s.vector for s in fresh.states]
+    assert len(eisenstein_count) == 160
+    assert [s.vector for s in fresh.states] == vectors and len(eisenstein_count) == 160
+    assert all(type(x) is Eisenstein for v in vectors for x in v)
+    assert [tuple(x.key() for x in v) for v in vectors] == [s.pairs for s in fresh.states]
+    assert hashlib.sha256(repr(vectors).encode()).hexdigest() == BOXED_VECTORS_SHA256
 
 
 def test_transition_table_matches_boxed_overlaps(config):

@@ -148,12 +148,22 @@ def _vector_joint(config, a, b, bob_conjugated=True):
     )
 
 
-def _vector_intercept_resend(config, a, b, e):
+def _alice_eve_leg(config, a, e):
+    """9 |<a_i|e_k>|^2 as plain products with Eve's conjugated copies, [i][k]."""
+    ev = _boxed_tetrad(config, e, conjugated=True)
+    return [[_plain_dot(x, z).norm_sq() for z in ev] for x in _boxed_tetrad(config, a)]
+
+
+def _eve_bob_leg(config, b, e):
+    """9 |<e_k|b_j>|^2 between Eve's resent states and Bob's, [k][j]."""
     bv = _boxed_tetrad(config, b, conjugated=True)
     ev = _boxed_tetrad(config, e, conjugated=True)
-    p1 = [[_plain_dot(x, z).norm_sq() for z in ev] for x in _boxed_tetrad(config, a)]
     bh = [_conj(y) for y in bv]  # <y|z> is the plain product of conj(y) and z
-    p2 = [[_plain_dot(y, z).norm_sq() for y in bh] for z in ev]
+    return [[_plain_dot(y, z).norm_sq() for y in bh] for z in ev]
+
+
+def _vector_intercept_resend(p1, p2):
+    """The joint over 324 from the two legs, summed over Eve's outcome k."""
     return tuple(
         tuple(Fraction(sum(p1[i][k] * p2[k][j] for k in range(4)), 324) for j in range(4))
         for i in range(4)
@@ -184,16 +194,20 @@ def test_joint_table_matches_vector_reference(config):
 
 
 def test_intercept_resend_table_matches_vector_reference(config):
-    # every Eve on the diagonal a == b; every (a, b) under three Eves
+    # every Eve on the diagonal a == b; every (a, b) under three Eves.  The
+    # Alice-Eve leg depends on (a, e) only and the Eve-Bob leg on (b, e)
+    # only, so each is computed once per Eve.
     for e in range(40):
         counts, den = outcome_counts(config, e)
+        alice = [_alice_eve_leg(config, a, e) for a in range(40)]
+        bob = [_eve_bob_leg(config, b, e) for b in range(40)]
         if e in (0, 10, 28):
             pairs = itertools.product(range(40), repeat=2)
         else:
             pairs = zip(range(40), range(40))
         for a, b in pairs:
             assert _fractions(counts[a, b], den) == _vector_intercept_resend(
-                config, a, b, e
+                alice[a], bob[b]
             ), (a, b, e)
 
 

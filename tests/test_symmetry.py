@@ -8,7 +8,7 @@ import pytest
 
 from test_configuration import _boxed_canonical
 from wittingqkd.configuration import Card, canonical_phase, canonical_rows, ring_conj, ring_mul
-from wittingqkd.eisenstein import Eisenstein, OMEGA, UNITS, ZERO
+from wittingqkd.eisenstein import Eisenstein, I_SQRT3, OMEGA, UNITS, ZERO
 from wittingqkd import symmetry
 from wittingqkd.symmetry import (
     GENERATOR_CARDS,
@@ -24,10 +24,10 @@ from wittingqkd.symmetry import (
 
 
 def test_triflection_of_axis_state_is_diagonal(config):
+    # Entries are held scaled by 1 + 2w: diag(w, 1, 1, 1) times I_SQRT3.
     t = triflection(config.state_of(Card("S", 1)))
-    assert t.denom_exp == 0
     diag = [t.entry(i, i) for i in range(4)]
-    assert diag == [OMEGA, Eisenstein(1), Eisenstein(1), Eisenstein(1)]
+    assert diag == [I_SQRT3 * OMEGA, I_SQRT3, I_SQRT3, I_SQRT3]
     for i, j in itertools.permutations(range(4), 2):
         assert t.entry(i, j).is_zero()
 
@@ -87,8 +87,8 @@ def test_identity_and_inverses_in_group(group):
     rng = Random(4)
     for _ in range(20):
         g = group.element(rng.randrange(len(group)))
-        # inverse of a unitary: conj-transpose with the same denominator
-        inv = SymmetryElement.from_parts(ring_conj(g.m).transpose(1, 0, 2), g.denom_exp)
+        # inverse of a unitary: its conj-transpose; conj(1 + 2w) = -(1 + 2w)
+        inv = SymmetryElement(-ring_conj(g.m).transpose(1, 0, 2))
         assert inv in group
         assert g @ inv == SymmetryElement.identity()
 
@@ -135,8 +135,8 @@ def _coordinate_swap() -> SymmetryElement:
     """Swaps the last two coordinates: unitary, but moves states off the
     configuration, as (1,0,-1,1)-type patterns are not states."""
     m = np.zeros((4, 4, 2), dtype=np.int64)
-    m[0, 0, 0] = m[1, 1, 0] = m[2, 3, 0] = m[3, 2, 0] = 1
-    return SymmetryElement.from_parts(m, 0)
+    m[0, 0] = m[1, 1] = m[2, 3] = m[3, 2] = I_SQRT3.key()  # held scaled by 1 + 2w
+    return SymmetryElement(m)
 
 
 def test_non_symmetry_is_rejected(config, group):
@@ -144,34 +144,20 @@ def test_non_symmetry_is_rejected(config, group):
     assert swap.is_unitary()
     with pytest.raises(NotASymmetryError):
         group.state_permutation(swap)
-    # identity / 3 maps every state out of Z[w]^4
-    third = SymmetryElement.from_parts(SymmetryElement.identity().m, 1)
+    # m = I is the identity over 1 + 2w: it maps every state but the axes
+    # out of Z[w]^4, and its columns are not vertices
+    third = SymmetryElement(np.eye(4, dtype=np.int64)[:, :, None] * np.array((1, 0)))
     with pytest.raises(NotASymmetryError):
         group.state_permutation(third)
     assert third not in group
 
 
-def test_from_parts_leaves_the_callers_array_writable():
+def test_construction_leaves_the_callers_array_writable():
     m = np.zeros((4, 4, 2), np.int64)
-    element = SymmetryElement.from_parts(m, 0)
+    element = SymmetryElement(m)
     m[0, 0, 0] = 2
     assert not element.m.flags.writeable
     assert (element.m == 0).all()
-
-
-def test_direct_construction_refuses_an_unreduced_pair():
-    # Built directly, 3 I / 3 would hash and compare unequal to the identity
-    # it is; from_parts reduces it.
-    three = 3 * SymmetryElement.identity().m
-    with pytest.raises(ValueError, match="not reduced"):
-        SymmetryElement(three, 1)
-    assert SymmetryElement.from_parts(three, 1) == SymmetryElement.identity()
-
-
-@pytest.mark.parametrize("d", [-1, 1.0, True])
-def test_direct_construction_takes_only_a_nonnegative_int_exponent(d):
-    with pytest.raises(ValueError, match="denominator exponent must be an int >= 0"):
-        SymmetryElement(SymmetryElement.identity().m.copy(), d)
 
 
 def test_scalar_content_of_group(group):
@@ -240,6 +226,35 @@ def test_element_indexing_follows_numpy(group):
     assert group.element(-1) == group.element(len(group) - 1)
     with pytest.raises(IndexError):
         group.element(len(group))
+
+
+def test_elements_are_gathered_vertex_columns(config, group, monkeypatch):
+    # element(i).m is the vertex rows at key i's bytes, as columns, read
+    # without any Z[w] arithmetic.
+    vertices = config.vertex_array()
+    for name in ("ring_mul", "ring_matmul", "ring_conj"):
+        monkeypatch.setattr(symmetry, name, None)
+    rng = Random(47)
+    for i in [0, -1] + [rng.randrange(len(group)) for _ in range(20)]:
+        images = int(group._keys[i]).to_bytes(4, sys.byteorder)
+        expected = [[vertices[v, row].tolist() for v in images] for row in range(4)]
+        assert group.element(i).m.tolist() == expected
+
+
+def test_membership_reads_the_four_columns(group, monkeypatch):
+    # -g is a stored element; w g has vertex columns but no stored key.
+    # No membership test here builds a 240-vertex permutation.
+    elements = [group.element(i) for i in Random(53).sample(range(len(group)), 20)]
+
+    def refuse(*args):
+        raise AssertionError("membership built a vertex permutation")
+
+    monkeypatch.setattr(symmetry._Vertices, "permutation", refuse)
+    for g in elements:
+        assert g in group
+        assert g.scaled_by_unit(1) in group
+        assert g.scaled_by_unit(2) not in group
+        group._vertices.lookup(g.scaled_by_unit(2).m.transpose(1, 0, 2))  # raises if not vertices
 
 
 def test_non_symmetry_is_not_in_group(group):
@@ -407,15 +422,16 @@ def test_boxed_reference_matches_array_kernel(config, group, boxed_vertices):
     rng = Random(43)
     for i in [rng.randrange(len(group)) for _ in range(25)]:
         g = group.element(i)
-        scale = 3**g.denom_exp
         perm = []
         for state in config.states:
+            # m v over 1 + 2w: times conj(1 + 2w) = -1 - 2w, over 3
             image = [
                 sum((g.entry(r, c) * state.vector[c] for c in range(4)), ZERO)
+                * Eisenstein(-1, -2)
                 for r in range(4)
             ]
-            assert all(x.a % scale == 0 and x.b % scale == 0 for x in image)
-            image = tuple(Eisenstein(x.a // scale, x.b // scale) for x in image)
+            assert all(x.a % 3 == 0 and x.b % 3 == 0 for x in image)
+            image = tuple(Eisenstein(x.a // 3, x.b // 3) for x in image)
             perm.append(index[_boxed_canonical(image)])
         assert tuple(perm) == group.state_permutation(g)
         vertex_perm = _checked_permutation(config, group, boxed_vertices, i)

@@ -46,8 +46,8 @@ def test_suite_builds_few_boxed_values(monkeypatch):
     checks run on plain ints, and each direct distribution is computed once
     per tetrad and input.  The full suite built 97,348 of them when each
     inner product boxed its every term, and 13,792 while the vector
-    reference still boxed its branch states; it now builds 164, nearly all
-    of them the configuration's own state vectors."""
+    reference still boxed its branch states, and 164 while the configuration
+    boxed its own state vectors; it now builds none."""
     built = []
     original = Eisenstein.__post_init__
 
@@ -58,7 +58,9 @@ def test_suite_builds_few_boxed_values(monkeypatch):
     monkeypatch.setattr(Eisenstein, "__post_init__", counted)
     results = verify.run_checks()
     assert all(r.passed for r in results), [r for r in results if not r.passed]
-    assert 0 < len(built) < 1_000, len(built)
+    assert built == [], len(built)
+    Eisenstein(1, 2)  # the counter itself counts
+    assert built == [1]
 
 
 def _built(monkeypatch, cls, method, check, config):
