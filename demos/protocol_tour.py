@@ -59,3 +59,6 @@ print("  (exact class values: 0 computational, 2/3 rank and mixed, 1/2 mono-suit
 print("   averaged over the 40 tetrads that is 3/5)")
 expected = Fraction(3, 5)
 print(f"  observed {tr.n_mismatched / tr.n_sifted:.3f} vs {float(expected):.3f}")
+tr = run_key_agreement(config, 100_000, alice, bob, eve_basis=0, seed=6)
+print("  key agreement under the same attacker: exactly 3/5 as well;")
+print(f"  observed {tr.n_mismatched}/{tr.n_sifted} = {tr.n_mismatched / tr.n_sifted:.3f}")

@@ -44,6 +44,7 @@ def _int_in(low: int, high: int | None = None):
 
 
 _TETRAD_ID = _int_in(0, 39)
+_EVE_HELP = "intercept-resend attacker on Bob's channel, measuring in this tetrad"
 
 
 def _policy(text: str) -> PartyPolicy:
@@ -170,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_joint.set_defaults(run=_cmd_joint)
     p_joint.add_argument("--alice", type=_TETRAD_ID, required=True, metavar="BASIS")
     p_joint.add_argument("--bob", type=_TETRAD_ID, required=True, metavar="BASIS")
-    p_joint.add_argument("--eve", type=_TETRAD_ID, default=None, metavar="BASIS")
+    p_joint.add_argument("--eve", type=_TETRAD_ID, default=None, metavar="BASIS", help=_EVE_HELP)
 
     p_sim = sub.add_parser("simulate", help="run a two-party session")
     p_sim.set_defaults(run=_cmd_simulate)
@@ -181,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--rounds", type=_int_in(1), required=True)
     p_sim.add_argument("--seed", type=_int_in(0), default=DEFAULT_SEED)
-    p_sim.add_argument("--eve", type=_TETRAD_ID, default=None, metavar="BASIS")
+    p_sim.add_argument("--eve", type=_TETRAD_ID, default=None, metavar="BASIS", help=_EVE_HELP)
     p_sim.add_argument(
         "--policy", type=_policy, default="uniform", metavar="uniform|agreed|correlated:W"
     )
@@ -199,18 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """Parse and validate argv; the parser is freed before the command runs."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "simulate" and args.eve is not None and args.protocol != "naive":
-        # Rejected here, before --transcript opens its file.
-        parser.error("--eve is only modelled for --protocol naive")
-    return args
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         try:
             return args.run(args)

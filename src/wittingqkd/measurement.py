@@ -6,10 +6,12 @@ with the componentwise-conjugated |x_k*> on the other, so when Bob measures
 the conjugated copy of Alice's tetrad the outcome indices agree with
 certainty.  Every probability is an integer weight over an integer
 denominator; the per-pair joints give theirs as exact ``Fraction`` values.
-One private formula reads the configuration's integer transition table:
-:func:`outcome_counts` applies it to every tetrad pair, and the round engine
-samples those counts; :func:`joint_distribution` and
-:func:`intercept_resend_distribution` apply it to one pair alone.  The rest
+One private function gives the channel as a 40×40 integer table of Alice's
+states against Bob's: the transition table, or its product through an
+intercept-resend attacker's tetrad.  :func:`outcome_counts` gathers every
+tetrad pair from it, and all three protocols sample those counts;
+:func:`joint_distribution` and :func:`intercept_resend_distribution` gather
+one pair alone.  The rest
 (delayed queries, two-step measurement, ``JointState``) is the Z[w] vector
 reference that ``verify`` and the tests check the table against: one query
 projector and one Born rule over a tetrad, shared by the single ququart and
@@ -70,24 +72,16 @@ def _check_tetrad(config: WittingConfiguration, tetrad: object) -> None:
     check_int("tetrad id", tetrad, 0, len(config.bases) - 1)
 
 
-def _counts(
-    config: WittingConfiguration,
-    alice: np.ndarray | tuple[int, ...],
-    bob: np.ndarray | tuple[int, ...],
-    eve_basis: int | None,
-) -> tuple[np.ndarray, int]:
-    """Counts of Alice's states (rows) against Bob's (columns), over ``den``.
-
-    T(s, t) over 36 without an attacker, with T = 9·|<s|t>|²; with an
-    intercept-resend attacker on tetrad e, sum_k T(s, e_k) T(e_k, t) over
-    324 (9·9·4).
-    """
+def _state_table(config: WittingConfiguration, eve_basis: int | None) -> tuple[np.ndarray, int]:
+    """Counts of Alice's 40 states (rows) against Bob's (columns), over ``den``:
+    T = 9·|<s|t>|² over 36, or T[:, e] @ T[e, :] over 324 (9·9·4) with an
+    intercept-resend attacker on tetrad e."""
     t = config.transition_array
     if eve_basis is None:
-        return t[np.ix_(alice, bob)], 36
+        return t, 36
     _check_tetrad(config, eve_basis)
     eve = config.basis_states[eve_basis]
-    return t[np.ix_(alice, eve)] @ t[np.ix_(eve, bob)], 324
+    return t[:, eve] @ t[eve, :], 324
 
 
 def outcome_counts(
@@ -99,13 +93,11 @@ def outcome_counts(
     probability of outcomes (i, j) when Alice measures tetrad a and Bob the
     conjugated copies of tetrad b.  Without an attacker it is
     T(a_i, b_j) / 36 with T = 9·|<s|t>|²; with an intercept-resend attacker
-    on tetrad e it is sum_k T(a_i, e_k) T(e_k, b_j) / 324.
+    on tetrad e it is sum_k T(a_i, e_k) T(e_k, b_j) / 324, for every protocol.
     """
+    table, den = _state_table(config, eve_basis)
     members = np.array(config.basis_states)  # (tetrads, d) state indices
-    tetrads, d = members.shape
-    flat = members.reshape(-1)
-    counts, den = _counts(config, flat, flat, eve_basis)
-    return counts.reshape(tetrads, d, tetrads, d).transpose(0, 2, 1, 3), den
+    return table[members[:, None, :, None], members[None, :, None, :]], den
 
 
 def _block(
@@ -114,9 +106,9 @@ def _block(
     """Block ``[alice_basis, bob_basis]`` of :func:`outcome_counts`, computed alone."""
     _check_tetrad(config, alice_basis)
     _check_tetrad(config, bob_basis)
+    table, den = _state_table(config, eve_basis)
     members = config.basis_states
-    counts, den = _counts(config, members[alice_basis], members[bob_basis], eve_basis)
-    rows = counts.tolist()
+    rows = table[np.ix_(members[alice_basis], members[bob_basis])].tolist()
     return JointDistribution(tuple(tuple(Fraction(n, den) for n in row) for row in rows))
 
 

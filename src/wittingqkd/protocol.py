@@ -12,7 +12,8 @@ protocol is data (:class:`_Protocol`): its choice draws, its announcement
 kind, which fixes the sift rule, and the integer count tables it reads,
 built once per session by :func:`~wittingqkd.measurement.outcome_counts`.
 Every outcome law is a row of integer counts over a denominator: 9·|<s|t>|²
-products over 36, or over 324 with an intercept-resend attacker.  The
+products over 36, or over 324 with an intercept-resend attacker, in every
+protocol alike.  The
 session spells each row out as a table of ``den`` outcome pairs, each pair
 listed as many times as its count, so one uniform draw below the
 denominator, read in that table, samples it exactly.  A sifted two-step or
@@ -393,7 +394,8 @@ def run_naive_session(
 ) -> SessionTranscript:
     """Both parties draw one of the 40 tetrads; rounds sift on equality.
 
-    ``on_block`` receives each :class:`RoundBlock` as it is run.
+    ``eve_basis``, if given, is the tetrad of an intercept-resend attacker on
+    Bob's channel; ``on_block`` receives each :class:`RoundBlock` as it is run.
     """
     return _run(config, _NAIVE, rounds, (policy_a, policy_b), seed, eve_basis, on_block)
 
@@ -403,6 +405,7 @@ def run_two_step_session(
     rounds: int,
     policy_a: PartyPolicy,
     policy_b: PartyPolicy,
+    eve_basis: int | None = None,
     seed: int = DEFAULT_SEED,
     on_block: Callable[[RoundBlock], None] | None = None,
 ) -> SessionTranscript:
@@ -411,12 +414,13 @@ def run_two_step_session(
     Sifting is on tetrad equality only: even when the step-1 states differ,
     a shared tetrad still yields identical outcomes.  The queries commute
     with the final tetrad projectors, so every round's outcome law is the
-    one-step joint of the two tetrads.  A fixed policy is refused: its one
-    choice cannot serve as both the state and the tetrad among its four.
+    one-step joint of the two tetrads, with ``eve_basis`` as in
+    :func:`run_naive_session`.  A fixed policy is refused: its one choice
+    cannot serve as both the state and the tetrad among its four.
     """
     if "fixed" in (policy_a.mode, policy_b.mode):
         raise ValueError("the two-step protocol takes no fixed policy")
-    return _run(config, _TWO_STEP, rounds, (policy_a, policy_b), seed, None, on_block)
+    return _run(config, _TWO_STEP, rounds, (policy_a, policy_b), seed, eve_basis, on_block)
 
 
 def run_key_agreement(
@@ -424,12 +428,14 @@ def run_key_agreement(
     rounds: int,
     policy_a: PartyPolicy,
     policy_b: PartyPolicy,
+    eve_basis: int | None = None,
     seed: int = DEFAULT_SEED,
     on_block: Callable[[RoundBlock], None] | None = None,
 ) -> SessionTranscript:
     """Parties pick states, exchange their identities, then measure in the
-    shared tetrad when one exists (13/40 of the time under uniform picks)."""
-    return _run(config, _KEY_AGREEMENT, rounds, (policy_a, policy_b), seed, None, on_block)
+    shared tetrad when one exists (13/40 of the time under uniform picks);
+    ``eve_basis`` is as in :func:`run_naive_session`."""
+    return _run(config, _KEY_AGREEMENT, rounds, (policy_a, policy_b), seed, eve_basis, on_block)
 
 
 def run_session(
@@ -442,17 +448,17 @@ def run_session(
     seed: int = DEFAULT_SEED,
     on_block: Callable[[RoundBlock], None] | None = None,
 ) -> SessionTranscript:
+    """Run the named protocol's session, under ``eve_basis`` if given; the
+    session function is looked up per call, so a wrapper on its name is seen."""
     if protocol == "naive":
-        return run_naive_session(
-            config, rounds, policy_a, policy_b, eve_basis, seed, on_block
-        )
-    if eve_basis is not None:
-        raise ValueError("an attacker is only modelled for the naive protocol")
-    if protocol == "two-step":
-        return run_two_step_session(config, rounds, policy_a, policy_b, seed, on_block)
-    if protocol == "key-agreement":
-        return run_key_agreement(config, rounds, policy_a, policy_b, seed, on_block)
-    raise ValueError(f"unknown protocol {protocol!r}")
+        run = run_naive_session
+    elif protocol == "two-step":
+        run = run_two_step_session
+    elif protocol == "key-agreement":
+        run = run_key_agreement
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    return run(config, rounds, policy_a, policy_b, eve_basis, seed, on_block)
 
 
 def announcement_leakage_free(config: WittingConfiguration) -> bool:

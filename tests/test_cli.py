@@ -135,12 +135,18 @@ def test_simulate_policy_and_eve(capsys):
     assert payload["eve"] == 0
 
 
-def test_simulate_eve_rejected_for_two_step(capsys):
-    # A usage error since --eve is checked at argument-parsing time.
-    with pytest.raises(SystemExit) as err:
-        main(["simulate", "--protocol", "two-step", "--rounds", "10", "--eve", "0"])
-    assert err.value.code == 2
-    assert "--eve is only modelled for --protocol naive" in capsys.readouterr().err
+@pytest.mark.parametrize("protocol", ["two-step", "key-agreement"])
+def test_simulate_eve_runs_for_every_protocol(capsys, tmp_path, protocol):
+    path = tmp_path / "rounds.csv"
+    code, out = run_cli(
+        capsys, "simulate", "--protocol", protocol, "--rounds", "4000", "--seed", "13",
+        "--eve", "15", "--transcript", str(path),
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["eve"] == 15
+    assert payload["mismatches"] > 0
+    assert len(path.read_text().splitlines()) == 4001
 
 
 def test_simulate_transcript_csv(tmp_path, capsys):
@@ -218,14 +224,13 @@ USAGE_ERRORS = (
 
 
 def test_usage_error_exit_code(capsys, tmp_path):
-    # --eve is only modelled for the naive protocol; the combination is a
-    # usage error caught before --transcript creates its file.
+    # A usage error is caught before --transcript creates its file.
     transcript = tmp_path / "transcript.csv"
-    eve_errors = tuple(
-        f"simulate --protocol {p} --rounds 5 --eve 0 --transcript {transcript}"
-        for p in ("two-step", "key-agreement")
+    late_errors = tuple(
+        f"simulate --protocol {p} --rounds {n} --eve {e} --transcript {transcript}"
+        for p, n, e in (("two-step", 0, 0), ("key-agreement", 5, 40), ("naive", 5, "x"))
     )
-    for argv in USAGE_ERRORS + eve_errors:
+    for argv in USAGE_ERRORS + late_errors:
         with pytest.raises(SystemExit) as err:
             main(argv.split())
         assert err.value.code == 2, argv

@@ -380,7 +380,8 @@ def test_key_memory_is_flat_in_rounds(config, tmp_path):
 
 @pytest.mark.parametrize(
     "protocol, eve_basis",
-    [("naive", None), ("naive", 5), ("two-step", None), ("key-agreement", None)],
+    [("naive", None), ("naive", 5), ("two-step", None), ("two-step", 5),
+     ("key-agreement", None), ("key-agreement", 5)],
 )
 @pytest.mark.parametrize("transcript, limit_mb", [(True, 2.5), (False, 1.5)])
 def test_block_working_set_is_pinned(config, tmp_path, protocol, eve_basis, transcript, limit_mb):
@@ -396,12 +397,23 @@ def test_block_working_set_is_pinned(config, tmp_path, protocol, eve_basis, tran
 
 # Transcript digests of fixed command lines, beside the key-agreement one
 # in test_golden.py: two-step writes its (state;tetrad) choice cells, and
-# a naive run under Eve writes mismatched rounds.
+# runs under Eve write mismatched rounds.
 TRANSCRIPT_CSV_SHA256 = {
     "simulate --protocol two-step --rounds 20000 --seed 7 --transcript":
         "b494610060cf581639382cd792559e2072e124d98a12ef3b859ca082d3799649",
     "simulate --protocol naive --rounds 20000 --seed 7 --eve 15 --transcript":
         "3434cfd880788f681d58c4f3c543b34a4962495fc6932c382b03b02d81899072",
+    "simulate --protocol two-step --rounds 20000 --seed 7 --eve 15 --transcript":
+        "497b78afce6a12ee751de7f8da7d91e4a52e85155f03455e5fde86499f1ccc39",
+    "simulate --protocol key-agreement --rounds 20000 --seed 7 --eve 15 --transcript":
+        "ad251afa1d1182577d40b84ea1352a9dc3c089a3566c4182e96d2bb73a65fb9f",
+}
+# Stdout digests of the runs under Eve that test_golden.py does not pin.
+EVE_STDOUT_SHA256 = {
+    "simulate --protocol two-step --rounds 20000 --seed 7 --eve 15 --transcript":
+        "9ebeb0f7f2949022976c2be2c9d68418fed51bd2c4ca043d9501045017b576a4",
+    "simulate --protocol key-agreement --rounds 20000 --seed 7 --eve 15 --transcript":
+        "3550ce4b32e6f65fd437d4a4878bdd15782f4fc91f4fb63a6711cc8227578823",
 }
 
 
@@ -409,8 +421,10 @@ TRANSCRIPT_CSV_SHA256 = {
 def test_transcript_csv_digest(capsys, tmp_path, line):
     path = tmp_path / "rounds.csv"
     assert main(line.split() + [str(path)]) == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TRANSCRIPT_CSV_SHA256[line]
+    if line in EVE_STDOUT_SHA256:
+        assert hashlib.sha256(out.encode()).hexdigest() == EVE_STDOUT_SHA256[line]
 
 
 # -- exact count tables ------------------------------------------------------------
@@ -439,6 +453,44 @@ def test_outcome_counts_equal_intercept_resend_distribution(config, eve):
             assert [[Fraction(int(x), den) for x in row] for row in counts[a, b]] == [
                 list(row) for row in dist.p
             ]
+
+
+def _sifted_eve_mismatch(config, protocol: str, eve: int) -> Fraction:
+    """Exact mismatch within sifted rounds under uniform policies: naive and
+    two-step sift every tetrad equally often, key agreement each shared
+    tetrad as often as ``common_tetrad`` names it."""
+    counts, den = outcome_counts(config, eve)
+    own = counts[np.diag_indices(40)]  # (tetrads, 4, 4)
+    mismatched = (own.sum(axis=(1, 2)) - np.trace(own, axis1=1, axis2=2)).tolist()
+    if protocol == "key-agreement":
+        shared = config.common_tetrad[config.common_tetrad >= 0]
+        weights = np.bincount(shared, minlength=40).tolist()
+    else:
+        weights = [1] * 40
+    return sum(Fraction(w * m, den) for w, m in zip(weights, mismatched)) / sum(weights)
+
+
+def test_every_fixed_eve_mismatches_three_fifths_in_every_protocol(config):
+    for protocol in ("naive", "two-step", "key-agreement"):
+        for eve in range(40):
+            assert _sifted_eve_mismatch(config, protocol, eve) == Fraction(3, 5), (protocol, eve)
+
+
+@pytest.mark.parametrize("eve", [0, 15, 33])  # rank, mixed-suit, mono-suit
+@pytest.mark.parametrize("protocol", ["naive", "two-step", "key-agreement"])
+def test_sampled_eve_mismatch_within_three_sigma(config, protocol, eve):
+    tr = run_session(config, protocol, 100_000, UA, UB, eve_basis=eve, seed=50 + eve)
+    assert tr.n_sifted > 2000
+    assert abs(tr.n_mismatched / tr.n_sifted - 3 / 5) <= three_sigma(3 / 5, tr.n_sifted)
+
+
+def test_uniform_eve_is_white_noise_at_one_fifth(config):
+    # Summed over the 40 Eve tetrads, the counts are 72·T + 648 over
+    # 40·324: (1/5)·T/36 + (4/5)·(1/16), the Werner table at v = 1/5.
+    members = np.array(config.basis_states)
+    index = (members[:, None, :, None], members[None, :, None, :])
+    total = sum(outcome_counts(config, e)[0] for e in range(40))
+    assert (total == (72 * config.transition_array + 648)[index]).all()
 
 
 def test_probe_branches_partition_the_shared_joint(config):
@@ -692,8 +744,9 @@ def test_bad_tetrad_ids_are_rejected(config, bad):
     for args in ((bad, 0, 0), (0, bad, 0), (0, 0, bad)):
         with pytest.raises(ValueError):
             intercept_resend_distribution(config, *args)
-    with pytest.raises(ValueError):
-        run_session(config, "naive", 10, UA, UB, eve_basis=bad, seed=31)
+    for protocol in ("naive", "two-step", "key-agreement"):
+        with pytest.raises(ValueError):
+            run_session(config, protocol, 10, UA, UB, eve_basis=bad, seed=31)
 
 
 # -- leakage ------------------------------------------------------------------------
@@ -719,10 +772,10 @@ def test_leakage_check_catches_a_skewed_own_block(config, monkeypatch, to):
 def test_run_session_dispatch(config):
     tr = run_session(config, "naive", 100, UA, UB, seed=30)
     assert tr.protocol == "naive"
-    with pytest.raises(ValueError):
-        run_session(config, "two-step", 100, UA, UB, eve_basis=0, seed=30)
-    with pytest.raises(ValueError):
-        run_session(config, "key-agreement", 100, UA, UB, eve_basis=0, seed=30)
+    for protocol in ("two-step", "key-agreement"):
+        tr = run_session(config, protocol, 100, UA, UB, eve_basis=0, seed=30)
+        assert tr.protocol == protocol
+        assert tr.to_json_dict()["eve"] == 0
     with pytest.raises(ValueError):
         run_session(config, "telepathy", 100, UA, UB, seed=30)
 
