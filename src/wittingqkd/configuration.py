@@ -244,9 +244,10 @@ class WittingConfiguration:
     """The full 40-state configuration, verified on construction.
 
     Construction parses both embedded tables, cross-checks them against each
-    other and the generative families, builds the orthogonality graph,
+    other and the generative families, checks the orthogonality graph,
     enumerates the 40 orthogonal tetrads and checks every structural count.
-    The resulting object is immutable and safe to share between threads.
+    The resulting object is immutable and safe to share between threads; its
+    ``adjacency`` is built on first access, so a race can only build it twice.
 
     Integer arrays, all read-only and indexed by state index:
     ``vector_array`` (40, 4, 2) int64, the canonical vectors as (a, b) pairs;
@@ -288,10 +289,6 @@ class WittingConfiguration:
         # transition_array[i, j] = 9 |<s_i|s_j>|^2 in {0, 3, 9}, by state
         # index: every Born probability between states is an entry over 9.
         self.transition_array = _frozen(self._build_table())
-        self.adjacency = tuple(
-            frozenset(j for j, n in enumerate(r) if n == 0)
-            for r in self.transition_array.tolist()
-        )
         self.bases: tuple[Basis, ...] = self._tetrads()
         # Member state indices of each tetrad, in announcement order.
         self.basis_states: _Table = tuple(
@@ -307,6 +304,11 @@ class WittingConfiguration:
         np.fill_diagonal(common, self.tetrads_of_state[:, 0])  # the lowest of four
         self.common_tetrad = _frozen(common)
         self._check_conjugation()
+
+    @cached_property
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        """The orthogonality graph: the states orthogonal to each state, by index."""
+        return tuple(frozenset(np.flatnonzero(r == 0).tolist()) for r in self.transition_array)
 
     # -- construction helpers -------------------------------------------------
 

@@ -93,7 +93,8 @@ def pair_inner(s: Sequence[tuple[int, int]], t: Sequence[tuple[int, int]]) -> tu
     in ``configuration``.  Vectors of different lengths raise ``ValueError``.
     Every conjugate, product and running sum is held to :data:`MAGNITUDE_BOUND`,
     so it raises ``OverflowError`` exactly where the boxed fold
-    ``acc + x.conj() * y`` would.
+    ``acc + x.conj() * y`` would.  The bound is a power of two, so the OR of
+    the magnitudes reaches it exactly when one does; only then are they compared.
     """
     if len(s) != len(t):  # the error zip(s, t, strict=True) raises, without its cost
         which = "shorter" if len(t) < len(s) else "longer"
@@ -107,7 +108,9 @@ def pair_inner(s: Sequence[tuple[int, int]], t: Sequence[tuple[int, int]]) -> tu
         pw = a * d - b * c
         re += pr
         im += pw
-        if not (-bound <= p <= bound and -bound <= pr <= bound and -bound <= pw <= bound
-                and -bound <= re <= bound and -bound <= im <= bound):
+        if abs(p) | abs(pr) | abs(pw) | abs(re) | abs(im) >= bound and not (
+            -bound <= p <= bound and -bound <= pr <= bound and -bound <= pw <= bound
+            and -bound <= re <= bound and -bound <= im <= bound
+        ):
             raise OverflowError(f"Z[w] inner product exceeds 2**20: {(p, pr, pw, re, im)}")
     return re, im

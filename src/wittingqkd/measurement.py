@@ -24,6 +24,7 @@ irrational number ever appears.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -44,9 +45,12 @@ class JointDistribution:
     p: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        total = sum(x for row in self.p for x in row)
-        if total != 1:
-            raise ValueError(f"joint distribution sums to {total}, not 1")
+        # Summed over one common denominator, in ints rather than Fractions.
+        entries = [x for row in self.p for x in row]
+        den = math.lcm(*(x.denominator for x in entries))
+        num = sum(x.numerator * (den // x.denominator) for x in entries)
+        if num != den:
+            raise ValueError(f"joint distribution sums to {Fraction(num, den)}, not 1")
 
     def mismatch_probability(self) -> Fraction:
         return sum(

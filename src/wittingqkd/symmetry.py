@@ -20,6 +20,8 @@ orbit under the stabiliser of those before it, and the Schreier generators
 t_w^-1 g t_v, w = g(v), generate that vertex's stabiliser for the next
 level.  Each element is one product of a row from every level, and its key
 is that product's images of the axes: one gather per level and one sort.
+The order is the product of the transversals' lengths, so
+:func:`reflection_group_order` reads |G32| off the chain without listing it.
 Duplicate products are dropped by a stable argsort and membership is
 tested by binary search, never by ``np.unique`` or ``np.isin``: from numpy
 2.3 ``np.unique`` goes through a hash table, about 100 times slower than
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -251,33 +254,56 @@ def _transversal(gens: np.ndarray, point: int) -> np.ndarray:
         images = gens[:, frontier[:, point]].ravel()  # (k n,): g[t[point]]
         first = _first_occurrences(images)
         g, t = np.divmod(first[~reached[images[first]]], len(frontier))
-        frontier = gens[g[:, None], frontier[t]]  # g[t[x]] = (g t)(x)
+        frontier = gens.ravel().take(g[:, None] * size + frontier[t])  # g[t[x]] = (g t)(x)
         reached[frontier[:, point]] = True
         trans = np.concatenate((trans, frontier))
     return trans
 
 
 def _schreier_generators(
-    gens: np.ndarray, trans: np.ndarray, axes: np.ndarray, point: int
+    gens: np.ndarray, trans: np.ndarray, base: np.ndarray, point: int
 ) -> np.ndarray:
     """Schreier generators t_w^-1 g t_v of the stabiliser of ``point``, deduplicated.
 
     For every generator g and transversal row t_v, w is the image
     g(t_v(point)) and t_w its row.  The keys of t_w^-1 g t_v, its images of
-    ``axes``, come first, read through the inverse rows; only one pair per
+    ``base``, come first, read through the inverse rows; only one pair per
     distinct key, the identity left out, is built as a whole (m, size) row.
+    A pair with the identity's key is dropped, so t_w^-1 g must equal t_v^-1
+    on every point: else the base's pointwise stabiliser is not trivial, and
+    :class:`SymmetryError` is raised.
     """
     n, size = trans.shape
-    inverse = np.empty_like(trans)
-    inverse[np.arange(n)[:, None], trans] = np.arange(size, dtype=np.uint8)
+    inverse = trans.argsort(axis=1, kind="stable").astype(np.uint8)  # radix sort
     row_of = np.zeros(size, dtype=np.intp)
     row_of[trans[:, point]] = np.arange(n)
     w = row_of[gens[:, trans[:, point]]]  # (k, n): the row of t_w
-    keys = _pack(inverse[w[..., None], gens[:, trans[:, axes]]]).ravel()
-    kept = _first_occurrences(keys)
-    kept = kept[keys[kept] != _pack(axes)]
+    keys = _pack(inverse[w[..., None], gens[:, trans[:, base]]])
+    trivial = keys == _pack(base)
+    for gen, wg, tg in zip(gens, w, trivial):
+        if (inverse[wg[tg]].take(gen, axis=1) != inverse[tg]).any():
+            raise SymmetryError("a Schreier generator fixes the base but is not the identity")
+    kept = _first_occurrences(keys.ravel())
+    kept = kept[~trivial.ravel()[kept]]
     g, v = np.divmod(kept, n)
-    return inverse[w.ravel()[kept, None], gens[g[:, None], trans[v]]]
+    return inverse[w.ravel()[kept, None], gens.ravel().take(g[:, None] * size + trans[v])]
+
+
+def _chain(gens: np.ndarray, base: np.ndarray) -> list[np.ndarray]:
+    """Transversals of the stabiliser chain along the four points ``base`` of
+    the group that the (k, size) uint8 permutation rows ``gens`` generate:
+    level i takes a transversal of b_i's orbit under the stabiliser of
+    b_0 .. b_i-1, and Schreier generators of b_i's stabiliser for the next
+    level.  More than ``_CLOSURE_BOUND`` elements raise."""
+    chain, order = [], 1
+    for point in base:
+        trans = _transversal(gens, point)
+        order *= len(trans)
+        if order > _CLOSURE_BOUND:
+            raise SymmetryError(f"closure exceeded {_CLOSURE_BOUND} elements")
+        gens = _schreier_generators(gens, trans, base, point)
+        chain.append(trans)
+    return chain
 
 
 def _closure(
@@ -285,26 +311,14 @@ def _closure(
 ) -> GroupTable:
     """The group the given elements generate, by a stabiliser chain on the axes.
 
-    Level i takes a transversal of the orbit of axis vertex a_i under the
-    stabiliser of a_0 .. a_i-1, and Schreier generators of the stabiliser of
-    a_i for the next level.  Only the identity fixes all four axes, so each
-    element is one product t_0 t_1 t_2 t_3, and its key is that product's
+    Only the identity fixes all four axes, so each element is one product
+    t_0 t_1 t_2 t_3 of a row from each level, and its key is that product's
     images of the axes: one gather per level, last to first, and one sort.
-    More than ``_CLOSURE_BOUND`` elements raise before any gather.
     """
     vertices = _Vertices(config)
     gens = np.array([vertices.permutation(g) for g in elements])  # (k, 240) uint8
-    axes = vertices.axes
-    chain, order = [], 1
-    for point in axes:
-        trans = _transversal(gens, point)
-        order *= len(trans)
-        if order > _CLOSURE_BOUND:
-            raise SymmetryError(f"closure exceeded {_CLOSURE_BOUND} elements")
-        gens = _schreier_generators(gens, trans, axes, point)
-        chain.append(trans)
-    images = axes[None, :]
-    for trans in reversed(chain):
+    images = vertices.axes[None, :]
+    for trans in reversed(_chain(gens, vertices.axes)):
         images = trans[:, images].reshape(-1, 4)
     return GroupTable(np.sort(_pack(images)), vertices)
 
@@ -377,7 +391,9 @@ def generate_group(config: WittingConfiguration) -> GroupTable:
 
 def reflection_group_order(config: WittingConfiguration) -> int:
     """Order of the group the four raw triflections generate (no det scaling)."""
-    return len(_closure(config, (triflection(config.state_of(c)) for c in GENERATOR_CARDS)))
+    vertices = _Vertices(config)
+    raw = [vertices.permutation(triflection(config.state_of(c))) for c in GENERATOR_CARDS]
+    return math.prod(map(len, _chain(np.array(raw), vertices.axes)))
 
 
 def orbit_of_first_basis_state(
@@ -389,7 +405,7 @@ def orbit_of_first_basis_state(
     times state 0, so its vertex index over 6 is the image of S1.  The orbit
     must be the whole 40-state set; anything else raises.
     """
-    seen = set((table._keys.view(np.uint8)[::4] // 6).tolist())
+    seen = np.flatnonzero(np.bincount(table._keys.view(np.uint8)[::4] // 6))
     if len(seen) != 40:
         raise SymmetryError(f"orbit has {len(seen)} states, expected 40")
     return frozenset(config.states[i].card for i in seen)

@@ -1,11 +1,11 @@
 """Invariant suite behind the ``verify`` subcommand.
 
-Each check recomputes one family of structural claims from scratch and
-returns a short human-readable detail string; any exception or failed
-predicate marks the check failed.  The predicates are ``assert`` statements,
+Each check recomputes one family of structural claims and returns a short
+human-readable detail string; any exception or failed predicate marks the
+check failed.  The predicates are ``assert`` statements,
 so :func:`run_checks` refuses to run when ``python -O`` strips them.
 ``quick=True`` skips the three checks flagged in ``CHECKS``: the two group
-closures and the exhaustive marking scan, the checks that enumerate a whole
+closures and the exhaustive marking scan, the checks that walk a whole
 group or search space rather than the 40 states and their tetrads.
 
 The configuration builds its transition table on an integer array
@@ -13,9 +13,9 @@ The configuration builds its transition table on an integer array
 group's matrices run on the same array kernel.  ``transition-spectrum``,
 ``mub-embedding`` and ``pair-bases`` assert only on :func:`_overlaps`, the
 table of 9 |<s|t>|^2 recomputed from the state vectors with the pure-int
-:func:`~wittingqkd.eisenstein.pair_inner`; the first compares it with
-``config.transition_array`` entry by entry, so a fault in the array kernel
-shows there.  ``deferred-measurement`` and ``joint-two-step`` take the Z[w]
+:func:`~wittingqkd.eisenstein.pair_inner` once per run and shared; the
+first compares it with ``config.transition_array`` entry by entry, so a
+fault in the array kernel shows there.  ``deferred-measurement`` and ``joint-two-step`` take the Z[w]
 vector reference's integer recomposition of its branches
 (``TwoStepBreakdown.composed_counts``, :func:`compose_branch_counts`) and
 compare it with the direct weights by one cross-multiplication, :func:`_equal`.
@@ -26,6 +26,7 @@ kernel still shows.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from dataclasses import dataclass
@@ -88,22 +89,24 @@ def _check_counts(config: WittingConfiguration) -> str:
     return "40 states, 240 vertices, 12-regular graph, 40 tetrads, 4 per state"
 
 
-def _overlaps(config: WittingConfiguration) -> list[list[int]]:
+@functools.lru_cache(maxsize=1)
+def _overlaps(config: WittingConfiguration) -> tuple[tuple[int, ...], ...]:
     """The 40x40 table of 9 |<s|t>|^2, recomputed from the state vectors: one
     :func:`pair_inner` per pair s <= t, mirrored, as |<t|s>| = |<s|t>|; no
-    numpy, and nothing read from ``config.transition_array``."""
+    numpy, and nothing read from ``config.transition_array``.  Cached for the
+    last configuration, so its rows are tuples that no check can change."""
     vectors = [s.pairs for s in config.states]
     table = [[0] * len(vectors) for _ in vectors]
     for i, v in enumerate(vectors):
         for j in range(i, len(vectors)):
             a, b = pair_inner(v, vectors[j])
             table[i][j] = table[j][i] = a * a - a * b + b * b
-    return table
+    return tuple(map(tuple, table))
 
 
 def _check_spectrum(config: WittingConfiguration) -> str:
     table = _overlaps(config)
-    assert table == config.transition_array.tolist()
+    assert table == tuple(map(tuple, config.transition_array.tolist()))
     for i, row in enumerate(table):
         assert row[i] == 9 and set(row[:i] + row[i + 1 :]) <= {0, 3}, row
     return "all 780 off-diagonal pairs in {0, 1/3}; diagonal exactly 1"

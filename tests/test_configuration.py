@@ -226,6 +226,37 @@ def test_pair_inner_overflows_exactly_where_the_boxed_fold_does(s, t):
         assert pair_inner(_keys(s), _keys(t)) == expected.key()
 
 
+H = B // 2
+# Each pair (s, t) puts one product term or one running sum at the bound
+# (passes) or one past it (raises); 2**20 + 1 = 17 * 61681.
+_AT_THE_BOUND = [
+    (_pad((1024, 0)), _pad((1024, 0)), True),  # real part of the product, B
+    (_pad((1024, 0)), _pad((0, -1024)), True),  # w part of the product, -B
+    (_pad((17, 0)), _pad((61681, 0)), False),  # real part of the product, B + 1
+    (_pad((17, 0)), _pad((0, -61681)), False),  # w part of the product, -(B + 1)
+    (_pad((H, -H)), _pad((1, 0)), True),  # conjugate (a - b), B
+    (_pad((-H, H + 1)), _pad((0, 0)), False),  # conjugate (a - b), -(B + 1)
+    (_pad((1, 0), (1, 0)), _pad((H, 0), (H, 0)), True),  # real running sum, B
+    (_pad((1, 0), (1, 0)), _pad((-H, 0), (-H, 0)), True),  # real running sum, -B
+    (_pad((1, 0), (1, 0)), _pad((H, 0), (H + 1, 0)), False),  # real running sum, B + 1
+    (_pad((1, 0), (1, 0)), _pad((0, -H), (0, -H - 1)), False),  # w running sum, -(B + 1)
+    (_pad((1, 0), (1, 0)), _pad((0, H), (0, H)), True),  # w running sum, B
+]
+
+
+@pytest.mark.parametrize("s, t, inside", _AT_THE_BOUND)
+def test_pair_inner_at_the_bound_matches_the_boxed_fold(s, t, inside):
+    """The bound is inclusive: a product term or running sum of magnitude
+    exactly 2**20 passes, and 2**20 + 1 raises, in both kernels alike."""
+    if inside:
+        assert pair_inner(_keys(s), _keys(t)) == boxed_fold(s, t).key()
+    else:
+        with pytest.raises(OverflowError):
+            boxed_fold(s, t)
+        with pytest.raises(OverflowError):
+            pair_inner(_keys(s), _keys(t))
+
+
 def test_transition_spectrum_exact_and_vs_float(config):
     third = Fraction(1, 3)
     for s, t in itertools.combinations(config.states, 2):
@@ -246,6 +277,18 @@ def test_graph_regularity(config):
     s1 = config.state_of(Card("S", 1))
     h1 = config.state_of(Card("H", 1))
     assert h1.index in config.adjacency[s1.index]
+
+
+def test_adjacency_is_built_on_first_access():
+    """Construction leaves the orthogonality graph unbuilt; the first read
+    builds it from the transition table, and later reads return that value."""
+    fresh = WittingConfiguration()
+    assert "adjacency" not in vars(fresh)
+    graph = fresh.adjacency
+    assert fresh.adjacency is graph
+    table = fresh.transition_array.tolist()
+    assert graph == tuple(frozenset(j for j, n in enumerate(r) if n == 0) for r in table)
+    assert all(type(j) is int for row in graph for j in row)
 
 
 def test_bases_against_networkx_oracle(config):

@@ -35,6 +35,33 @@ def test_computational_basis_is_quarter_diagonal(config):
     assert JointDistribution(_vector_joint(config, 0, 0, bob_conjugated=False)).is_quarter_diagonal()
 
 
+def _table(*entries):
+    """A 4x4 table holding ``entries`` first and zeros after them."""
+    flat = [*entries] + [Fraction(0)] * (16 - len(entries))
+    return tuple(tuple(flat[i : i + 4]) for i in range(0, 16, 4))
+
+
+@pytest.mark.parametrize(
+    "entries, total",
+    [
+        ((Fraction(35, 36),), "35/36"),
+        ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)), "13/12"),
+        ((), "0"),
+        ((Fraction(2),), "2"),
+    ],
+)
+def test_joint_distribution_refuses_a_table_not_summing_to_one(entries, total):
+    with pytest.raises(ValueError, match=f"^joint distribution sums to {total}, not 1$"):
+        JointDistribution(_table(*entries))
+
+
+def test_joint_distribution_sums_over_mixed_denominators():
+    # 1/2 + 1/3 + 1/7 + 1/42 = 1 over the common denominator 42, on the diagonal.
+    diagonal = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(1, 42))
+    p = tuple(tuple(x if i == j else Fraction(0) for j in range(4)) for i, x in enumerate(diagonal))
+    assert JointDistribution(p).mismatch_probability() == 0
+
+
 def test_conjugate_coordination_all_forty(config):
     for basis in config.bases:
         assert joint_distribution(config, basis.id, basis.id).is_quarter_diagonal()

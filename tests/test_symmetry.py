@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 import tracemalloc
 from random import Random
@@ -330,10 +331,18 @@ def test_closure_matches_python_set_breadth_first_search(config, group, boxed_ve
         assert len(classes) == order == 25920
 
 
+def _chain_order(config, elements) -> int:
+    """The order read off the stabiliser chain alone, no element listed."""
+    vertices = symmetry._Vertices(config)
+    gens = np.array([vertices.permutation(g) for g in elements])
+    return math.prod(map(len, symmetry._chain(gens, vertices.axes)))
+
+
 def test_raw_closure_matches_python_set_breadth_first_search(config, boxed_vertices):
     raw = _raw_triflections(config)
     table = symmetry._closure(config, raw)
     assert _sorted_keys(_set_closure(boxed_vertices, raw)) == table._keys.tobytes()
+    assert reflection_group_order(config) == _chain_order(config, raw) == len(table)
 
 
 @pytest.mark.parametrize("family", [generators, _raw_triflections], ids=["det-1", "raw"])
@@ -349,8 +358,44 @@ def test_closure_of_each_generator_subset_matches_python_set_search(
         for subset in itertools.combinations(gens, r):
             table = symmetry._closure(config, subset)
             assert _sorted_keys(_set_closure(boxed_vertices, subset)) == table._keys.tobytes()
+            assert _chain_order(config, subset) == len(table)
             orders.append(len(table))
     assert sorted(orders) == [3] * 4 + [9] * 3 + [24] * 3 + [72] * 2 + [648] * 2
+
+
+def _state_chain(config, group, base):
+    """The chain of the four generators' permutations of the 40 states."""
+    gens = np.array([group.state_permutation(g) for g in generators(config)], dtype=np.uint8)
+    return symmetry._chain(gens, np.array(base, dtype=np.uint8))
+
+
+def _state_group(config, group) -> np.ndarray:
+    """Every product of one row per level of the chain along (0, 1, 4, 11)."""
+    chain = _state_chain(config, group, (0, 1, 4, 11))
+    assert [len(t) for t in chain] == [40, 12, 9, 6]
+    elements = chain[-1]
+    for trans in reversed(chain[:-1]):
+        elements = trans[:, elements].reshape(-1, 40)  # t[e[x]]: t after e
+    return elements
+
+
+def test_state_chain_on_a_base_lists_the_state_group(config, group):
+    """25,920 distinct state permutations, each preserving the transition table."""
+    elements = _state_group(config, group)
+    assert len(np.unique(elements, axis=0)) == len(elements) == 25920
+    table = config.transition_array
+    assert all((table[p][:, p] == table).all() for p in elements[::97])
+
+
+def test_schreier_generator_that_fixes_the_base_but_moves_a_state_raises(config, group):
+    """Three state permutations fix states 0, 1, 2 and 4, so those four do
+    not tell the group's elements apart.  The walk drops Schreier generators
+    that fix the base; without the check on their whole rows it would read
+    the order as 8,640."""
+    fixing = (_state_group(config, group)[:, [0, 1, 2, 4]] == [0, 1, 2, 4]).all(axis=1)
+    assert fixing.sum() == 3
+    with pytest.raises(SymmetryError, match="fixes the base but is not the identity"):
+        _state_chain(config, group, (0, 1, 2, 4))
 
 
 def test_first_occurrences_matches_a_python_reference():
@@ -387,11 +432,12 @@ def test_closure_over_its_bound_raises(config, monkeypatch):
 
 
 def test_group_memory_is_bounded(config, group):
-    # Mirrors test_scan_memory_is_bounded: both closures hold four
+    # Mirrors test_scan_memory_is_bounded: both walks hold four
     # (orbit, 240) transversals of at most 240 + 72 + 3 + 3 rows and a few
-    # dozen Schreier generators, then the last gather of at most
-    # (240, 648, 4) axis images and its sorted keys; never (n, 240) vertex
-    # permutations of the whole group.
+    # dozen Schreier generators; the closure then makes its last gather of
+    # at most (240, 216, 4) axis images and their sorted keys, while the
+    # G32 order lists nothing; never (n, 240) vertex permutations of the
+    # whole group.
     for closure in (generate_group, reflection_group_order):
         tracemalloc.start()
         try:

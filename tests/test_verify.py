@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wittingqkd import WittingConfiguration, verify
+from wittingqkd import WittingConfiguration, measurement, verify
 from wittingqkd.configuration import ring_mul
 from wittingqkd.eisenstein import Eisenstein
 
@@ -61,6 +61,34 @@ def test_suite_builds_few_boxed_values(monkeypatch):
     assert built == [], len(built)
     Eisenstein(1, 2)  # the counter itself counts
     assert built == [1]
+
+
+def test_suite_computes_the_overlap_table_once(monkeypatch):
+    """``transition-spectrum``, ``mub-embedding`` and ``pair-bases`` share one
+    overlap table per run: 820 inner products, one per pair s <= t, where
+    each check building its own made 2,460, and at most 5,204 in the whole
+    suite where there were 6,844."""
+    calls = {verify: 0, measurement: 0}
+    for module in calls:
+        def counted(s, t, module=module, original=module.pair_inner):
+            calls[module] += 1
+            return original(s, t)
+
+        monkeypatch.setattr(module, "pair_inner", counted)
+    results = verify.run_checks()
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+    assert calls[verify] == 820
+    assert sum(calls.values()) <= 5204, calls
+
+
+def test_overlap_table_is_shared_and_read_only(config):
+    """One table per configuration, its rows tuples: a check cannot change
+    what the next one reads."""
+    table = verify._overlaps(config)
+    assert verify._overlaps(config) is table
+    assert type(table) is tuple and all(type(row) is tuple for row in table)
+    fresh = verify._overlaps(WittingConfiguration())
+    assert fresh is not table and fresh == table
 
 
 def _built(monkeypatch, cls, method, check, config):
