@@ -51,6 +51,7 @@ ties going to the smaller k (31, 12, 11, 7 for the bounds 4, 40, 36, 324;
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -124,13 +125,9 @@ def _stream(seed: int, stream: int) -> Random:
 
 
 def _digits_per_word(bound: int) -> int:
-    """How many base-``bound`` digits each accepted 64-bit word gives.
-
-    The k <= 63 with ``bound**k < 2**64`` that maximises the expected digits
-    per word, ``k * (2**64 // bound**k * bound**k) / 2**64``, computed
-    exactly; ties go to the smaller k.  The cap 63 is what ends the search
-    for bound 1, whose words are all accepted.
-    """
+    """How many base-``bound`` digits each accepted 64-bit word gives: the k
+    of the module docstring, computed exactly.  The cap 63 is what ends the
+    search for bound 1, whose words are all accepted."""
     best = best_k = 0
     power = bound
     for k in range(1, 64):
@@ -144,13 +141,9 @@ def _digits_per_word(bound: int) -> int:
 
 
 def _uniform(rng: Random, bound: int, n: int) -> np.ndarray:
-    """``n`` exact uniform draws below ``bound`` (at most 2^63) from ``rng``.
-
-    Each accepted word gives ``k = _digits_per_word(bound)`` digits, least
-    significant first; a word at or above ``2**64 // bound**k * bound**k``
-    is rejected, and digits past ``n`` are dropped.  The draws come in the
-    narrowest unsigned dtype that holds ``bound - 1``.
-    """
+    """``n`` exact uniform draws below ``bound`` (at most 2^63) from ``rng``,
+    by the digit rule of the module docstring, in the narrowest unsigned
+    dtype that holds ``bound - 1``."""
     k = _digits_per_word(bound)
     span = bound**k
     limit = (1 << 64) // span * span  # words at or above ``limit`` are rejected
@@ -322,11 +315,13 @@ def _run(
     check_int("seed", seed, 0)
     counts, den = outcome_counts(config, eve_basis)
     tetrads, _, d, _ = counts.shape
-    # Block (a, b) lists outcome pair k = d·i + j counts[a, b, i, j] times, in
-    # order of k: entry u is the first k whose cumulative count exceeds u.
+    if d != 4:
+        raise ValueError(f"{d} outcomes per tetrad, not 4")
+    # Entry (a·tetrads + b)·den + u is the first outcome pair k = 4·i + j
+    # whose cumulative count in counts[a, b] exceeds u.
     outcome_of = np.repeat(
         np.tile(np.arange(d * d, dtype=np.uint8), tetrads * tetrads), counts.ravel()
-    ).reshape(tetrads, tetrads, den)
+    )
     outcome_of.flags.writeable = False
     del counts
     states, per_state = config.tetrads_of_state.shape
@@ -346,10 +341,11 @@ def _run(
             elif state is None:
                 choices.append((party.draw(tetrads, n),))
             else:
-                choices.append((state, config.tetrads_of_state[state, party.draw(per_state, n)]))
+                pick = party.draw(per_state, n)
+                choices.append((state, config.tetrads_of_state.ravel()[state * per_state + pick]))
         alice, bob = choices
         if protocol.announces == "state":
-            shared = config.common_tetrad[alice[0], bob[0]]
+            shared = config.common_tetrad.ravel()[alice[0] * np.uint16(states) + bob[0]]
             sifted = shared >= 0
             measured = sifted
             a_tetrad = b_tetrad = shared[sifted]  # the shared tetrad's own joint
@@ -357,9 +353,15 @@ def _run(
             sifted = alice[-1] == bob[-1]
             measured = slice(None)
             a_tetrad, b_tetrad = alice[-1], bob[-1]
-        flat = outcome_of[a_tetrad, b_tetrad, _uniform(outcome_rng, den, len(a_tetrad))]
+        draw = _uniform(outcome_rng, den, len(a_tetrad))
+        index = np.multiply(a_tetrad, tetrads, dtype=np.int32)  # not 8-byte intp
+        index += b_tetrad
+        index *= den
+        index += draw
+        flat = outcome_of[index]
+        del draw, index  # freed before on_block
         a_out, b_out = np.full(n, -1, np.int8), np.full(n, -1, np.int8)
-        a_out[measured], b_out[measured] = np.divmod(flat, d)
+        a_out[measured], b_out[measured] = flat >> 2, flat & 3
         matched = sifted & (a_out == b_out)
         n_sifted += int(sifted.sum())
         n_matched += int(matched.sum())
@@ -480,6 +482,20 @@ TRANSCRIPT_HEADER = "round,alice_choice,bob_choice,alice_outcome,bob_outcome,sif
 TRANSCRIPT_SLICE_ROWS = 4096
 
 
+@functools.lru_cache(maxsize=4)
+def _cells(sizes: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The read-only cell table of :func:`transcript_csv_rows`, and where its parts end."""
+    outcomes = ["", "0", "1", "2", "3"]  # indexed by outcome + 1
+    parts = [
+        [str(i) for i in range(1000)] + [f"{i:03d}" for i in range(1000)],
+        *(["," + ";".join(map(str, c)) for c in itertools.product(*map(range, s))] for s in sizes),
+        [f",{a},{b},{s},{m}\r\n" for a in outcomes for b in outcomes for s in "01" for m in "01"],
+    ]
+    table = np.array(sum(parts, []), dtype=object)
+    table.flags.writeable = False
+    return table, tuple(itertools.accumulate(map(len, parts)))
+
+
 def transcript_csv_rows(block: RoundBlock, write: Callable[[str], object]) -> None:
     """Write the CSV rows of one block of rounds, one slice of text at a time.
 
@@ -488,40 +504,37 @@ def transcript_csv_rows(block: RoundBlock, write: Callable[[str], object]) -> No
     is joined, so only one slice's cells, index arrays and text are alive
     at a time.  A choice of several values is joined with ";"; an outcome
     nobody measured is empty; lines end in CRLF, as ``csv.writer`` writes
-    them.  Every row is joined from five cells read from small tables of
-    strings, built once per block, so no string is made per round: the
-    round number's thousands, its last three digits, the two choices, and
-    the outcomes with the sift flags.
+    them.  A row is five cells taken from one table of strings, so no
+    string is made per round: the round number's thousands, built per
+    block, then its last three digits, the two choices, and the outcomes
+    with the sift flags, built once per choice size by :func:`_cells`.
     """
     n = len(block.sifted)
     first = block.start // 1000
     high = [str(k) if k else "" for k in range(first, (block.start + n - 1) // 1000 + 1)]
-    low = [str(i) for i in range(1000)] + [f"{i:03d}" for i in range(1000)]
     choices = (block.alice_choice, block.bob_choice)
-    sizes = [[int(column.max()) + 1 for column in choice] for choice in choices]
-    combos = [
-        ["," + ";".join(map(str, combo)) for combo in itertools.product(*map(range, size))]
-        for size in sizes
-    ]
-    outcomes = ["", "0", "1", "2", "3"]  # indexed by outcome + 1
-    tails = [f",{a},{b},{s},{m}\r\n" for a in outcomes for b in outcomes for s in "01" for m in "01"]
-    tables = [np.array(table, dtype=object) for table in (high, low, *combos, tails)]
-    cells = np.empty((min(n, TRANSCRIPT_SLICE_ROWS), len(tables)), dtype=object)
+    sizes = tuple(tuple(int(column.max()) + 1 for column in choice) for choice in choices)
+    cached, ends = _cells(sizes)
+    table = np.concatenate((cached, high))
+    # Columns 2-4 are mixed-radix codes; outcome -1 is code 0, hence the 24.
+    codes = [*zip(choices, sizes, ends), (block[3:], (5, 5, 2, 2), ends[2] + 24)]
+    index = np.empty((min(n, TRANSCRIPT_SLICE_ROWS), 5), np.intp)
+    cells = np.empty(index.shape, dtype=object)
     if block.start == 0:
         write(TRANSCRIPT_HEADER)
     for lo in range(0, n, TRANSCRIPT_SLICE_ROWS):
         part = slice(lo, min(n, lo + TRANSCRIPT_SLICE_ROWS))
-        rows = cells[: part.stop - lo]
-        thousands, units = np.divmod(np.arange(block.start + lo, block.start + part.stop), 1000)
-        indices = [thousands - first, units + 1000 * (thousands > 0)]
-        for choice, size in zip(choices, sizes):
-            index = np.zeros(len(rows), np.intp)
-            for column, bound in zip(choice, size):
-                index = index * bound + column[part]
-            indices.append(index)
-        a = block.alice_outcome[part].astype(np.intp) + 1
-        b = block.bob_outcome[part].astype(np.intp) + 1
-        indices.append((a * 5 + b) * 4 + block.sifted[part] * 2 + block.matched[part])
-        for j, (table, index) in enumerate(zip(tables, indices)):
-            rows[:, j] = table[index]
-        write("".join(rows.ravel().tolist()))
+        rows, out = index[: part.stop - lo], cells[: part.stop - lo]
+        number = np.arange(block.start + lo, block.start + part.stop)
+        thousands = number // 1000
+        rows[:, 0] = thousands + (ends[3] - first)
+        rows[:, 1] = number - 1000 * thousands + 1000 * (thousands > 0)
+        for j, (values, bounds, offset) in enumerate(codes, 2):
+            code = np.zeros(len(rows), np.int32)  # contiguous, unlike rows[:, j]
+            for value, bound in zip(values, bounds):
+                code *= bound
+                code += value[part]
+            rows[:, j] = code + offset
+        # Every index is in range, and mode "raise" would buffer ``out``.
+        table.take(rows, out=out, mode="clip")
+        write("".join(out.ravel().tolist()))

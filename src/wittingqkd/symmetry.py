@@ -181,11 +181,7 @@ def generators(config: WittingConfiguration) -> tuple[SymmetryElement, ...]:
 
 
 class _Vertices:
-    """The 240 polytope vertices as one integer array, with lookups.
-
-    ``m`` is ``config.vertex_array()``, the sqrt(3)-scaled vertices, shape
-    (240, 4, 2): vertex 6 s + u is UNITS[u] times state s.
-    """
+    """The 240 polytope vertices, ``m = config.vertex_array()``, with lookups."""
 
     def __init__(self, config: WittingConfiguration):
         self.m = config.vertex_array()
@@ -306,16 +302,18 @@ def _chain(gens: np.ndarray, base: np.ndarray) -> list[np.ndarray]:
     return chain
 
 
+@functools.lru_cache(maxsize=1)
+def _shared(config: WittingConfiguration) -> tuple[_Vertices, tuple[SymmetryElement, ...]]:
+    """The last configuration's vertex index and checked generators."""
+    return _Vertices(config), generators(config)
+
+
 def _closure(
     config: WittingConfiguration, elements: Iterable[SymmetryElement]
 ) -> GroupTable:
-    """The group the given elements generate, by a stabiliser chain on the axes.
-
-    Only the identity fixes all four axes, so each element is one product
-    t_0 t_1 t_2 t_3 of a row from each level, and its key is that product's
-    images of the axes: one gather per level, last to first, and one sort.
-    """
-    vertices = _Vertices(config)
+    """The group the given elements generate: the products t_0 t_1 t_2 t_3 of
+    a row per level of their chain on the axes, which only the identity fixes."""
+    vertices = _shared(config)[0]
     gens = np.array([vertices.permutation(g) for g in elements])  # (k, 240) uint8
     images = vertices.axes[None, :]
     for trans in reversed(_chain(gens, vertices.axes)):
@@ -386,12 +384,12 @@ class GroupTable:
 
 def generate_group(config: WittingConfiguration) -> GroupTable:
     """Closure of the four generators, by a stabiliser chain on the axes."""
-    return _closure(config, generators(config))
+    return _closure(config, _shared(config)[1])
 
 
 def reflection_group_order(config: WittingConfiguration) -> int:
     """Order of the group the four raw triflections generate (no det scaling)."""
-    vertices = _Vertices(config)
+    vertices = _shared(config)[0]
     raw = [vertices.permutation(triflection(config.state_of(c))) for c in GENERATOR_CARDS]
     return math.prod(map(len, _chain(np.array(raw), vertices.axes)))
 

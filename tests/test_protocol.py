@@ -299,6 +299,51 @@ def test_transcript_cells_match_csv_writer_row_by_row():
         assert got == _csv_writer_text(block).splitlines(keepends=True)
 
 
+def _block(start, alice_choice, bob_choice, seed):
+    """A block of random outcomes and flags (not a session's) for these choices."""
+    rng = np.random.default_rng(seed)
+    n = len(alice_choice[0])
+    outcomes = rng.integers(-1, 4, (2, n)).astype(np.int8)
+    flags = rng.integers(0, 2, (2, n)).astype(bool)
+    return protocol_mod.RoundBlock(start, alice_choice, bob_choice, *outcomes, *flags)
+
+
+def test_transcript_cells_for_choices_short_of_their_bound():
+    # The cell table is sized by each column's largest value, so a block
+    # whose states stop at 4, or whose tetrads stop at 20, reads a smaller
+    # table than a full block; its rows are still csv.writer's.
+    rng = np.random.default_rng(33)
+    n = 3 * 1000 + 17
+
+    def column(high):
+        return rng.integers(0, high, n, np.uint8)
+
+    blocks = [
+        _block(0, (column(5),), (column(5),), 1),  # key agreement, states 0-4
+        _block(BLOCK_ROUNDS, (column(40), column(21)), (column(40), column(21)), 2),
+        _block(2 * BLOCK_ROUNDS, (column(1),), (column(40),), 3),  # one value only
+    ]
+    for block in blocks:
+        out = io.StringIO()
+        transcript_csv_rows(block, out.write)
+        got = out.getvalue().splitlines(keepends=True)
+        assert got == _csv_writer_text(block).splitlines(keepends=True)
+
+
+def test_cell_table_cache_stays_bounded():
+    cache = protocol_mod._cells
+    cache.cache_clear()
+    for size in range(1, 11):  # ten distinct size signatures
+        choice = (np.arange(size, dtype=np.uint8),)
+        block = _block(0, choice, choice, size)
+        transcript_csv_rows(block, io.StringIO().write)
+    info = cache.cache_info()
+    assert info.misses == 10 and info.currsize == info.maxsize == 4, info
+    # A repeated signature reads the cached table and builds nothing.
+    transcript_csv_rows(block, io.StringIO().write)
+    assert cache.cache_info().hits == info.hits + 1
+
+
 def test_channel_messages_logged(config):
     # Key agreement announces states and sifts on a common tetrad; the naive
     # protocol announces tetrads and sifts on equality.
@@ -385,11 +430,12 @@ def test_key_memory_is_flat_in_rounds(config, tmp_path):
 )
 @pytest.mark.parametrize("transcript, limit_mb", [(True, 2.5), (False, 1.5)])
 def test_block_working_set_is_pinned(config, tmp_path, protocol, eve_basis, transcript, limit_mb):
-    # Per-round arrays are one byte wide (draws, choices, outcomes), and the
-    # transcript's index arrays and text live one slice at a time: 1.4-1.9 MB
-    # with a transcript and 0.6-1.2 MB without.  The limits sit below what
-    # 8-byte arrays and block-wide index arrays take (7.9-9.5 MB and 2.4-3.6
-    # MB) and, with a transcript, below a block's whole text (2.6-3.5 MB).
+    # Per-round arrays are one byte wide (draws, choices, outcomes), the
+    # outcome read's index four, and the transcript's index arrays and text
+    # live one slice at a time: 1.3-2.3 MB with a transcript and 0.7-1.5 MB
+    # without, from a fresh process.  The limits sit below what 8-byte
+    # arrays and block-wide index arrays take (7.9-9.5 MB and 2.4-3.6 MB)
+    # and, with a transcript, below a block's whole text (2.6-3.5 MB).
     path = tmp_path / "rounds.csv"
     peak = _peak_bytes(config, BLOCK_ROUNDS, path, protocol, eve_basis, transcript)
     assert peak < limit_mb * 1e6, peak
@@ -397,8 +443,15 @@ def test_block_working_set_is_pinned(config, tmp_path, protocol, eve_basis, tran
 
 # Transcript digests of fixed command lines, beside the key-agreement one
 # in test_golden.py: two-step writes its (state;tetrad) choice cells, and
-# runs under Eve write mismatched rounds.
+# runs under Eve write mismatched rounds.  The 70000-round runs cross a
+# block boundary, so they pin the outcome reads past block 0; key agreement
+# reads outcomes only on its sifted rounds.
 TRANSCRIPT_CSV_SHA256 = {
+    "simulate --protocol naive --rounds 70000 --seed 3 --eve 28 --transcript":
+        "d8bf859e4568acfa138f9d8da5a369c4ce8dafae478c3d74748738f1cca7af67",
+    "simulate --protocol key-agreement --rounds 70000 --seed 3 --policy correlated:9/10"
+    " --transcript":
+        "48b515cb37f0b8e0573b912602e6521ee0bc9cb974d34e2949ef8c679f3c9afa",
     "simulate --protocol two-step --rounds 20000 --seed 7 --transcript":
         "b494610060cf581639382cd792559e2072e124d98a12ef3b859ca082d3799649",
     "simulate --protocol naive --rounds 20000 --seed 7 --eve 15 --transcript":
@@ -408,8 +461,13 @@ TRANSCRIPT_CSV_SHA256 = {
     "simulate --protocol key-agreement --rounds 20000 --seed 7 --eve 15 --transcript":
         "ad251afa1d1182577d40b84ea1352a9dc3c089a3566c4182e96d2bb73a65fb9f",
 }
-# Stdout digests of the runs under Eve that test_golden.py does not pin.
-EVE_STDOUT_SHA256 = {
+# Stdout digests of the runs above that test_golden.py does not pin.
+STDOUT_SHA256 = {
+    "simulate --protocol naive --rounds 70000 --seed 3 --eve 28 --transcript":
+        "20fab2d74298c7d61990f48805fdd68c5ccc7502e19169d5e431035b719af382",
+    "simulate --protocol key-agreement --rounds 70000 --seed 3 --policy correlated:9/10"
+    " --transcript":
+        "bef77d72f28968af744ca07cfd7eb36b42c0bb2d3e1635059165063462fad7ff",
     "simulate --protocol two-step --rounds 20000 --seed 7 --eve 15 --transcript":
         "9ebeb0f7f2949022976c2be2c9d68418fed51bd2c4ca043d9501045017b576a4",
     "simulate --protocol key-agreement --rounds 20000 --seed 7 --eve 15 --transcript":
@@ -423,8 +481,8 @@ def test_transcript_csv_digest(capsys, tmp_path, line):
     assert main(line.split() + [str(path)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TRANSCRIPT_CSV_SHA256[line]
-    if line in EVE_STDOUT_SHA256:
-        assert hashlib.sha256(out.encode()).hexdigest() == EVE_STDOUT_SHA256[line]
+    if line in STDOUT_SHA256:
+        assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[line]
 
 
 # -- exact count tables ------------------------------------------------------------

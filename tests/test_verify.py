@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wittingqkd import WittingConfiguration, measurement, verify
+from wittingqkd import WittingConfiguration, measurement, symmetry, verify
 from wittingqkd.configuration import ring_mul
 from wittingqkd.eisenstein import Eisenstein
 
@@ -79,6 +79,28 @@ def test_suite_computes_the_overlap_table_once(monkeypatch):
     assert all(r.passed for r in results), [r for r in results if not r.passed]
     assert calls[verify] == 820
     assert sum(calls.values()) <= 5204, calls
+
+
+def test_suite_builds_the_vertex_index_and_generators_once(monkeypatch):
+    """The two closures, ``symmetry-group`` and ``reflection-group``, share
+    one vertex index and one check of the four generators per run; each
+    built its own before."""
+    calls = {"_Vertices": 0, "generators": 0}
+    init, generators = symmetry._Vertices.__init__, symmetry.generators
+
+    def counted_init(self, config):
+        calls["_Vertices"] += 1
+        init(self, config)
+
+    def counted_generators(config):
+        calls["generators"] += 1
+        return generators(config)
+
+    monkeypatch.setattr(symmetry._Vertices, "__init__", counted_init)
+    monkeypatch.setattr(symmetry, "generators", counted_generators)
+    results = verify.run_checks()
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+    assert calls == {"_Vertices": 1, "generators": 1}
 
 
 def test_overlap_table_is_shared_and_read_only(config):
