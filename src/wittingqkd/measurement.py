@@ -19,11 +19,14 @@ the pair, on (a, b) int pairs through :func:`~wittingqkd.eisenstein.pair_inner`,
 without numpy, taking and returning integer (weights, den) pairs; one
 integer recomposition mixes a two-step measurement's branches back.  Its
 vectors are unnormalised with an explicit power-of-sqrt(3) scale, so no
-irrational number ever appears.
+irrational number ever appears.  Each sub-result is computed once per
+configuration, so per ``verify`` run: a table of the tetrads' vectors and
+bounded caches of the queries (128) and of Alice's split (16).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -157,13 +160,18 @@ class QuquartState:
         return cls(state.pairs, 1)  # scaled vectors have norm^2 3
 
 
-def _tetrad(config: WittingConfiguration, basis: int, conj: bool = False) -> tuple[Pairs, ...]:
-    """Member vectors of a tetrad, in announcement order; with ``conj`` their
-    componentwise conjugates, the states Bob measures."""
-    _check_tetrad(config, basis)
-    vecs = tuple(config.states[i].pairs for i in config.basis_states[basis])
+@functools.lru_cache(maxsize=1)
+def _tetrads(config: WittingConfiguration) -> tuple[tuple[tuple[Pairs, ...], ...], ...]:
+    """Each tetrad's member vectors in announcement order, then their conjugates."""
+    plain = tuple(tuple(config.states[i].pairs for i in m) for m in config.basis_states)
     # conj(a + bw) = (a - b) - bw
-    return tuple(tuple((a - b, -b) for a, b in v) for v in vecs) if conj else vecs
+    return plain, tuple(tuple(tuple((a - b, -b) for a, b in v) for v in t) for t in plain)
+
+
+def _tetrad(config: WittingConfiguration, basis: int, conj: bool = False) -> tuple[Pairs, ...]:
+    """One tetrad of :func:`_tetrads`, checked first."""
+    _check_tetrad(config, basis)
+    return _tetrads(config)[1 if conj else 0][basis]
 
 
 def _probe(config: WittingConfiguration, probe: Card, basis: int) -> int:
@@ -182,9 +190,9 @@ def _split(v: Pairs, amps: Pairs) -> tuple[tuple[int, int], Pairs, Pairs]:
     p, q = c = pair_inner(v, amps)
     yes = tuple((p * a - q * b, p * b + q * a - q * b) for a, b in v)
     no = tuple((3 * x - a, 3 * y - b) for (x, y), (a, b) in zip(amps, yes))
-    if (3 * max(abs(n) for pair in amps for n in pair) > MAGNITUDE_BOUND
-            or max(abs(n) for pair in yes + no for n in pair) > MAGNITUDE_BOUND):
-        raise OverflowError("query branch exceeds 2**20")
+    for (x, y), (a, b), (m, n) in zip(amps, yes, no):
+        if max(3 * abs(x), 3 * abs(y), abs(a), abs(b), abs(m), abs(n)) > MAGNITUDE_BOUND:
+            raise OverflowError("query branch exceeds 2**20")
     return c, yes, no
 
 
@@ -194,11 +202,11 @@ def _born(products: Iterable[tuple[int, int]], den: int) -> Counts:
     the amplitudes times 3 per side measured, 0 only for the zero state."""
     if den == 0:
         raise ValueError("cannot measure the zero state")
-    return tuple(a * a - a * b + b * b for a, b in products), den
+    return tuple([a * a - a * b + b * b for a, b in products]), den
 
 
 def _sq(amps: Pairs) -> int:
-    return sum(a * a - a * b + b * b for a, b in amps)
+    return sum([a * a - a * b + b * b for a, b in amps])
 
 
 def _mix(parts: Iterable[tuple[int, int, Counts | None]], size: int) -> Counts:
@@ -234,9 +242,17 @@ def delayed_query(state: QuquartState, probe: ProjectiveState) -> DelayedQueryRe
     return DelayedQueryResult((weights, den), *posts)
 
 
+@functools.lru_cache(maxsize=128)
+def _query(
+    config: WittingConfiguration, state: QuquartState, probe: ProjectiveState
+) -> DelayedQueryResult:
+    """:func:`delayed_query`, per configuration."""
+    return delayed_query(state, probe)
+
+
 def _measure(vectors: tuple[Pairs, ...], amps: Pairs) -> Counts:
     """Born weights of measuring ``amps`` in the given vectors, over their denominator."""
-    return _born((pair_inner(v, amps) for v in vectors), 3 * _sq(amps))
+    return _born([pair_inner(v, amps) for v in vectors], 3 * _sq(amps))
 
 
 def one_step_counts(config: WittingConfiguration, basis: int, state: QuquartState) -> Counts:
@@ -272,7 +288,7 @@ def two_step_distribution(
     """
     _probe(config, probe, basis)
     vectors = _tetrad(config, basis)
-    q = delayed_query(state, config.state_of(probe))
+    q = _query(config, state, config.state_of(probe))
     posts = (q.post_yes, q.post_no)
     branches = tuple(p and _measure(vectors, p.amps) for p in posts)
     return TwoStepBreakdown(q.query, *posts, branches)
@@ -315,6 +331,12 @@ class JointState:
         return _born(products, 9 * self.weight)
 
 
+@functools.lru_cache(maxsize=16)
+def _alice_split(config: WittingConfiguration, probe: Pairs) -> tuple[JointState, JointState]:
+    """Alice's query on the entangled pair, per configuration."""
+    return JointState.entangled_pair()._split(probe, "alice")
+
+
 @dataclass(frozen=True)
 class TwoStepBranch:
     """One yes/no branch: probability ``weight / total`` and, unless that is
@@ -346,7 +368,7 @@ def two_step_joint_branches(
     pa, pb = av[_probe(config, alice_probe, alice_basis)], bv[_probe(config, bob_probe, bob_basis)]
     start = JointState.entangled_pair()
     branches = []
-    for alice_branch, a_state in zip("yn", start._split(pa, "alice")):
+    for alice_branch, a_state in zip("yn", _alice_split(config, pa)):
         for bob_branch, state in zip("yn", a_state._split(pb, "bob")):
             total = start.weight * 3 ** (state.scale - start.scale)
             counts = state.measurement_counts(av, bv) if state.weight else None

@@ -4,7 +4,8 @@ from random import Random
 
 import pytest
 
-from wittingqkd.configuration import Card
+from wittingqkd import measurement
+from wittingqkd.configuration import Card, WittingConfiguration
 from wittingqkd.eisenstein import MAGNITUDE_BOUND, ZERO, Eisenstein
 from wittingqkd.measurement import (
     JointDistribution,
@@ -21,6 +22,7 @@ from wittingqkd.measurement import (
     two_step_distribution,
     two_step_joint_branches,
 )
+from wittingqkd.verify import _check_deferred_measurement, _check_joint_two_step
 
 QUARTER = Fraction(1, 4)
 
@@ -343,6 +345,46 @@ def test_reference_rejects_bad_tetrad_ids(config, call, tetrad):
     state = QuquartState.from_state(config.states[0])
     with pytest.raises(ValueError, match="tetrad id"):
         _REFERENCE_CALLS[call](config, tetrad, probe, state)
+
+
+def test_warm_caches_keep_the_tetrad_id_checks(config):
+    """The shared tetrad table and the query cache are filled by valid ids
+    first; the same bad ids are refused afterwards, whatever ran before."""
+    state = QuquartState.from_state(config.states[0])
+    for call in _REFERENCE_CALLS.values():
+        for t in (1, 2, 39):
+            call(config, t, config.bases[t].members[0], state)
+    for call in _REFERENCE_CALLS.values():
+        for tetrad in (True, 2.0, -1, 40):
+            probe = config.bases[int(tetrad) % 40].members[0]
+            with pytest.raises(ValueError, match="tetrad id"):
+                call(config, tetrad, probe, state)
+
+
+def test_verify_shares_each_reference_sub_result(config):
+    """deferred-measurement makes one query per (input, card), 2 x 40, and
+    builds the tetrad table once; joint-two-step splits the pair once per
+    Alice probe.  A new configuration, as each ``verify`` run builds, shares
+    nothing with the last."""
+    caches = (measurement._tetrads, measurement._query, measurement._alice_split)
+    for cache in caches:
+        cache.cache_clear()
+    for fresh, configs in ((config, 1), (config, 1), (WittingConfiguration(), 2)):
+        _check_deferred_measurement(fresh)
+        _check_joint_two_step(fresh)
+        misses = [cache.cache_info().misses for cache in caches]
+        assert misses == [configs * n for n in (1, 80, 4)], misses
+    assert measurement._query.cache_info().hits == 240 * 2 + 320
+
+
+def test_a_query_past_the_bound_raises_on_every_call(config):
+    """An exception is never cached: each repeated call recomputes and raises."""
+    state = QuquartState(((0, 0), (MAGNITUDE_BOUND // 3 + 1, 0), (0, 0), (0, 0)))
+    size = measurement._query.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(OverflowError, match="query branch exceeds"):
+            two_step_distribution(config, Card("S", 2), config.bases_of(Card("S", 2))[0], state)
+    assert measurement._query.cache_info().currsize == size
 
 
 def _pairs_tetrad(config, t, conjugated=False):
