@@ -22,18 +22,17 @@ first nonzero coordinate has the lexicographically smallest (a, b) pair.
 The axis states are stored via the in-ring multiple i*sqrt(3) = 1 + 2w, so
 e.g. (sqrt(3),0,0,0) is represented by the class of ((1,2),0,0,0).
 
-The build runs on one integer array: the 40 canonical vectors as a
-(40, 4, 2) array of (a, b) pairs, with Z[w] products, conjugates and
-canonical phases computed elementwise (:func:`ring_mul`, :func:`ring_conj`,
-:func:`canonical_rows`) and the transition table as one integer Gram
-product (:func:`ring_matmul`).  Everything else is read off that table:
-the orthogonality graph, the 40 tetrads (each orthogonal pair and its two
-common orthogonal states), the session tables, and the MUB slices (the
-tetrads through an axis state).  The symmetry group computes with the same
-functions.  Each ``ProjectiveState`` holds its vector as ``pairs``, the
-(a, b) int rows of ``vector_array`` that the Z[w] reference in
-``measurement`` reads.  Boxed :class:`Eisenstein` vectors appear only at
-the API edge (``ProjectiveState.vector``, built on first access,
+The build parses the states and the family templates in one token pass,
+canonicalises them and the states' conjugates in one :func:`canonical_rows`
+call, compares vector sets as integer keys and takes the transition table
+as one Gram product (:func:`ring_matmul`).  Everything else is read off
+that table: the orthogonality graph, the 40 tetrads (each orthogonal pair
+and its two common orthogonal states), the session tables, and the MUB
+slices (the tetrads through an axis state).  The symmetry group computes
+with the same functions.  Each ``ProjectiveState`` holds its vector as
+``pairs``, the (a, b) int rows of ``vector_array`` that the Z[w] reference
+in ``measurement`` reads.  Boxed :class:`Eisenstein` vectors appear only
+at the API edge (``ProjectiveState.vector``, built on first access,
 :func:`canonical_phase`, ``expand_vertices``).
 """
 
@@ -42,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -58,17 +58,9 @@ class ConfigurationError(RuntimeError):
     """Raised when the embedded tables fail a structural self-check."""
 
 
-# Vector tokens: w = omega, W = conj(omega) = omega^2, R = i*sqrt(3) = 1 + 2w.
-_TOKENS = {
-    "0": (0, 0),
-    "1": (1, 0),
-    "-1": (-1, 0),
-    "w": (0, 1),
-    "-w": (0, -1),
-    "W": (-1, -1),
-    "-W": (1, 1),
-    "R": (1, 2),
-}
+# Vector tokens (w = omega, W = omega^2, R = i*sqrt(3) = 1 + 2w) as rows of _TOKEN_PAIRS.
+_TOKENS = dict(zip("0 1 -1 w -w W -W R".split(), range(8)))
+_TOKEN_PAIRS = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1), (1, 2)])
 
 # Block numbering: per column, rows 0..9 (sqrt(3)-scaled coordinates).
 _BLOCK_TABLE = (
@@ -115,8 +107,13 @@ def check_int(name: str, value: object, low: int, high: int | None = None) -> No
         raise ValueError(f"{name} must be an int {bound}, got {value!r}")
 
 
-def _parse_pairs(text: str) -> list[tuple[int, int]]:
-    return [_TOKENS[t] for t in text.split()]
+_FAMILIES = tuple(  # of block columns 0..3, with w^m, w^n (m, n in 0..2) as tokens
+    f.format(m, n) for f in ("0 1 -{} {}", "1 0 -{} -{}", "1 -{} 0 {}", "1 {} {} 0")
+    for m in "1wW" for n in "1wW"
+)
+_CARDS = tuple(Card(suit, rank) for suit in SUITS for rank in RANKS)  # by state index
+_DIGITS = np.array([8**k for k in range(8)])
+_CONJUGATE = np.array([_CARDS.index((c.suit, RANK_CONJUGATION[c.rank])) for c in _CARDS])
 
 
 # -- Z[w] on integer arrays: the last axis holds the (a, b) of a + b*w ----------
@@ -172,19 +169,13 @@ def _best_unit(lead: np.ndarray) -> np.ndarray:
     return b_where_a_least.argmin(axis=-1)
 
 
-def vector_set(vectors: np.ndarray) -> set[tuple[int, ...]]:
-    """The vectors of a (..., n, 2) integer array as a set of flat int tuples."""
-    flat = vectors.reshape(-1, vectors.shape[-2] * 2)
-    return set(map(tuple, flat.tolist()))
+def vector_keys(vectors: np.ndarray) -> np.ndarray:
+    """One int per (4, 2) vector, its entries + 3 as base-8 digits: exact for norms <= 3."""
+    return (vectors.reshape(*vectors.shape[:-2], 8) + 3) @ _DIGITS
 
 
 def canonical_phase(vector: Iterable[Eisenstein]) -> Vector:
-    """Canonical representative among the six unit multiples of ``vector``.
-
-    The chosen multiple is the one whose first nonzero coordinate has the
-    smallest (a, b) pair; the unit group acts freely on nonzero ring
-    elements, so the minimum is unique.
-    """
+    """Canonical representative among the six unit multiples of ``vector``."""
     vec = tuple(vector)
     lead = next((x for x in vec if not x.is_zero()), None)
     if lead is None:
@@ -229,24 +220,13 @@ class Basis:
 _TAGS = ("rank-tetrad", "mixed-suit", "mono-suit")  # in tetrad id order
 
 
-def _tag_of(cards: tuple[Card, ...]) -> str:
-    nsuits = len({c.suit for c in cards})
-    if nsuits == 1:
-        return "mono-suit"
-    if nsuits == 4:
-        if len({c.rank for c in cards}) == 1:
-            return "rank-tetrad"
-        return "mixed-suit"
-    raise ConfigurationError(f"tetrad with {nsuits} suits: {cards}")
-
-
 class WittingConfiguration:
     """The full 40-state configuration, verified on construction.
 
     Construction parses both embedded tables, cross-checks them against each
-    other and the generative families, checks the orthogonality graph,
-    enumerates the 40 orthogonal tetrads and checks every structural count.
-    The resulting object is immutable and safe to share between threads; its
+    other, the generative families and conjugation, checks the orthogonality
+    graph, enumerates the 40 orthogonal tetrads and checks every structural
+    count.  The object is immutable and safe to share between threads; its
     ``adjacency`` is built on first access, so a race can only build it twice.
 
     Integer arrays, all read-only and indexed by state index:
@@ -261,49 +241,56 @@ class WittingConfiguration:
     """
 
     def __init__(self) -> None:
-        placed: list[tuple[Card, tuple[int, int]]] = []
-        rows = []
-        for si, suit in enumerate(SUITS):
-            for rank in RANKS:
-                text, row = _CARD_TABLE[rank][si]
-                if _BLOCK_TABLE[si][row] != text:
-                    raise ConfigurationError(
-                        f"card table {suit}{rank} disagrees with block ({si},{row})"
-                    )
-                placed.append((Card(suit, rank), (si, row)))
-                rows.append(_parse_pairs(text))
-        raw = np.array(rows, dtype=np.int64)
-        bad = ring_norm(raw).sum(axis=1) != 3
+        # (text, block row) by state index: suit i // 10, rank i % 10 + 1.
+        placed = [_CARD_TABLE[rank][si] for si in range(4) for rank in RANKS]
+        for i, (text, row) in enumerate(placed):
+            if _BLOCK_TABLE[i // 10][row] != text:
+                raise ConfigurationError(
+                    f"card table {_CARDS[i].label} disagrees with block ({i // 10},{row})"
+                )
+        # Rows 0..39 the states, 40..75 the families.
+        texts = " ".join([text for text, _ in placed] + [*_FAMILIES])
+        raw = _TOKEN_PAIRS[[_TOKENS[t] for t in texts.split()]].reshape(76, 4, 2)
+        bad = ring_norm(raw[:40]).sum(axis=1) != 3
         if bad.any():
-            raise ConfigurationError(f"state {placed[bad.argmax()][0].label} has norm^2 != 3")
-        self.vector_array = _frozen(canonical_rows(raw))
+            raise ConfigurationError(f"state {_CARDS[bad.argmax()].label} has norm^2 != 3")
+        # Rows 76..115 the states' conjugates; _check_families reads the keys.
+        canonical = canonical_rows(np.concatenate((raw, ring_conj(raw[:40]))))
+        self._keys = vector_keys(canonical)
+        self.vector_array = _frozen(canonical[:40])
         self.states: tuple[ProjectiveState, ...] = tuple(
-            ProjectiveState(tuple(map(tuple, vec)), card, block)
-            for vec, (card, block) in zip(self.vector_array.tolist(), placed)
+            ProjectiveState(tuple(map(tuple, vec)), card, (i // 10, row))
+            for i, (vec, card, (_, row)) in enumerate(zip(canonical[:40].tolist(), _CARDS, placed))
         )
-        self._by_card = {s.card: s for s in self.states}
-        if len(vector_set(self.vector_array)) != 40:
+        self._by_card = dict(zip(_CARDS, self.states))
+        if len(set(self._keys[:40].tolist())) != 40:
             raise ConfigurationError("states are not projectively distinct")
         self._check_families()
 
         # transition_array[i, j] = 9 |<s_i|s_j>|^2 in {0, 3, 9}, by state
         # index: every Born probability between states is an entry over 9.
         self.transition_array = _frozen(self._build_table())
-        self.bases: tuple[Basis, ...] = self._tetrads()
+        members, tags = self._tetrads()
         # Member state indices of each tetrad, in announcement order.
-        self.basis_states: _Table = tuple(
-            tuple(self._by_card[c].index for c in b.members) for b in self.bases
+        self.basis_states: _Table = tuple(map(tuple, members.tolist()))
+        self.bases: tuple[Basis, ...] = tuple(
+            Basis(i, _TAGS[tag], itemgetter(*m)(_CARDS))
+            for i, (tag, m) in enumerate(zip(tags.tolist(), self.basis_states))
         )
-        members = np.array(self.basis_states)
-        owner = np.repeat(np.arange(40, dtype=np.uint8), 4)  # tetrad id of each entry of members
-        by_state = members.ravel().argsort(kind="stable")
-        self.tetrads_of_state = _frozen(owner[by_state].reshape(40, 4))
+        by_state = members.ravel().argsort(kind="stable") // 4  # entry k is in tetrad k // 4
+        self.tetrads_of_state = _frozen(by_state.astype(np.uint8).reshape(40, 4))
         # Each tetrad's 16 ordered pairs of members; the diagonal is refilled.
         common = np.full((40, 40), -1, np.int8)
         common[members[:, :, None], members[:, None, :]] = np.arange(40)[:, None, None]
         np.fill_diagonal(common, self.tetrads_of_state[:, 0])  # the lowest of four
         self.common_tetrad = _frozen(common)
-        self._check_conjugation()
+        bad = self._keys[76:] != self._keys[_CONJUGATE]
+        if bad.any():
+            i = bad.argmax()
+            raise ConfigurationError(
+                f"conjugate of {_CARDS[i].label} is not {_CARDS[_CONJUGATE[i]].label}"
+            )
+        del self._keys
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
@@ -313,24 +300,16 @@ class WittingConfiguration:
     # -- construction helpers -------------------------------------------------
 
     def _check_families(self) -> None:
-        """Block columns must reproduce the four generative nine-state families."""
-        block = np.array([[_parse_pairs(t) for t in column] for column in _BLOCK_TABLE])
-        axes = np.eye(4, dtype=np.int64)[:, :, None] * np.array((1, 2))
-        w_pow = np.array([(1, 0), (0, 1), (-1, -1)])
-        m, n = np.divmod(np.arange(9), 3)
-        wm, wn = w_pow[m], w_pow[n]
-        one, zero = np.broadcast_to(w_pow[0], (9, 2)), np.zeros((9, 2), np.int64)
-        families = np.stack([
-            np.stack((zero, one, -wm, wn), axis=1),
-            np.stack((one, zero, -wm, -wn), axis=1),
-            np.stack((one, -wm, zero, wn), axis=1),
-            np.stack((one, wm, wn, zero), axis=1),
-        ])
-        expected, got = canonical_rows(families), canonical_rows(block[:, 1:])
-        for col in range(4):
-            if not (block[col, 0] == axes[col]).all():
+        """Block columns must reproduce the four generative nine-state families.
+
+        The states are distinct here, so each block entry is one state's text.
+        """
+        at = sorted(range(40), key=lambda i: self.states[i].block)  # state by block entry
+        block, family = self._keys[at].reshape(4, 10), self._keys[40:76].reshape(4, 9)
+        for col, column in enumerate(_BLOCK_TABLE):
+            if column[0].split() != ["R" if k == col else "0" for k in range(4)]:
                 raise ConfigurationError(f"block ({col},0) is not the axis state")
-            if vector_set(got[col]) != vector_set(expected[col]):
+            if set(block[col, 1:].tolist()) != set(family[col].tolist()):
                 raise ConfigurationError(f"block column {col} mismatches its family")
 
     def _build_table(self) -> np.ndarray:
@@ -349,8 +328,8 @@ class WittingConfiguration:
             raise ConfigurationError(f"orthogonality graph not 12-regular: {degrees}")
         return table
 
-    def _tetrads(self) -> tuple[Basis, ...]:
-        """The 40 orthogonal tetrads, read off the transition table, in id order.
+    def _tetrads(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 40 orthogonal tetrads off the table: members and tags, in id order.
 
         Every orthogonal pair s < t must have exactly two common orthogonal
         states u < v, and they must be orthogonal to each other.  Then
@@ -378,26 +357,20 @@ class WittingConfiguration:
             raise ConfigurationError(
                 f"orthogonal pair {a}, {b}: common orthogonal states are not one orthogonal pair"
             )
-        quads = np.stack((s, t, u, v), axis=1)[t < u].tolist()
-        tetrads = sorted(
-            (tuple(self.states[i].card for i in q) for q in quads),
-            key=lambda m: (_TAGS.index(_tag_of(m)), SUITS.index(m[0].suit), [c.rank for c in m]),
-        )
-        tags = [_tag_of(m) for m in tetrads]
-        counts = [tags.count(tag) for tag in _TAGS]
+        quads = np.stack((s, t, u, v), axis=1)[t < u]
+        suits, ranks = np.divmod(quads, 10)
+        steps = (np.diff(suits) != 0).sum(axis=1)  # suits - 1, as suits ascend
+        split = (steps != 0) & (steps != 3)
+        if split.any():
+            i = split.argmax()
+            members = itemgetter(*quads[i])(_CARDS)
+            raise ConfigurationError(f"tetrad with {steps[i] + 1} suits: {members}")
+        tags = np.where(steps == 0, 2, (ranks != ranks[:, :1]).any(axis=1))  # as in _TAGS
+        order = np.lexsort((*ranks.T[::-1], suits[:, 0], tags))
+        counts = np.bincount(tags, minlength=3).tolist()
         if counts != [10, 18, 12]:
             raise ConfigurationError(f"tetrad tags off: {counts[0]}/{counts[1]}/{counts[2]}")
-        return tuple(Basis(i, tag, m) for i, (tag, m) in enumerate(zip(tags, tetrads)))
-
-    def _check_conjugation(self) -> None:
-        v = self.vector_array
-        images = [self._by_card[self.conjugate_card(s.card)] for s in self.states]
-        bad = (canonical_rows(ring_conj(v)) != v[[t.index for t in images]]).any(axis=(1, 2))
-        if bad.any():
-            i = bad.argmax()
-            raise ConfigurationError(
-                f"conjugate of {self.states[i].card.label} is not {images[i].card.label}"
-            )
+        return quads[order], tags[order]
 
     # -- queries ---------------------------------------------------------------
 
@@ -418,7 +391,7 @@ class WittingConfiguration:
     def vertex_array(self) -> np.ndarray:
         """The 240 polytope vertices, (240, 4, 2): vertex 6 s + u is UNITS[u] times state s."""
         vertices = ring_mul(UNIT_PAIRS[:, None], self.vector_array[:, None]).reshape(-1, 4, 2)
-        if len(vector_set(vertices)) != 240:
+        if len(set(vector_keys(vertices).tolist())) != 240:
             raise ConfigurationError("the unit multiples of the states are not 240 vertices")
         return vertices
 

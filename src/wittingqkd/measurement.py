@@ -104,7 +104,10 @@ def outcome_counts(
     """
     table, den = _state_table(config, eve_basis)
     members = np.array(config.basis_states)  # (tetrads, d) state indices
-    return table[members[:, None, :, None], members[None, :, None, :]], den
+    # int32 (entries <= den) up to the final copy: a second 200 KB array would make
+    # malloc trim the heap each call and fault its pages in again.
+    counts = table.astype(np.int32).take(members, 0).take(members, 2)  # [a, i, b, j]
+    return counts.transpose(0, 2, 1, 3).astype(np.int64, order="C"), den
 
 
 def _block(

@@ -42,7 +42,7 @@ from .configuration import (
     ring_conj,
     ring_mul,
     ring_norm,
-    vector_set,
+    vector_keys,
 )
 from .eisenstein import pair_inner
 from .marking import (
@@ -172,8 +172,7 @@ def _check_columns(columns: np.ndarray) -> str:
         phases = np.where(support[:, None], ring_mul(candidates, ring_conj(f)), one)
         units = (ring_norm(phases) == 1).all(axis=1)
         images = canonical_rows(ring_mul(phases[units][:, None], source))
-        wanted = vector_set(target)
-        found = any(vector_set(image) == wanted for image in images)
+        found = set(vector_keys(target).tolist()) in map(set, vector_keys(images).tolist())
         assert found, f"no monomial shift maps column {c1} to column {c2}"
     return "block columns related by shift + per-coordinate unit phases"
 

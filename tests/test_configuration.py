@@ -2,6 +2,7 @@ import cmath
 import hashlib
 import itertools
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -652,3 +653,100 @@ def test_build_rejects_conjugation_mismatch(monkeypatch):
     monkeypatch.setattr(configuration, "_CARD_TABLE", cards)
     with pytest.raises(ConfigurationError, match="conjugate of S3 is not S4"):
         WittingConfiguration()
+
+
+def test_build_rejects_projectively_equal_states(monkeypatch):
+    _set_vector(monkeypatch, 0, 3, "0 -1 1 -1")  # -1 times S2
+    with pytest.raises(ConfigurationError, match="states are not projectively distinct"):
+        WittingConfiguration()
+
+
+@pytest.mark.parametrize("orphan", ["0 0 0 0", "0 1 x 1"])
+def test_build_rejects_cards_sharing_a_block_entry(monkeypatch, orphan):
+    # S4 takes S3's entry (0, 2), so no card holds entry (0, 3).  What that
+    # entry holds is never reached: the duplicate state fails first.
+    cards = dict(configuration._CARD_TABLE)
+    cards[4] = (cards[3][0], *cards[4][1:])
+    blocks = [list(column) for column in configuration._BLOCK_TABLE]
+    blocks[0][3] = orphan
+    monkeypatch.setattr(configuration, "_CARD_TABLE", cards)
+    monkeypatch.setattr(configuration, "_BLOCK_TABLE", tuple(map(tuple, blocks)))
+    with pytest.raises(ConfigurationError, match="states are not projectively distinct"):
+        WittingConfiguration()
+
+
+def test_build_rejects_block_row_0_off_the_axis(monkeypatch):
+    # (1, -1, 1, 0) has norm 3 and is no configuration state, so the family
+    # check is the first to fail, and columns 0 and 1 pass it first.
+    _set_vector(monkeypatch, 2, 1, "1 -1 1 0")
+    with pytest.raises(ConfigurationError, match=r"block \(2,0\) is not the axis state"):
+        WittingConfiguration()
+
+
+def test_build_rejects_irregular_orthogonality_graph(monkeypatch):
+    # No table reaches this check: each of the 108 norm-3 vectors outside the
+    # configuration has an overlap outside {0, 3} with 27 of its states.  So
+    # the Gram product is patched: S1 and S2, orthogonal, get an overlap of
+    # norm 3, which leaves both with 11 orthogonal states.
+    gram = configuration.ring_matmul
+
+    def patched(x, y):
+        out = gram(x, y).copy()
+        out[0, 1] = out[1, 0] = (1, 2)
+        return out
+
+    monkeypatch.setattr(configuration, "ring_matmul", patched)
+    with pytest.raises(ConfigurationError, match=r"not 12-regular: \{11, 12\}$"):
+        WittingConfiguration()
+
+
+def _relabelled_table(config, i, j):
+    """The transition table with states i and j swapped."""
+    order = np.arange(40)
+    order[[i, j]] = j, i
+    return config.transition_array[np.ix_(order, order)]
+
+
+def test_build_rejects_tetrad_with_two_suits(config, monkeypatch):
+    # Swapping S2 and H2 moves H2 into S2's mono-suit tetrads.
+    table = _relabelled_table(config, 1, 11)
+    monkeypatch.setattr(WittingConfiguration, "_build_table", lambda self: table)
+    with pytest.raises(
+        ConfigurationError,
+        match=re.escape(
+            "tetrad with 2 suits: (Card(suit='S', rank=1), Card(suit='S', rank=3), "
+            "Card(suit='S', rank=4), Card(suit='H', rank=2))"
+        ),
+    ):
+        WittingConfiguration()
+
+
+def test_build_rejects_tetrad_tag_counts(config, monkeypatch):
+    # Swapping S2 and S3 keeps every tetrad's suits, but the rank tetrads of
+    # 2 and 3 become mixed-suit ones.
+    table = _relabelled_table(config, 1, 2)
+    monkeypatch.setattr(WittingConfiguration, "_build_table", lambda self: table)
+    with pytest.raises(ConfigurationError, match="tetrad tags off: 8/20/12$"):
+        WittingConfiguration()
+
+
+def build_digest(config):
+    """sha256 over every public field the build sets."""
+    h = hashlib.sha256()
+    for name in ("vector_array", "transition_array", "tetrads_of_state", "common_tetrad"):
+        array = getattr(config, name)
+        h.update(f"{name} {array.dtype.str} {array.shape} {array.flags.writeable}\n".encode())
+        h.update(array.tobytes())
+    h.update(repr([(s.pairs, s.card, s.block) for s in config.states]).encode())
+    h.update(repr([(b.id, b.tag, [c.label for c in b.members]) for b in config.bases]).encode())
+    h.update(repr(config.basis_states).encode())
+    return h.hexdigest()
+
+
+# build_digest(WittingConfiguration()) of the build that parsed and
+# canonicalised each table on its own.
+BUILD_SHA256 = "d2fe0d7c9ecd4fde498f566840c69a9a10a3c89cca8cdec50ef08f51bed99ca8"
+
+
+def test_build_fields_are_pinned():
+    assert build_digest(WittingConfiguration()) == BUILD_SHA256
